@@ -210,6 +210,7 @@ def _cmd_bound(args, outdir, threads) -> dict:
         "T1_final": curve.dist_final,
         "T2_final": curve.noise_final,
         "tuned_bound_final": 2.0 * math.sqrt(curve.dist_final * curve.noise_final),
+        "noise_kernel": curve.noise_kernel,
     }
     return _emit(outdir, args.name, args.format, ["t", "omega", "T1", "T2"], rows, summary)
 

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -28,7 +30,17 @@ from schedbound.bounds import (
     tuned_bound,
     wsd_bound_exact,
 )
-from schedbound.schedules import Schedule, constant, linear_decay, wsd
+from schedbound.schedules import (
+    CooldownShape,
+    Schedule,
+    constant,
+    cosine,
+    extended,
+    inv_sqrt,
+    linear_decay,
+    polynomial_decay,
+    wsd,
+)
 
 
 def brute_force_terms(eta, gvals, D):
@@ -48,6 +60,47 @@ def brute_force_terms(eta, gvals, D):
         q_tail = (eta[k - 1 :] ** 2 * g2[k - 1 :]).sum()
         noise += 0.5 * (w_k / tail_after) * (q_tail / tail_incl)
     return dist, noise
+
+
+def fraction_terms(eta, gvals, D, t):
+    """Exact (dist, noise) at horizon t in rationals, from the bound's definition.
+
+    Every float converts to a Fraction exactly, so nothing rounds.  This is
+    the double sum of the bounds module docstring, not the single sum that
+    the suffix-sum kernel evaluates, so it checks that identity too.
+    """
+    e = [Fraction(float(x)) for x in eta[:t]]
+    q = [x * x * Fraction(float(g)) ** 2 for x, g in zip(e, gvals)]
+    S = [Fraction(0), *accumulate(e)]
+    Q = [Fraction(0), *accumulate(q)]
+    noise = Q[t] / (2 * S[t])
+    for k in range(1, t):
+        noise += e[k - 1] * (Q[t] - Q[k - 1]) / (2 * (S[t] - S[k]) * (S[t] - S[k - 1]))
+    return Fraction(D) ** 2 / (2 * S[t]), noise
+
+
+def rel_err(value, exact):
+    return float(abs(Fraction(value) - exact) / exact)
+
+
+ORACLE_T = 240
+ORACLE_SCHEDULES = {
+    "constant": constant(ORACLE_T),
+    "wsd-linear": wsd(ORACLE_T, 0.3),
+    "wsd-1-sqrt": wsd(ORACLE_T, 0.3, CooldownShape.ONE_MINUS_SQRT),
+    "cosine-final-0": cosine(ORACLE_T),
+    "cosine-restarts": cosine(ORACLE_T, 0.0, 0.3),
+    "inv-sqrt": inv_sqrt(ORACLE_T),
+    "polynomial": polynomial_decay(ORACLE_T, 2.0),
+    "extended": extended(ORACLE_T // 2, 0.2, ORACLE_T, 0.5),
+    "random": Schedule(np.random.default_rng(23).uniform(0.1, 1.0, size=ORACLE_T)),
+}
+
+
+@pytest.fixture
+def suffix_sum_kernel(monkeypatch):
+    """Send every horizon, however short, through the suffix-sum noise kernel."""
+    monkeypatch.setattr(bounds, "LONG_HORIZON", 1)
 
 
 def random_schedule(rng, T):
@@ -304,19 +357,54 @@ class TestClosedForms:
 
 class TestLongHorizon:
     def test_extended_precision_path_matches_closed_form(self):
+        # T = LONG_HORIZON takes the suffix-sum kernel
         T = bounds.LONG_HORIZON
         numeric = tuned_bound(constant(T))
         closed = constant_bound_exact(T)
-        assert numeric == pytest.approx(closed, rel=1e-10)
+        assert numeric == pytest.approx(closed, rel=1e-13)
 
-    def test_short_and_long_paths_agree(self):
-        # same schedule evaluated through both accumulator dtypes
-        sched = constant(400)
-        dist64, noise64 = bound_terms(sched)
-        big = Schedule(np.concatenate([sched.values, np.full(bounds.LONG_HORIZON - 400, 1e-9)]))
-        dist_big, noise_big = bound_terms(big, t=400)
-        assert dist_big == pytest.approx(dist64, rel=1e-12)
-        assert noise_big == pytest.approx(noise64, rel=1e-12)
+    def test_short_and_long_paths_agree(self, monkeypatch):
+        # the same schedules through the prefix-difference and the suffix-sum kernel
+        scheds = [constant(400), wsd(400, 0.3)]
+        short = [bound_terms(s) for s in scheds]
+        assert bound_curve(BoundSpec(scheds[0])).noise_kernel == bounds.PREFIX_DIFFERENCE
+        monkeypatch.setattr(bounds, "LONG_HORIZON", 1)
+        assert bound_curve(BoundSpec(scheds[0])).noise_kernel == bounds.SUFFIX_SUM
+        for (dist64, noise64), sched in zip(short, scheds):
+            dist, noise = bound_terms(sched)
+            assert dist == pytest.approx(dist64, rel=1e-12)
+            assert noise == pytest.approx(noise64, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEDULES))
+    def test_suffix_sum_matches_fraction_oracle(self, suffix_sum_kernel, name, alpha):
+        sched = ORACLE_SCHEDULES[name]
+        grad = GradNormModel(G=1.3, alpha=alpha)
+        for t in (1, 2, ORACLE_T // 2, ORACLE_T - 1, ORACLE_T):
+            exact_dist, exact_noise = fraction_terms(sched.values, grad.values(t), 0.7, t)
+            dist, noise = bound_terms(sched, grad, 0.7, t)
+            assert rel_err(dist, exact_dist) <= 1e-13, t
+            assert rel_err(noise, exact_noise) <= 1e-13, t
+
+    def test_mirror_bound_bit_identical_on_suffix_sum_path(self, suffix_sum_kernel):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            T = int(rng.integers(1, 300))
+            sched = random_schedule(rng, T)
+            D = float(rng.uniform(0.3, 3.0))
+            gamma = float(rng.uniform(0.01, 2.0))
+            grad = GradNormModel(G=float(rng.uniform(0.3, 2.0)), alpha=float(rng.uniform(-1.0, 0.0)))
+            mirror = MirrorSpec(bregman_init=D * D / 2.0, mu=1.0, dual_grad_norms=grad)
+            assert mirror_bound(mirror, sched, gamma=gamma) == bound_value(BoundSpec(sched, grad, D, gamma))
+
+    def test_constant_curve_on_suffix_sum_path(self):
+        # noise of the constant schedule at horizon t is (1 + H_{t-1}) / 2
+        sched = constant(bounds.LONG_HORIZON)
+        curve = bound_curve(BoundSpec(sched), stride=10_000)
+        assert curve.noise_kernel == bounds.SUFFIX_SUM
+        for t, noise in zip(curve.t, curve.noise_terms):
+            assert noise == pytest.approx((1.0 + harmonic(int(t) - 1)) / 2.0, rel=1e-13)
+        assert (curve.dist_final, curve.noise_final) == bound_terms(sched)
 
 
 class TestMirror:
