@@ -3,25 +3,19 @@
 
 Usage: python scripts/reproduce_all.py [OUTDIR]
 
-Writes CSVs plus a machine-readable summary into OUTDIR (default
-./artifacts).  Equivalent to `schedbound repro all --outdir OUTDIR`.
+Runs `schedbound repro all --outdir OUTDIR` (OUTDIR defaults to
+./artifacts): the data files of every target plus repro_all_summary.json,
+with the summary also printed to stdout.
 """
 
-import os
 import sys
 
-from schedbound import repro, serialize
+from schedbound import cli
 
 
 def main() -> int:
     outdir = sys.argv[1] if len(sys.argv) > 1 else "artifacts"
-    threads = os.cpu_count() or 1
-    summary = repro.run_target("all", outdir, fmt="csv", threads=threads)
-    path = serialize.write_text(os.path.join(outdir, "all_summary.json"), serialize.json_text(summary))
-    for name in repro.TARGET_NAMES:
-        print(f"{name}: {len(summary[name].get('files', []))} file(s)")
-    print(f"summary: {path}")
-    return 0
+    return cli.main(["repro", "all", "--outdir", outdir])
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ pinned repro outputs stay byte-identical.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,7 +323,7 @@ def default_stride(T: int) -> int:
     return max(1, T // 2000)
 
 
-def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool, threads: int) -> BoundCurve:
+def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve:
     T = spec.schedule.horizon
     if stride is None:
         stride = default_stride(T)
@@ -338,23 +337,11 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool, threads: int)
     q, prefix = _accumulators(eta, spec.grad_norms.values(T))
     D = float(spec.D)
     Dsq = D * D
-
-    def eval_range(sub):
-        buf = np.empty((2, T)) if prefix is None else None
-        out = np.empty((len(sub), 2))
-        for i, t in enumerate(sub):
-            S_t, out[i, 1] = _horizon(eta, q, prefix, t, cross_terms, buf)
-            out[i, 0] = Dsq / (2.0 * S_t)
-        return out
-
-    if threads > 1 and len(ts) > 1:
-        chunks = np.array_split(np.asarray(ts), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(eval_range, [c.tolist() for c in chunks if c.size]))
-        terms = np.vstack(parts)
-    else:
-        terms = eval_range(ts)
-
+    buf = np.empty((2, T)) if prefix is None else None
+    terms = np.empty((len(ts), 2))
+    for i, t in enumerate(ts):
+        S_t, terms[i, 1] = _horizon(eta, q, prefix, t, cross_terms, buf)
+        terms[i, 0] = Dsq / (2.0 * S_t)
     dist = terms[:, 0]
     noise = terms[:, 1]
     return BoundCurve(
@@ -367,19 +354,17 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool, threads: int)
     )
 
 
-def bound_curve(spec: BoundSpec, stride: int | None = None, threads: int = 1) -> BoundCurve:
+def bound_curve(spec: BoundSpec, stride: int | None = None) -> BoundCurve:
     """Last-iterate bound at horizons {1, 1+stride, ...} plus T.
 
-    Default stride is max(1, T // 2000).  With threads > 1 the horizons
-    are evaluated in parallel chunks; results are ordered and identical
-    to the single-threaded ones.
+    Default stride is max(1, T // 2000).
     """
-    return _curve(spec, stride, cross_terms=True, threads=threads)
+    return _curve(spec, stride, cross_terms=True)
 
 
-def best_iterate_curve(spec: BoundSpec, stride: int | None = None, threads: int = 1) -> BoundCurve:
+def best_iterate_curve(spec: BoundSpec, stride: int | None = None) -> BoundCurve:
     """Best-iterate bound along the same horizon grid as bound_curve."""
-    return _curve(spec, stride, cross_terms=False, threads=threads)
+    return _curve(spec, stride, cross_terms=False)
 
 
 def mirror_bound(

@@ -25,7 +25,6 @@ def _add_common(p: argparse.ArgumentParser, name: str):
     p.add_argument("--outdir", default=None, help=f"output directory (default: ${OUTDIR_ENV} or '.')")
     p.add_argument("--name", default=name, help="base name for output files")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="data file format")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: cpu count)")
 
 
 def _add_bound_params(p: argparse.ArgumentParser):
@@ -141,14 +140,6 @@ def _resolve_outdir(args) -> str:
     return outdir
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is None:
-        return os.cpu_count() or 1
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    return args.threads
-
-
 def _gamma_arg(raw: str) -> float | None:
     if raw == "star":
         return None
@@ -165,42 +156,31 @@ def _grad_norms(args) -> bounds.GradNormModel:
     return bounds.GradNormModel(G=args.G, alpha=args.grad_alpha)
 
 
-def _emit(outdir: str, name: str, fmt: str, header, rows, summary: dict, extra_files=()) -> dict:
-    if fmt == "json":
-        data_path = serialize.write_text(
-            os.path.join(outdir, f"{name}.json"),
-            serialize.json_text([dict(zip(header, row)) for row in rows]),
-        )
-    else:
-        data_path = serialize.write_text(os.path.join(outdir, f"{name}.csv"), serialize.csv_text(header, rows))
-    summary = dict(summary)
-    summary["files"] = [data_path, *extra_files]
-    summary_path = serialize.write_text(os.path.join(outdir, f"{name}_summary.json"), serialize.json_text(summary))
-    summary["summary_file"] = summary_path
-    return summary
-
-
 def _echo(args, **extra) -> dict:
-    skip = {"outdir", "name", "format", "threads"}
+    skip = {"outdir", "name", "format"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
     config.update(extra)
     return config
 
 
-def _cmd_schedule(args, outdir, threads) -> dict:
+def _cmd_schedule(args, outdir) -> dict:
     sched = schedules.parse_spec(args.schedule)
     rows = zip(range(1, sched.horizon + 1), sched.values)
-    return _emit(outdir, args.name, args.format, ["t", "eta"], rows,
-                 {"config": _echo(args), "horizon": sched.horizon})
+    summary = {
+        "config": _echo(args),
+        "horizon": sched.horizon,
+        "files": [serialize.serialize(outdir, args.name, ["t", "eta"], rows, args.format)],
+    }
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_bound(args, outdir, threads) -> dict:
+def _cmd_bound(args, outdir) -> dict:
     sched = schedules.parse_spec(args.schedule)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
     gamma_star = bounds.optimal_gamma(sched, grad, args.D)
     spec = bounds.BoundSpec(sched, grad, args.D, gamma_star if gamma is None else gamma)
-    curve = bounds.bound_curve(spec, stride=args.stride, threads=threads)
+    curve = bounds.bound_curve(spec, stride=args.stride)
     rows = zip(curve.t, curve.values, curve.dist_terms, curve.noise_terms)
     summary = {
         "config": _echo(args),
@@ -212,10 +192,11 @@ def _cmd_bound(args, outdir, threads) -> dict:
         "tuned_bound_final": 2.0 * math.sqrt(curve.dist_final * curve.noise_final),
         "noise_kernel": curve.noise_kernel,
     }
-    return _emit(outdir, args.name, args.format, ["t", "omega", "T1", "T2"], rows, summary)
+    summary["files"] = [serialize.serialize(outdir, args.name, ["t", "omega", "T1", "T2"], rows, args.format)]
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_sweep_gamma(args, outdir, threads) -> dict:
+def _cmd_sweep_gamma(args, outdir) -> dict:
     sched = schedules.parse_spec(args.schedule)
     grad = _grad_norms(args)
     grid = None
@@ -234,10 +215,12 @@ def _cmd_sweep_gamma(args, outdir, threads) -> dict:
         "argmin_omega": sweep.argmin_objective,
         "gamma_star": bounds.optimal_gamma(sched, grad, args.D),
     }
-    return _emit(outdir, args.name, args.format, ["gamma", "omega"], zip(sweep.grid, sweep.objective), summary)
+    rows = zip(sweep.grid, sweep.objective)
+    summary["files"] = [serialize.serialize(outdir, args.name, ["gamma", "omega"], rows, args.format)]
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_sweep_cooldown(args, outdir, threads) -> dict:
+def _cmd_sweep_cooldown(args, outdir) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
@@ -246,7 +229,7 @@ def _cmd_sweep_cooldown(args, outdir, threads) -> dict:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     grid = np.logspace(math.log10(args.c_min), math.log10(args.c_max), args.points)
-    sweep = tuning.sweep_cooldown(args.T, grid, shape, grad, args.D, gamma=gamma, base=args.base, threads=threads)
+    sweep = tuning.sweep_cooldown(args.T, grid, shape, grad, args.D, gamma=gamma, base=args.base)
     rows = zip(sweep.grid, sweep.objective, sweep.aux["gamma"])
     summary = {
         "config": _echo(args),
@@ -254,10 +237,11 @@ def _cmd_sweep_cooldown(args, outdir, threads) -> dict:
         "argmin_omega": sweep.argmin_objective,
         "gamma_at_argmin": float(sweep.aux["gamma"][int(np.argmin(sweep.objective))]),
     }
-    return _emit(outdir, args.name, args.format, ["c", "omega", "gamma"], rows, summary)
+    summary["files"] = [serialize.serialize(outdir, args.name, ["c", "omega", "gamma"], rows, args.format)]
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_transfer_horizon(args, outdir, threads) -> dict:
+def _cmd_transfer_horizon(args, outdir) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     if args.mode == "rho":
@@ -274,10 +258,12 @@ def _cmd_transfer_horizon(args, outdir, threads) -> dict:
         "target_gamma": res.target_gamma,
         "achieved_gamma": res.achieved_gamma,
     }
-    return _emit(outdir, args.name, args.format, [param, "abs_gamma_mismatch", "gamma_mismatch"], rows, summary)
+    header = [param, "abs_gamma_mismatch", "gamma_mismatch"]
+    summary["files"] = [serialize.serialize(outdir, args.name, header, rows, args.format)]
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_transfer_lr(args, outdir, threads) -> dict:
+def _cmd_transfer_lr(args, outdir) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     if not 0.0 < args.c_min <= args.c_max <= 1.0:
@@ -290,10 +276,11 @@ def _cmd_transfer_lr(args, outdir, threads) -> dict:
         "poly6_coefficients": [float(x) for x in fit.coefficients],
         "poly6_residual_norm": fit.residual_norm,
     }
-    return _emit(outdir, args.name, args.format, ["c", "log_ratio"], curve, summary)
+    summary["files"] = [serialize.serialize(outdir, args.name, ["c", "log_ratio"], curve, args.format)]
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_toy_run(args, outdir, threads) -> dict:
+def _cmd_toy_run(args, outdir) -> dict:
     sched = schedules.parse_spec(args.schedule)
     problem = toy.generate_problem(args.m, args.d, args.seed)
     x_start = None
@@ -308,42 +295,28 @@ def _cmd_toy_run(args, outdir, threads) -> dict:
         "config": _echo(args),
         "final_loss": float(rec.losses[-1]),
         "min_loss": float(np.min(rec.losses)),
+        "files": [serialize.serialize(outdir, args.name, ["t", "eta", "loss"], rows, args.format)],
     }
-    extra_files = []
     if args.record_iterates:
         header = ["t"] + [f"x{i + 1}" for i in range(problem.d)]
         it_rows = ([t + 1, *rec.iterates[t]] for t in range(sched.horizon))
-        extra_files.append(serialize.write_text(
-            os.path.join(outdir, f"{args.name}_iterates.csv"), serialize.csv_text(header, it_rows)
-        ))
-    return _emit(outdir, args.name, args.format, ["t", "eta", "loss"], rows, summary, extra_files)
+        summary["files"].append(serialize.serialize(outdir, f"{args.name}_iterates", header, it_rows, args.format))
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_toy_compare(args, outdir, threads) -> dict:
-    runs = toy.comparison_runs(seed=args.seed, T=args.T, threads=threads)
-    summary: dict = {"config": _echo(args)}
-    files = []
+def _cmd_toy_compare(args, outdir) -> dict:
+    runs = toy.comparison_runs(seed=args.seed, T=args.T)
+    summary: dict = {"config": _echo(args), "files": []}
     for name in ("wsd", "constant", "cosine"):
         rec = runs[name]
         rows = zip(range(1, args.T + 1), rec.schedule_used.values, rec.losses)
-        if args.format == "json":
-            path = serialize.write_text(
-                os.path.join(outdir, f"{args.name}_{name}.json"),
-                serialize.json_text([{"t": t, "eta": e, "loss": l} for t, e, l in rows]),
-            )
-        else:
-            path = serialize.write_text(
-                os.path.join(outdir, f"{args.name}_{name}.csv"), serialize.csv_text(["t", "eta", "loss"], rows)
-            )
-        files.append(path)
+        path = serialize.serialize(outdir, f"{args.name}_{name}", ["t", "eta", "loss"], rows, args.format)
+        summary["files"].append(path)
         summary[f"final_loss_{name}"] = float(rec.losses[-1])
-    summary["files"] = files
-    path = serialize.write_text(os.path.join(outdir, f"{args.name}_summary.json"), serialize.json_text(summary))
-    summary["summary_file"] = path
-    return summary
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_scaling_law(args, outdir, threads) -> dict:
+def _cmd_scaling_law(args, outdir) -> dict:
     defaults = scaling.ScalingLaw()
     law = scaling.ScalingLaw(
         E=defaults.E if args.E is None else args.E,
@@ -363,9 +336,7 @@ def _cmd_scaling_law(args, outdir, threads) -> dict:
         "result": result,
         "solve": args.solve,
     }
-    path = serialize.write_text(os.path.join(outdir, f"{args.name}_summary.json"), serialize.json_text(summary))
-    summary["summary_file"] = path
-    return summary
+    return serialize.write_summary(outdir, args.name, summary)
 
 
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
@@ -388,7 +359,7 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
     return points
 
 
-def _cmd_fit(args, outdir, threads) -> dict:
+def _cmd_fit(args, outdir) -> dict:
     points = _read_xy_csv(args.input)
     if args.model == "hgamma":
         fit = tuning.fit_inv_gamma_linear(points)
@@ -408,17 +379,15 @@ def _cmd_fit(args, outdir, threads) -> dict:
         "residual_norm": fit.residual_norm,
         **extra,
     }
-    return _emit(outdir, args.name, args.format, ["x", "y", "fitted"], rows, summary)
+    summary["files"] = [serialize.serialize(outdir, args.name, ["x", "y", "fitted"], rows, args.format)]
+    return serialize.write_summary(outdir, args.name, summary)
 
 
-def _cmd_repro(args, outdir, threads) -> dict:
+def _cmd_repro(args, outdir) -> dict:
     if args.target == "list":
         return {"targets": sorted(repro.TARGETS)}
-    summary = repro.run_target(args.target, outdir, args.format, threads)
-    summary = {"config": _echo(args), **summary}
-    path = serialize.write_text(os.path.join(outdir, f"{args.name}_{args.target}_summary.json"), serialize.json_text(summary))
-    summary["summary_file"] = path
-    return summary
+    summary = {"config": _echo(args), **repro.run_target(args.target, outdir, args.format)}
+    return serialize.write_summary(outdir, f"{args.name}_{args.target}", summary)
 
 
 _HANDLERS = {
@@ -445,8 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         outdir = _resolve_outdir(args)
-        threads = _resolve_threads(args)
-        summary = _HANDLERS[args.command](args, outdir, threads)
+        summary = _HANDLERS[args.command](args, outdir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,21 +8,12 @@ produce byte-identical files.
 from __future__ import annotations
 
 import math
-import os
 
-import numpy as np
-
-from . import bounds, scaling, schedules, serialize, toy, tuning
+from . import bounds, scaling, schedules, toy, tuning
+from .serialize import serialize
 
 
-def _write(outdir: str, name: str, header, rows, fmt: str = "csv") -> str:
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        return serialize.write_text(os.path.join(outdir, f"{name}.json"), serialize.json_text(payload))
-    return serialize.write_text(os.path.join(outdir, f"{name}.csv"), serialize.csv_text(header, rows))
-
-
-def gamma_star_scaling(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def gamma_star_scaling(outdir: str, fmt: str = "csv") -> dict:
     """gamma* vs horizon for wsd(c=0.2) and cosine, with 1/sqrt(T) fits."""
     Ts = [200 * 2**k for k in range(7)]
     wsd_pts = [(T, bounds.optimal_gamma(schedules.wsd(T, 0.2))) for T in Ts]
@@ -30,7 +21,7 @@ def gamma_star_scaling(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
     fit_w = tuning.fit_inv_sqrt(wsd_pts)
     fit_c = tuning.fit_inv_sqrt(cos_pts)
     rows = [(T, gw, gc) for (T, gw), (_, gc) in zip(wsd_pts, cos_pts)]
-    files = [_write(outdir, "gamma_star_scaling", ["T", "gamma_star_wsd", "gamma_star_cosine"], rows, fmt)]
+    files = [serialize(outdir, "gamma_star_scaling", ["T", "gamma_star_wsd", "gamma_star_cosine"], rows, fmt)]
     return {
         "files": files,
         "a_wsd": float(fit_w.coefficients[0]),
@@ -41,7 +32,7 @@ def gamma_star_scaling(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
     }
 
 
-def rho_transfer(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def rho_transfer(outdir: str, fmt: str = "csv") -> dict:
     """Continuation factor keeping gamma* fixed when doubling/quadrupling T."""
     T1, c = 4000, 0.2
     out: dict = {"files": [], "T1": T1, "c": c}
@@ -49,14 +40,14 @@ def rho_transfer(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
         res = tuning.transfer_horizon_rho(T1, mult * T1, c)
         rows = zip(res.diagnostics.grid, res.diagnostics.objective, res.diagnostics.aux["mismatch"])
         out["files"].append(
-            _write(outdir, f"rho_transfer_{mult}x", ["rho", "abs_gamma_mismatch", "gamma_mismatch"], rows, fmt)
+            serialize(outdir, f"rho_transfer_{mult}x", ["rho", "abs_gamma_mismatch", "gamma_mismatch"], rows, fmt)
         )
         out[f"rho_{mult}x"] = res.value
         out[f"feasible_{mult}x"] = res.feasible
     return out
 
 
-def cooldown_transfer(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def cooldown_transfer(outdir: str, fmt: str = "csv") -> dict:
     """Cooldown fraction keeping gamma* fixed on a doubled horizon."""
     T1, c = 4000, 0.2
     out: dict = {"files": [], "T1": T1, "c_short": c}
@@ -64,20 +55,20 @@ def cooldown_transfer(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
         res = tuning.transfer_horizon_cooldown(T1, 2 * T1, c, base=base)
         rows = zip(res.diagnostics.grid, res.diagnostics.objective, res.diagnostics.aux["mismatch"])
         out["files"].append(
-            _write(outdir, f"cooldown_transfer_{tag}", ["c", "abs_gamma_mismatch", "gamma_mismatch"], rows, fmt)
+            serialize(outdir, f"cooldown_transfer_{tag}", ["c", "abs_gamma_mismatch", "gamma_mismatch"], rows, fmt)
         )
         out[f"c_long_{tag}"] = res.value
         out[f"feasible_{tag}"] = res.feasible
     return out
 
 
-def lr_transfer(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def lr_transfer(outdir: str, fmt: str = "csv") -> dict:
     """ln(gamma*(1)/gamma*(c)) across cooldown fractions, both shapes."""
     T = 10_000
     lin = tuning.lr_transfer_curve(T, shape=schedules.CooldownShape.LINEAR)
     sqr = tuning.lr_transfer_curve(T, shape=schedules.CooldownShape.ONE_MINUS_SQRT)
     rows = [(c, v, w) for (c, v), (_, w) in zip(lin, sqr)]
-    files = [_write(outdir, "lr_transfer", ["c", "log_ratio_linear", "log_ratio_one_minus_sqrt"], rows, fmt)]
+    files = [serialize(outdir, "lr_transfer", ["c", "log_ratio_linear", "log_ratio_one_minus_sqrt"], rows, fmt)]
     fit = tuning.fit_polynomial(lin, degree=6)
     at_02 = math.log(
         bounds.optimal_gamma(schedules.wsd(T, 1.0)) / bounds.optimal_gamma(schedules.wsd(T, 0.2))
@@ -91,16 +82,16 @@ def lr_transfer(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
     }
 
 
-def cooldown_sweep(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def cooldown_sweep(outdir: str, fmt: str = "csv") -> dict:
     """Bound vs cooldown fraction, per-c-tuned and at a fixed gamma."""
     out: dict = {"files": []}
     for T in (400, 4000):
-        tuned = tuning.sweep_cooldown(T, threads=threads)
+        tuned = tuning.sweep_cooldown(T)
         g_fix = 0.5 * bounds.optimal_gamma(schedules.wsd(T, 1.0))
-        fixed = tuning.sweep_cooldown(T, gamma=g_fix, threads=threads)
+        fixed = tuning.sweep_cooldown(T, gamma=g_fix)
         rows = zip(tuned.grid, tuned.objective, tuned.aux["gamma"], fixed.objective)
         out["files"].append(
-            _write(outdir, f"cooldown_sweep_T{T}", ["c", "omega_tuned", "gamma_tuned", "omega_fixed_gamma"], rows, fmt)
+            serialize(outdir, f"cooldown_sweep_T{T}", ["c", "omega_tuned", "gamma_tuned", "omega_fixed_gamma"], rows, fmt)
         )
         out[f"T{T}"] = {
             "argmin_c_tuned": tuned.argmin_value,
@@ -110,7 +101,7 @@ def cooldown_sweep(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
     return out
 
 
-def gradnorm_shapes(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def gradnorm_shapes(outdir: str, fmt: str = "csv") -> dict:
     """Cooldown drop of the bound under shrinking gradient-norm models."""
     T, c = 400, 0.2
     T0 = schedules.cooldown_start(T, c)
@@ -121,25 +112,25 @@ def gradnorm_shapes(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
     for alpha in alphas:
         g = bounds.GradNormModel(alpha=alpha)
         spec = bounds.BoundSpec(sched, g, gamma=bounds.optimal_gamma(sched, g))
-        curve = bounds.bound_curve(spec, stride=1, threads=threads)
+        curve = bounds.bound_curve(spec, stride=1)
         curves.append(curve)
         out[f"drop_ratio_alpha_{alpha:g}"] = float(curve.values[T0 - 1] / curve.values[T - 1])
     rows = zip(curves[0].t, *[c.values for c in curves])
     header = ["t"] + [f"omega_alpha_{a:g}" for a in alphas]
-    out["files"].append(_write(outdir, "gradnorm_shapes", header, rows, fmt))
+    out["files"].append(serialize(outdir, "gradnorm_shapes", header, rows, fmt))
     return out
 
 
-def min_ablation(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def min_ablation(outdir: str, fmt: str = "csv") -> dict:
     """Last-iterate bound vs the best-iterate ablation along the run."""
     T, c = 400, 0.2
     T0 = schedules.cooldown_start(T, c)
     sched = schedules.wsd(T, c)
     spec = bounds.BoundSpec(sched, gamma=bounds.optimal_gamma(sched))
-    last = bounds.bound_curve(spec, stride=1, threads=threads)
-    best = bounds.best_iterate_curve(spec, stride=1, threads=threads)
+    last = bounds.bound_curve(spec, stride=1)
+    best = bounds.best_iterate_curve(spec, stride=1)
     rows = zip(last.t, last.values, best.values)
-    files = [_write(outdir, "min_ablation", ["t", "omega_last_iterate", "omega_best_iterate"], rows, fmt)]
+    files = [serialize(outdir, "min_ablation", ["t", "omega_last_iterate", "omega_best_iterate"], rows, fmt)]
     return {
         "files": files,
         "T": T,
@@ -151,16 +142,16 @@ def min_ablation(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
     }
 
 
-def toy_runs(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def toy_runs(outdir: str, fmt: str = "csv") -> dict:
     """The three-schedule subgradient-descent comparison, seed 0."""
     T, seed = 400, 0
-    runs = toy.comparison_runs(seed=seed, T=T, threads=threads)
+    runs = toy.comparison_runs(seed=seed, T=T)
     T0 = schedules.cooldown_start(T, 0.2)
     out: dict = {"files": [], "seed": seed, "T": T, "T0": T0}
     for name in ("wsd", "constant", "cosine"):
         rec = runs[name]
         rows = zip(range(1, T + 1), rec.schedule_used.values, rec.losses)
-        out["files"].append(_write(outdir, f"toy_{name}", ["t", "eta", "loss"], rows, fmt))
+        out["files"].append(serialize(outdir, f"toy_{name}", ["t", "eta", "loss"], rows, fmt))
         out[f"final_loss_{name}"] = float(rec.losses[-1])
     w = runs["wsd"].losses
     out["wsd_cooldown_drop_ratio"] = float(w[T0 - 1] / w[T - 1])
@@ -168,7 +159,7 @@ def toy_runs(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
     return out
 
 
-def schedule_comparison(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def schedule_comparison(outdir: str, fmt: str = "csv") -> dict:
     """Tuned bound for the standard schedule zoo at one horizon."""
     T = 400
     zoo = [
@@ -192,11 +183,11 @@ def schedule_comparison(outdir: str, fmt: str = "csv", threads: int = 1) -> dict
         rows.append((name, gs, val))
         if val < best_val:
             best_name, best_val = name, val
-    files = [_write(outdir, "schedule_comparison", ["schedule", "gamma_star", "tuned_bound"], rows, fmt)]
+    files = [serialize(outdir, "schedule_comparison", ["schedule", "gamma_star", "tuned_bound"], rows, fmt)]
     return {"files": files, "T": T, "best_schedule": best_name, "best_tuned_bound": best_val}
 
 
-def cosine_cycles(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def cosine_cycles(outdir: str, fmt: str = "csv") -> dict:
     """Cosine warm restarts: shorter cycles only hurt the bound."""
     T, final = 400, 0.1
     g_full = bounds.optimal_gamma(schedules.cosine(T, final, 1.0))
@@ -206,7 +197,7 @@ def cosine_cycles(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
         tuned = bounds.tuned_bound(sched)
         fixed = bounds.bound_value(bounds.BoundSpec(sched, gamma=g_full))
         rows.append((cycle, tuned, fixed))
-    files = [_write(outdir, "cosine_cycles", ["cycle", "omega_tuned", "omega_at_full_cycle_gamma"], rows, fmt)]
+    files = [serialize(outdir, "cosine_cycles", ["cycle", "omega_tuned", "omega_at_full_cycle_gamma"], rows, fmt)]
     return {
         "files": files,
         "T": T,
@@ -217,7 +208,7 @@ def cosine_cycles(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
     }
 
 
-def closed_form_constants(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def closed_form_constants(outdir: str, fmt: str = "csv") -> dict:
     """Headline harmonic-number constants at T = 1e5."""
     T = 10**5
     T0 = int(0.8 * T)
@@ -231,11 +222,11 @@ def closed_form_constants(outdir: str, fmt: str = "csv", threads: int = 1) -> di
         "wsd_bound_sqrtT": bounds.wsd_bound_exact(T, T0) * math.sqrt(T),
         "linear_decay_bound_sqrtT": bounds.linear_decay_bound_exact(T) * math.sqrt(T),
     }
-    files = [_write(outdir, "closed_form_constants", ["name", "value"], sorted(vals.items()), fmt)]
+    files = [serialize(outdir, "closed_form_constants", ["name", "value"], sorted(vals.items()), fmt)]
     return {"files": files, "T": T, "T0": T0, **vals}
 
 
-def scaling_law_cases(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def scaling_law_cases(outdir: str, fmt: str = "csv") -> dict:
     """Loss-delta pricing for the four documented cases, delta = 0.01."""
     law = scaling.ScalingLaw()
     delta = 0.01
@@ -256,7 +247,7 @@ def scaling_law_cases(outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
             result = scaling.params_for_delta(law, N, D, delta)
             rows.append((mode, N, D, delta, result))
             out[f"params_from_{N / 1e6:.0f}M"] = result
-    out["files"] = [_write(outdir, "scaling_law_cases", ["mode", "N", "D", "delta", "result"], rows, fmt)]
+    out["files"] = [serialize(outdir, "scaling_law_cases", ["mode", "N", "D", "delta", "result"], rows, fmt)]
     return out
 
 
@@ -280,11 +271,11 @@ TARGETS = {
 TARGET_NAMES = [name for name in TARGETS if name != "fig4"]
 
 
-def run_target(target: str, outdir: str, fmt: str = "csv", threads: int = 1) -> dict:
+def run_target(target: str, outdir: str, fmt: str = "csv") -> dict:
     """Run one repro target (or 'all') and return its summary dict."""
     if target == "all":
-        return {name: TARGETS[name](outdir, fmt, threads) for name in TARGET_NAMES}
+        return {name: TARGETS[name](outdir, fmt) for name in TARGET_NAMES}
     if target not in TARGETS:
         known = ", ".join(["all"] + sorted(TARGETS))
         raise ValueError(f"unknown repro target {target!r}; known targets: {known}")
-    return TARGETS[target](outdir, fmt, threads)
+    return TARGETS[target](outdir, fmt)

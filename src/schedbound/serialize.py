@@ -1,7 +1,9 @@
 """CSV and JSON emission shared by the library and the CLI.
 
-Floats are written with 17 significant digits so that files round-trip
-to the exact binary value and repeated runs are byte-identical.
+Every artifact goes through `serialize` (a table as CSV or JSON) and
+`write_summary` (a `*_summary.json`).  Floats are written with 17
+significant digits so that files round-trip to the exact binary value and
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -65,3 +67,23 @@ def write_text(path: str, text: str) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
+
+
+def serialize(outdir: str, name: str, header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> str:
+    """Write a table as <outdir>/<name>.csv or, for fmt "json", <name>.json; return the path.
+
+    JSON holds one object per row, keyed by the header.
+    """
+    if fmt == "json":
+        text = json_text([dict(zip(header, row)) for row in rows])
+    elif fmt == "csv":
+        text = csv_text(header, rows)
+    else:
+        raise ValueError(f"unknown data format {fmt!r} (use csv or json)")
+    return write_text(os.path.join(outdir, f"{name}.{fmt}"), text)
+
+
+def write_summary(outdir: str, name: str, summary: dict) -> dict:
+    """Write summary as <outdir>/<name>_summary.json; return it with summary_file set."""
+    path = write_text(os.path.join(outdir, f"{name}_summary.json"), json_text(summary))
+    return {**summary, "summary_file": path}

@@ -16,7 +16,6 @@ problem, bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,7 +138,6 @@ def comparison_runs(
     m: int = 20,
     d: int = 2,
     record_iterates: bool = False,
-    threads: int = 1,
 ) -> dict[str, RunRecord]:
     """The three-run comparison on one shared problem instance.
 
@@ -154,14 +152,7 @@ def comparison_runs(
         ("constant", constant(T), 0.02, offset),
         ("cosine", cosine(T), 0.04, None),
     ]
-
-    def run(cfg):
-        name, sched, gamma, start = cfg
-        return name, run_sgd(problem, sched, gamma, x_start=start, record_iterates=record_iterates)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, configs))
-    else:
-        results = [run(cfg) for cfg in configs]
-    return dict(results)
+    return {
+        name: run_sgd(problem, sched, gamma, x_start=start, record_iterates=record_iterates)
+        for name, sched, gamma, start in configs
+    }

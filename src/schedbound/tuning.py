@@ -9,7 +9,6 @@ the simple parametric forms those curves follow.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +81,6 @@ class FitResult:
         raise ValueError(f"unknown fit model {self.model_kind!r}")
 
 
-def _pmap(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sweep(grid: np.ndarray, objective: np.ndarray, aux: dict | None = None) -> SweepResult:
     idx = int(np.argmin(objective))  # first minimum = smallest parameter on ties
     return SweepResult(
@@ -148,7 +139,6 @@ def sweep_cooldown(
     D: float = 1.0,
     gamma: float | None = None,
     base: str = "constant",
-    threads: int = 1,
 ) -> SweepResult:
     """Bound at horizon T as a function of the cooldown fraction.
 
@@ -166,7 +156,7 @@ def sweep_cooldown(
         g = math.sqrt(dist / noise) if gamma is None else float(gamma)
         return dist / g + g * noise, g
 
-    pairs = _pmap(at, grid, threads)
+    pairs = [at(c) for c in grid]
     objective = np.array([p[0] for p in pairs])
     gammas = np.array([p[1] for p in pairs])
     return _sweep(grid, objective, aux={"gamma": gammas})

@@ -54,10 +54,10 @@ def test_criterion_01_tuned_gamma_scales_like_inverse_sqrt_horizon():
 
 def test_criterion_02_full_cooldown_optimal_only_when_gamma_is_tuned():
     for T in (400, 4000):
-        sweep = tuning.sweep_cooldown(T, threads=4)
+        sweep = tuning.sweep_cooldown(T)
         assert sweep.argmin_value == 1.0
         gamma_fixed = 0.5 * optimal_gamma(wsd(T, 1.0))
-        fixed = tuning.sweep_cooldown(T, gamma=gamma_fixed, threads=4)
+        fixed = tuning.sweep_cooldown(T, gamma=gamma_fixed)
         assert fixed.argmin_value < 1.0
         assert fixed.argmin_objective < fixed.objective[0]
         assert fixed.argmin_objective < fixed.objective[-1]

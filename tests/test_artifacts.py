@@ -1,0 +1,79 @@
+"""Artifacts as files: CSV and JSON agree, and the reproduce script matches the CLI."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from schedbound import cli, repro
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def repro_all_csv(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("repro_csv")
+    assert cli.main(["repro", "all", "--outdir", str(outdir)]) == 0
+    return outdir
+
+
+def _data_stems(outdir: Path, ext: str) -> list[str]:
+    return sorted(p.stem for p in outdir.glob(f"*.{ext}") if not p.name.endswith("_summary.json"))
+
+
+def _assert_same_table(csv_path: Path, json_path: Path):
+    with open(csv_path, newline="") as fh:
+        header, *csv_rows = list(csv.reader(fh))
+    json_rows = json.loads(json_path.read_text())
+    assert len(json_rows) == len(csv_rows), csv_path.name
+    for j, c in zip(json_rows, csv_rows):
+        assert sorted(j) == sorted(header), csv_path.name
+        for key, cell in zip(header, c):
+            if isinstance(j[key], str):
+                assert j[key] == cell, (csv_path.name, key)
+            else:
+                assert float(cell) == float(j[key]), (csv_path.name, key)
+
+
+def _assert_formats_agree(csv_dir: Path, json_dir: Path):
+    stems = _data_stems(csv_dir, "csv")
+    assert stems
+    assert _data_stems(json_dir, "json") == stems
+    for stem in stems:
+        _assert_same_table(csv_dir / f"{stem}.csv", json_dir / f"{stem}.json")
+
+
+def test_toy_compare_csv_and_json_hold_the_same_data(tmp_path):
+    for fmt in ("csv", "json"):
+        assert cli.main(["toy-compare", "--T", "60", "--format", fmt, "--outdir", str(tmp_path / fmt)]) == 0
+    _assert_formats_agree(tmp_path / "csv", tmp_path / "json")
+
+
+def test_repro_all_csv_and_json_hold_the_same_data(repro_all_csv, tmp_path):
+    assert cli.main(["repro", "all", "--format", "json", "--outdir", str(tmp_path)]) == 0
+    _assert_formats_agree(repro_all_csv, tmp_path)
+
+
+def test_reproduce_all_script_matches_cli(repro_all_csv, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_all.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [f"{stem}.csv" for stem in _data_stems(tmp_path, "csv")]
+    assert len(names) == 17
+    assert names == [f"{stem}.csv" for stem in _data_stems(repro_all_csv, "csv")]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (repro_all_csv / name).read_bytes(), name
+    summary = json.loads((tmp_path / "repro_all_summary.json").read_text())
+    assert summary["config"] == {"command": "repro", "target": "all"}
+    assert set(summary) == {"config", *repro.TARGET_NAMES}
+    assert json.loads(proc.stdout)["summary_file"] == str(tmp_path / "repro_all_summary.json")

@@ -246,14 +246,6 @@ class TestCurves:
         assert curve.t[-1] == 103
         assert np.all(np.diff(curve.t) > 0)
 
-    def test_threaded_curve_identical(self):
-        sched = wsd(200, 0.2)
-        spec = BoundSpec(sched, GradNormModel(), 1.0, 0.05)
-        a = bound_curve(spec, stride=1, threads=1)
-        b = bound_curve(spec, stride=1, threads=4)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.dist_terms, b.dist_terms)
-
     def test_default_stride(self):
         assert default_stride(100) == 1
         assert default_stride(2000) == 1

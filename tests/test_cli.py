@@ -91,7 +91,7 @@ def test_sweep_cooldown(tmp_path, capsys):
     code, out, _ = run_cli(
         [
             "sweep-cooldown", "--T", "100", "--points", "8",
-            "--outdir", str(tmp_path), "--threads", "2",
+            "--outdir", str(tmp_path),
         ],
         capsys,
     )
@@ -155,6 +155,22 @@ def test_toy_run_with_iterates(tmp_path, capsys):
     it_lines = (tmp_path / "toy_run_iterates.csv").read_text().splitlines()
     assert it_lines[0] == "t,x1,x2"
     assert len(it_lines) == 31
+
+
+def test_toy_run_iterates_follow_format(tmp_path, capsys):
+    code, out, _ = run_cli(
+        [
+            "toy-run", "--schedule", "wsd:T=30,c=0.2", "--gamma", "0.02",
+            "--record-iterates", "--format", "json", "--outdir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert str(tmp_path / "toy_run_iterates.json") in json.loads(out)["files"]
+    assert not (tmp_path / "toy_run_iterates.csv").exists()
+    rows = json.loads((tmp_path / "toy_run_iterates.json").read_text())
+    assert len(rows) == 30
+    assert rows[0] == {"t": 1, "x1": 0.0, "x2": 0.0}
 
 
 def test_toy_run_custom_start(tmp_path, capsys):
@@ -319,13 +335,13 @@ def test_csv_floats_round_trip_exactly(tmp_path, capsys):
         assert float(omega) == bounds.bound_value(spec, t=int(t))
 
 
-def test_threads_validation(tmp_path, capsys):
+def test_threads_flag_rejected(tmp_path, capsys):
     code, _, err = run_cli(
-        ["schedule", "--schedule", "constant:T=3", "--outdir", str(tmp_path), "--threads", "0"],
+        ["schedule", "--schedule", "constant:T=3", "--outdir", str(tmp_path), "--threads", "2"],
         capsys,
     )
     assert code == 2
-    assert "threads" in err
+    assert "unrecognized arguments: --threads 2" in err
 
 
 def test_console_entry_point(tmp_path):

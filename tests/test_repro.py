@@ -57,7 +57,7 @@ def test_schedule_comparison_keys(tmp_path):
 
 
 def test_run_all_covers_every_target(tmp_path):
-    summary = repro.run_target("all", str(tmp_path), threads=4)
+    summary = repro.run_target("all", str(tmp_path))
     assert set(summary) == set(repro.TARGET_NAMES)
     for name, sub in summary.items():
         assert sub["files"], name

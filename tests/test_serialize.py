@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schedbound.serialize import csv_text, format_float, json_text, write_text
+from schedbound.serialize import csv_text, format_float, json_text, serialize, write_summary, write_text
 
 
 def test_format_float_17_digits():
@@ -74,3 +74,25 @@ def test_write_text_byte_stable(tmp_path):
     write_text(str(p1), t1)
     write_text(str(p2), t2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_serialize_names_file_by_format(tmp_path):
+    rows = [(1, 0.5), (2, 0.25)]
+    csv_path = serialize(str(tmp_path), "tab", ["t", "v"], rows)
+    json_path = serialize(str(tmp_path), "tab", ["t", "v"], rows, "json")
+    assert csv_path == str(tmp_path / "tab.csv")
+    assert json_path == str(tmp_path / "tab.json")
+    assert (tmp_path / "tab.csv").read_text() == csv_text(["t", "v"], rows)
+    assert json.loads((tmp_path / "tab.json").read_text()) == [{"t": 1, "v": 0.5}, {"t": 2, "v": 0.25}]
+
+
+def test_serialize_rejects_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unknown data format"):
+        serialize(str(tmp_path), "tab", ["t"], [(1,)], "xml")
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_summary_sets_summary_file(tmp_path):
+    out = write_summary(str(tmp_path), "run", {"x": 1.5})
+    assert out == {"x": 1.5, "summary_file": str(tmp_path / "run_summary.json")}
+    assert json.loads((tmp_path / "run_summary.json").read_text()) == {"x": 1.5}

@@ -166,7 +166,7 @@ class TestComparisonRuns:
 
     def test_byte_stable_across_runs(self):
         a = comparison_runs(seed=0, T=120)
-        b = comparison_runs(seed=0, T=120, threads=3)
+        b = comparison_runs(seed=0, T=120)
         for name in a:
             assert np.array_equal(a[name].losses, b[name].losses)
             text_a = serialize.csv_text(["t", "loss"], enumerate(a[name].losses))

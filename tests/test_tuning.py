@@ -58,7 +58,7 @@ class TestSweepGamma:
 class TestSweepCooldown:
     def test_tuned_gamma_prefers_full_cooldown(self):
         grid = np.logspace(math.log10(0.02), 0.0, 12)
-        sweep = sweep_cooldown(400, grid, threads=2)
+        sweep = sweep_cooldown(400, grid)
         assert sweep.argmin_value == 1.0
         assert np.all(np.diff(sweep.objective) <= 1e-12)
 
