@@ -18,28 +18,42 @@ module evaluates, optimizes, or specializes that expression.  The bound
 is exactly minimized over gamma at gamma = sqrt(dist_term / noise_term),
 where it equals 2 * sqrt(dist_term * noise_term).
 
-One horizon costs O(t) and a curve over all horizons with stride s
-costs O(T^2 / s).  Summing the cross terms by parts gives the equivalent
-single sum
+One horizon costs O(t).  Summing the cross terms by parts gives the
+equivalent single sum
 
     noise_term = 1/2 * [ q_t / eta_t + sum_{k<t} q_k / (S_t - S_k) ]
 
-with q_k = eta_k^2 G_k^2 and S_t = sum_{s<=t} eta_s.  Two float64 kernels
-evaluate the noise term, chosen by the accumulator length n (t for a
-single horizon, T for a curve):
+with q_k = eta_k^2 G_k^2 and S_t = sum_{s<=t} eta_s.  Three float64
+kernels evaluate the noise term.  The accumulator length n (t for a
+single horizon, T for a curve) chooses between the first two:
 
 * prefix-difference (n < LONG_HORIZON): the definition above, with every
   tail sum a difference of prefix sums.  The differences cancel, so it
   loses digits on long cooldowns and restarts: against an exact oracle,
   up to 5.4e-7 relative on the noise term of cosine(12800) at t = 12800
-  and 2.1e-8 on wsd:T=100000,c=0.3 at t = 99999.
+  and 2.1e-8 on wsd:T=100000,c=0.3 at t = 99999.  A curve with stride s
+  costs O(T^2 / s).
 * suffix-sum (n >= LONG_HORIZON): the single sum, with S_t - S_k built as
   a running sum of eta_{k+1..t} from the tail, so nothing cancels, and
   S_t as a pairwise sum.  Against the exact oracle its noise term is
   within 7.5e-16 relative on wsd at T = 100000 (c in {0.1, 0.2, 0.3},
   linear and 1-sqrt) and 1.0e-15 on cosine(12800); the tests hold it to
-  1e-13 on every schedule family.
+  1e-13 on every schedule family.  A curve that calls it at every
+  horizon costs O(T^2 / s).
+* exp-sum, for a curve with T >= EXP_SUM_HORIZON whose direct pair
+  count (the sum of t over its horizons) exceeds EXP_SUM_MARGIN * J * T:
+  the far part of each horizon's single sum comes from J exponentials
+  whose sums are carried across horizons (module expsum, which states its
+  error), so the curve costs O(T * J) at any stride; J is about 190 to
+  250 at T = 100000.  Its last row comes from the per-horizon kernel.
+  EXP_SUM_MARGIN = 0.6 is where the two kernels' times cross: 3.4 to
+  3.7 ns per direct pair against 1.8 to 2.2 ns per unit of J * T at
+  T = 100000 and 1000000, strides 25 to 10000 (2 vCPUs).
 
+Best-iterate curves with T >= LONG_HORIZON (running-sum) take S_t and
+Q_t from pairwise block sums and a compensated running sum, so they cost
+O(T); exp-sum curves take S_t the same way.  All curves evaluate their
+last row as the *_terms functions do, so it equals them bit for bit.
 The shorter horizons keep the prefix-difference kernel so that the
 pinned repro outputs stay byte-identical.
 """
@@ -51,6 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expsum
 from .schedules import Schedule
 
 # accumulator length from which the noise term uses the float64 suffix-sum
@@ -58,6 +73,12 @@ from .schedules import Schedule
 LONG_HORIZON = 100_000
 SUFFIX_SUM = "suffix-sum"
 PREFIX_DIFFERENCE = "prefix-difference"
+EXP_SUM = "exp-sum"
+RUNNING_SUM = "running-sum"
+# a curve from EXP_SUM_HORIZON on takes the exp-sum kernel when the direct
+# kernel's pair count sum(t) exceeds EXP_SUM_MARGIN * J * T (J nodes), see above
+EXP_SUM_HORIZON = 100_000
+EXP_SUM_MARGIN = 0.6
 
 
 def harmonic(n: int) -> float:
@@ -150,7 +171,7 @@ class BoundCurve:
     dist_terms: np.ndarray
     noise_terms: np.ndarray
     gamma: float
-    noise_kernel: str  # SUFFIX_SUM or PREFIX_DIFFERENCE, see _noise_kernel()
+    noise_kernel: str  # EXP_SUM, RUNNING_SUM, SUFFIX_SUM or PREFIX_DIFFERENCE, see _curve()
 
     @property
     def dist_final(self) -> float:
@@ -323,6 +344,31 @@ def default_stride(T: int) -> int:
     return max(1, T // 2000)
 
 
+def _grid(T: int, stride: int) -> np.ndarray:
+    """Curve horizons 1, 1 + stride, ... up to T, plus T if it is off the grid."""
+    ts = np.arange(1, T + 1, stride)
+    return ts if ts[-1] == T else np.append(ts, T)
+
+
+def _block_sums(x: np.ndarray, stride: int) -> np.ndarray:
+    """x_1, then the pairwise sums of x over (t_{i-1}, t_i] for t_i = 1 + i * stride <= T."""
+    n = (x.size - 1) // stride
+    out = np.empty(n + 1)
+    out[0] = x[0]
+    np.sum(x[1 : 1 + n * stride].reshape(n, stride), axis=1, out=out[1:])
+    return out
+
+
+def _running_sums(blocks: np.ndarray) -> np.ndarray:
+    """Prefix sums of blocks, each step's rounding error carried (TwoSum)."""
+    total = np.cumsum(blocks)
+    prev, new = total[:-1], total[1:]
+    added = new - prev
+    err = (prev - (new - added)) + (blocks[1:] - added)
+    total[1:] += np.cumsum(err)
+    return total
+
+
 def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve:
     T = spec.schedule.horizon
     if stride is None:
@@ -330,27 +376,41 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     stride = int(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    ts = list(range(1, T + 1, stride))
-    if ts[-1] != T:
-        ts.append(T)
+    ts = _grid(T, stride)
     eta = spec.schedule.values
     q, prefix = _accumulators(eta, spec.grad_norms.values(T))
+    n = ts.size - 1  # rows before the last
+    kernel = _noise_kernel(T)
+    if prefix is None and not cross_terms:
+        kernel = RUNNING_SUM
+    elif cross_terms and T >= EXP_SUM_HORIZON:
+        blocks = _block_sums(eta, stride)
+        S_T = np.sum(eta)
+        a, w = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
+        if int(ts.sum()) > EXP_SUM_MARGIN * a.size * T:
+            kernel = EXP_SUM
+    S = np.empty(ts.size)
+    noise = np.empty(ts.size)
+    buf = np.empty((2, T)) if prefix is None and cross_terms else None
+    if kernel == RUNNING_SUM:
+        S[:n] = _running_sums(_block_sums(eta, stride))[:n]
+        noise[:n] = _running_sums(_block_sums(q, stride))[:n] / (2.0 * S[:n])
+    elif kernel == EXP_SUM:
+        S[:n] = _running_sums(blocks)[:n]
+        noise[:n] = expsum.curve_noise(eta, q, stride, a, w)
+    else:
+        for i in range(n):
+            S[i], noise[i] = _horizon(eta, q, prefix, int(ts[i]), cross_terms, buf)
+    S[n], noise[n] = _horizon(eta, q, prefix, T, cross_terms, buf)
     D = float(spec.D)
-    Dsq = D * D
-    buf = np.empty((2, T)) if prefix is None else None
-    terms = np.empty((len(ts), 2))
-    for i, t in enumerate(ts):
-        S_t, terms[i, 1] = _horizon(eta, q, prefix, t, cross_terms, buf)
-        terms[i, 0] = Dsq / (2.0 * S_t)
-    dist = terms[:, 0]
-    noise = terms[:, 1]
+    dist = D * D / (2.0 * S)
     return BoundCurve(
-        t=np.asarray(ts, dtype=np.int64),
+        t=ts,
         values=dist / spec.gamma + spec.gamma * noise,
         dist_terms=dist,
         noise_terms=noise,
         gamma=spec.gamma,
-        noise_kernel=_noise_kernel(T),
+        noise_kernel=kernel,
     )
 
 

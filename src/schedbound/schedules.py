@@ -14,7 +14,9 @@ holds eta_{i+1}.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,12 +77,42 @@ class Schedule:
         return f"Schedule(T={self.horizon}, values=[{head}{tail}])"
 
 
+# float64 arrays of length T that building a schedule and evaluating its
+# bound hold at once (the bound command peaks at about 7, on extended schedules)
+_ARRAYS_PER_STEP = 8
+
+
+@functools.cache
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 def _check_horizon(T: int) -> int:
     if not isinstance(T, (int, np.integer)) or isinstance(T, bool):
         raise ValueError(f"horizon must be an integer, got {T!r}")
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     return int(T)
+
+
+def _allocatable_horizon(T: int) -> int:
+    """_check_horizon, and that arrays of length T fit in physical memory.
+
+    For the constructors that allocate them, before they do.
+    """
+    T = _check_horizon(T)
+    need = 8 * _ARRAYS_PER_STEP * T
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"horizon {T} needs about {need / 2**30:.3g} GiB for its arrays, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
+    return T
 
 
 def _check_fraction(c: float, name: str = "cooldown fraction") -> float:
@@ -139,7 +171,7 @@ def with_cooldown(base: Schedule, c: float, shape: CooldownShape = CooldownShape
 
 def constant(T: int) -> Schedule:
     """All-ones schedule of length T."""
-    return Schedule(np.ones(_check_horizon(T)))
+    return Schedule(np.ones(_allocatable_horizon(T)))
 
 
 def wsd(T: int, c: float, shape: CooldownShape = CooldownShape.LINEAR) -> Schedule:
@@ -168,7 +200,7 @@ def one_minus_sqrt(T: int) -> Schedule:
 
 def inv_sqrt(T: int) -> Schedule:
     """eta_t = 1 / sqrt(t)."""
-    T = _check_horizon(T)
+    T = _allocatable_horizon(T)
     return Schedule(1.0 / np.sqrt(np.arange(1, T + 1, dtype=np.float64)))
 
 
@@ -178,7 +210,7 @@ def polynomial_decay(T: int, alpha: float) -> Schedule:
     Not peak-normalized: eta_1 = T ** alpha exceeds 1 whenever T > 1,
     unlike every other generator in this module.
     """
-    T = _check_horizon(T)
+    T = _allocatable_horizon(T)
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError(f"decay exponent must be positive, got {alpha}")
@@ -198,7 +230,7 @@ def cosine(T: int, final_fraction: float = 0.0, cycle_length: float = 1.0) -> Sc
         final_fraction: floor value f in [0, 1).
         cycle_length: cycle length as a fraction of T, in (0, 1].
     """
-    T = _check_horizon(T)
+    T = _allocatable_horizon(T)
     f = float(final_fraction)
     if not 0.0 <= f < 1.0:
         raise ValueError(f"final fraction must be in [0, 1), got {f}")
@@ -239,7 +271,7 @@ def extended(
             begin before the continuation phase does.
     """
     T_short = _check_horizon(T_short)
-    T_long = _check_horizon(T_long)
+    T_long = _allocatable_horizon(T_long)
     rho = _check_fraction(rho, "continuation factor rho")
     if c_long is None:
         c_long = c_short

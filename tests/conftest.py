@@ -1,5 +1,13 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+# pyproject's pythonpath puts src/ on this process's path; tests that start
+# `python -m schedbound.cli` in a subprocess need it in the environment too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 settings.register_profile(
     "suite",

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedbound import bounds
+from schedbound import bounds, expsum
 from schedbound.bounds import (
     BoundSpec,
     GradNormModel,
@@ -397,6 +398,102 @@ class TestLongHorizon:
         for t, noise in zip(curve.t, curve.noise_terms):
             assert noise == pytest.approx((1.0 + harmonic(int(t) - 1)) / 2.0, rel=1e-13)
         assert (curve.dist_final, curve.noise_final) == bound_terms(sched)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_oracle_terms(name, alpha, t):
+    """fraction_terms of ORACLE_SCHEDULES[name] at horizon t, G = 1.3, D = 0.7."""
+    sched = ORACLE_SCHEDULES[name]
+    return fraction_terms(sched.values, GradNormModel(G=1.3, alpha=alpha).values(t), 0.7, t)
+
+
+def exact_prefix_sums(pairs, rows):
+    """Exact sum_{k<=t} n_k / d_k for t in rows, from (n_k, d_k) with every d_k a power of two."""
+    scale = max(d for _, d in pairs)
+    running = list(accumulate(n * (scale // d) for n, d in pairs))
+    return [Fraction(running[t - 1], scale) for t in rows]
+
+
+@pytest.fixture
+def exp_sum_kernel(monkeypatch):
+    """Send every curve with more than two horizons through the exp-sum kernel."""
+    monkeypatch.setattr(bounds, "LONG_HORIZON", 1)
+    monkeypatch.setattr(bounds, "EXP_SUM_HORIZON", 1)
+    monkeypatch.setattr(bounds, "EXP_SUM_MARGIN", 0)
+
+
+class TestExpSum:
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEDULES))
+    def test_every_row_matches_fraction_oracle(self, exp_sum_kernel, name, alpha, stride):
+        # stride 7 ends on a 1-step block (239 -> 240) and a part-filled group of horizons
+        sched = ORACLE_SCHEDULES[name]
+        curve = bound_curve(BoundSpec(sched, GradNormModel(G=1.3, alpha=alpha), 0.7), stride=stride)
+        assert curve.noise_kernel == bounds.EXP_SUM
+        assert curve.t[-1] == ORACLE_T
+        for t, dist, noise in zip(curve.t, curve.dist_terms, curve.noise_terms):
+            exact_dist, exact_noise = exact_oracle_terms(name, alpha, int(t))
+            assert rel_err(dist, exact_dist) <= 1e-13, t
+            assert rel_err(noise, exact_noise) <= 1e-13, t
+
+    @pytest.mark.parametrize("x_min, x_max", [(1.0, 1e5), (0.05, 5e4), (1e-3, 1e3), (1e-5, 1e6)])
+    def test_nodes_invert_x_on_their_range(self, x_min, x_max):
+        a, w = expsum.nodes(x_min, x_max)
+        x = np.geomspace(x_min, x_max, 4001)
+        approx = np.exp(-np.multiply.outer(x, a)) @ w
+        assert np.max(np.abs(approx * x - 1.0)) <= 1e-14
+
+    def test_long_curve_evaluates_only_the_last_horizon_directly(self, monkeypatch):
+        calls = []
+        horizon = bounds._horizon
+
+        def counted(*args):
+            calls.append(args[3])
+            return horizon(*args)
+
+        monkeypatch.setattr(bounds, "_horizon", counted)
+        sched = wsd(bounds.LONG_HORIZON, 0.2)
+        curve = bound_curve(BoundSpec(sched))
+        assert curve.noise_kernel == bounds.EXP_SUM
+        assert len(curve.t) == 2001
+        assert calls == [bounds.LONG_HORIZON]
+        assert (curve.dist_final, curve.noise_final) == bound_terms(sched)
+
+    @pytest.mark.parametrize("stride", [None, 1])
+    def test_constant_curve_holds_every_row_at_scale(self, stride):
+        # noise of the constant schedule at horizon t is (1 + H_{t-1}) / 2; at
+        # stride 1 the state is carried across about 1,600 groups of horizons
+        T = bounds.LONG_HORIZON
+        sched = constant(T)
+        curve = bound_curve(BoundSpec(sched), stride=stride)
+        assert curve.noise_kernel == bounds.EXP_SUM
+        exact = (1.0 + harmonic_numbers(T)[curve.t - 1]) / 2.0
+        assert np.max(np.abs(curve.noise_terms / exact - 1.0)) <= 1e-13
+        assert np.array_equal(curve.dist_terms, 0.5 / curve.t)
+        assert (curve.dist_final, curve.noise_final) == bound_terms(sched)
+
+    @pytest.mark.parametrize("stride, kernel", [(300, bounds.EXP_SUM), (700, bounds.SUFFIX_SUM)])
+    def test_kernel_follows_pair_count(self, stride, kernel):
+        # sum(t) is 0.85 * J * T at stride 300 and 0.38 * J * T at stride 700
+        assert bound_curve(BoundSpec(wsd(bounds.LONG_HORIZON, 0.2)), stride=stride).noise_kernel == kernel
+
+    def test_best_iterate_curve_on_suffix_sum_path(self):
+        T = bounds.LONG_HORIZON
+        sched = wsd(T, 0.3, CooldownShape.ONE_MINUS_SQRT)
+        grad = GradNormModel(G=1.3, alpha=-0.5)
+        curve = best_iterate_curve(BoundSpec(sched, grad, 0.7))
+        assert curve.noise_kernel == bounds.RUNNING_SUM
+        rows = [int(t) for t in curve.t]
+        eta = [float(x).as_integer_ratio() for x in sched.values]
+        g = [float(x).as_integer_ratio() for x in grad.values(T)]
+        q = [((en * gn) ** 2, (ed * gd) ** 2) for (en, ed), (gn, gd) in zip(eta, g)]
+        S = exact_prefix_sums(eta, rows)
+        Q = exact_prefix_sums(q, rows)
+        for i in range(len(rows)):
+            assert rel_err(curve.dist_terms[i], Fraction(0.7) ** 2 / (2 * S[i])) <= 1e-15, rows[i]
+            assert rel_err(curve.noise_terms[i], Q[i] / (2 * S[i])) <= 1e-15, rows[i]
+        assert (curve.dist_final, curve.noise_final) == best_iterate_terms(sched, grad, 0.7)
 
 
 class TestMirror:

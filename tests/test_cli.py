@@ -295,6 +295,16 @@ def test_invalid_schedule_spec_exit_2(tmp_path, capsys):
     assert "cooldown fraction" in err
 
 
+def test_horizon_too_large_for_memory_exit_2(tmp_path, capsys):
+    # rejected from the horizon alone, before any array of that length exists
+    code, _, err = run_cli(
+        ["bound", "--schedule", "constant:T=1000000000000000", "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert "physical memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_outdir_exit_2(capsys):
     code, _, err = run_cli(
         ["schedule", "--schedule", "constant:T=3", "--outdir", "/proc/definitely/nope"], capsys

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schedbound import schedules
 from schedbound.schedules import (
     CooldownShape,
     Schedule,
@@ -21,6 +22,31 @@ from schedbound.schedules import (
 
 horizons = st.integers(min_value=1, max_value=200)
 fractions = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
+
+
+def test_horizon_beyond_physical_memory_rejected(monkeypatch):
+    # _ARRAYS_PER_STEP float64 values per step: 100 steps fit in this memory, 101 do not
+    monkeypatch.setattr(schedules, "_physical_memory", lambda: 8 * schedules._ARRAYS_PER_STEP * 100)
+    assert constant(100).horizon == 100
+    builders = [constant, inv_sqrt, cosine, lambda T: wsd(T, 0.2), lambda T: polynomial_decay(T, 1.0)]
+    for build in builders:
+        with pytest.raises(ValueError, match="physical memory"):
+            build(101)
+    with pytest.raises(ValueError, match="physical memory"):
+        extended(50, 0.2, 101, 0.5)
+
+
+def test_horizon_arithmetic_needs_no_memory(monkeypatch):
+    # cooldown_start and with_cooldown allocate nothing of a new length
+    monkeypatch.setattr(schedules, "_physical_memory", lambda: 8 * schedules._ARRAYS_PER_STEP * 100)
+    assert cooldown_start(10**15, 0.2) == 8 * 10**14
+    base = schedules.Schedule(np.ones(101))
+    assert with_cooldown(base, 0.5).horizon == 101
+
+
+def test_horizon_unchecked_without_memory_size(monkeypatch):
+    monkeypatch.setattr(schedules, "_physical_memory", lambda: None)
+    assert constant(5).horizon == 5
 
 
 def test_constant_values():
