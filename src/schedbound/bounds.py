@@ -81,24 +81,75 @@ EXP_SUM_HORIZON = 100_000
 EXP_SUM_MARGIN = 0.6
 
 
-def harmonic(n: int) -> float:
-    """n-th harmonic number H_n = sum_{k=1}^n 1/k, with H_0 = 0.
+# harmonic() sums the terms 1/k in blocks of HARMONIC_BLOCK, each term cut
+# into integer chunks of _CHUNK_BITS bits; HARMONIC_BLOCK * 2**_CHUNK_BITS
+# <= 2**53 keeps every chunk sum of a block exact in float64
+HARMONIC_BLOCK = 8192
+_CHUNK_BITS = 40
 
-    Exactly rounded via math.fsum.
-    """
+
+def _check_count(n, needs: str) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"{needs} an integer n, got {n!r}")
     if n < 0:
-        raise ValueError(f"harmonic number needs n >= 0, got {n}")
-    return math.fsum(1.0 / k for k in range(1, int(n) + 1))
+        raise ValueError(f"{needs} n >= 0, got {n}")
+    return int(n)
+
+
+def harmonic(n: int) -> float:
+    """n-th harmonic number H_n = sum_{k=1}^n 1/k, with H_0 = 0, exactly rounded.
+
+    Equal bit for bit to math.fsum of the float64 terms 1.0 / k, in blocks
+    of HARMONIC_BLOCK terms.  A term with k < 2**L is at least 2**-L, so
+    its 53 bits end at or above 2**-(L + 52): F = 52 + L bits after the
+    binary point hold every term of H_n exactly, L the bit length of n.
+    With b = _CHUNK_BITS and K = ceil(F / b), scaling a block by 2**b and
+    splitting off the integer parts K - 1 times cuts each term exactly into
+    K - 1 integer chunks of at most 2**b and a remainder in [0, 1) that is
+    a multiple of 2**-b.  A block's sums of these stay below 2**53 units of
+    their last bit, so float64 adds them exactly.  The sums of each chunk
+    position are combined as Python ints into the exact numerator of H_n
+    over 2**(b K); int true division rounds that quotient correctly, once.
+    Memory is three arrays of the block length.
+    """
+    n = _check_count(n, "harmonic number needs")
+    K = -(-(52 + n.bit_length()) // _CHUNK_BITS)
+    scale = float(2**_CHUNK_BITS)
+    sums = [0] * K
+    offsets = np.arange(HARMONIC_BLOCK, dtype=np.float64)
+    buf = np.empty((2, HARMONIC_BLOCK))
+    for lo in range(1, n + 1, HARMONIC_BLOCK):
+        size = min(HARMONIC_BLOCK, n + 1 - lo)
+        x, chunk = buf[0, :size], buf[1, :size]
+        np.add(offsets[:size], lo, out=x)
+        np.divide(1.0, x, out=x)
+        for j in range(K - 1):
+            np.multiply(x, scale, out=x)
+            np.floor(x, out=chunk)
+            np.subtract(x, chunk, out=x)
+            sums[j] += int(np.sum(chunk))
+        sums[K - 1] += int(np.sum(x) * scale)
+    numerator = 0
+    for s in sums:
+        numerator = (numerator << _CHUNK_BITS) + s
+    return numerator / (1 << (_CHUNK_BITS * K))
 
 
 def harmonic_numbers(n: int) -> np.ndarray:
     """Array [H_0, H_1, ..., H_n] via cumulative summation."""
-    if n < 0:
-        raise ValueError(f"harmonic numbers need n >= 0, got {n}")
+    n = _check_count(n, "harmonic numbers need")
     out = np.zeros(n + 1)
     if n:
         out[1:] = np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64))
     return out
+
+
+def _check_positive(value, name: str):
+    """Raise ValueError naming the parameter unless value is positive and finite."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +165,11 @@ class GradNormModel:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not self.G > 0.0:
-            raise ValueError(f"gradient norm scale must be positive, got {self.G}")
+        _check_positive(self.G, "gradient norm scale")
         if self.alpha > 0.0:
             raise ValueError(f"gradient norm exponent must be <= 0, got {self.alpha}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"gradient norm exponent must be finite, got {self.alpha}")
 
     def values(self, T: int) -> np.ndarray:
         """G_t for t = 1..T."""
@@ -136,10 +188,8 @@ class BoundSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.D > 0.0:
-            raise ValueError(f"initial distance D must be positive, got {self.D}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"base learning rate gamma must be positive, got {self.gamma}")
+        _check_positive(self.D, "initial distance D")
+        _check_positive(self.gamma, "base learning rate gamma")
 
 
 @dataclass(frozen=True)
@@ -156,10 +206,8 @@ class MirrorSpec:
     dual_grad_norms: GradNormModel = field(default_factory=GradNormModel)
 
     def __post_init__(self):
-        if not self.bregman_init > 0.0:
-            raise ValueError(f"initial Bregman divergence must be positive, got {self.bregman_init}")
-        if not self.mu > 0.0:
-            raise ValueError(f"strong-convexity modulus must be positive, got {self.mu}")
+        _check_positive(self.bregman_init, "initial Bregman divergence")
+        _check_positive(self.mu, "strong-convexity modulus")
 
 
 @dataclass(frozen=True)
@@ -223,15 +271,16 @@ def _horizon(eta, q, prefix, t: int, cross_terms: bool, buf) -> tuple[float, flo
         S, Q = prefix
         total = Q[t] / (2.0 * S[t])
         if cross_terms and t >= 2:
-            tail_after = S[t] - S[1:t]  # sum_{s=k+1}^t eta_s for k = 1..t-1
-            tail_incl = S[t] - S[: t - 1]  # sum_{s=k}^t eta_s
-            q_tail = Q[t] - Q[: t - 1]  # sum_{s=k}^t eta_s^2 G_s^2
-            # eta_k * q_tail / (tail_after * tail_incl), in place: fewer
-            # temporaries of length t keep the heap from trimming and
-            # regrowing (page faults) between the calls of a sweep
+            tail = S[t] - S[:t]  # sum_{s=k}^t eta_s for k = 1..t
+            # sum_{s=k+1}^t eta_s * sum_{s=k}^t eta_s for k = 1..t-1
+            denom = np.multiply(tail[1:], tail[:-1])
+            # then tail's memory holds sum_{s=k}^t eta_s^2 G_s^2, and
+            # eta_k * q_tail / denom is formed in place: two temporaries of
+            # length t keep the heap from trimming and regrowing (page
+            # faults) between the calls of a sweep
+            q_tail = np.subtract(Q[t], Q[: t - 1], out=tail[:-1])
             np.multiply(eta[: t - 1], q_tail, out=q_tail)
-            np.multiply(tail_after, tail_incl, out=tail_after)
-            total += 0.5 * np.sum(np.divide(q_tail, tail_after, out=q_tail))
+            total += 0.5 * np.sum(np.divide(q_tail, denom, out=q_tail))
         return float(S[t]), float(total)
     S_t = np.sum(eta[:t])
     if not cross_terms:
@@ -260,8 +309,9 @@ def _sum_and_noise(schedule, grad_norms, t, cross_terms) -> tuple[float, float]:
 
 
 def _terms(schedule, grad_norms, D, t, cross_terms):
-    S_t, noise = _sum_and_noise(schedule, grad_norms, t, cross_terms)
     D = float(D)
+    _check_positive(D, "initial distance D")
+    S_t, noise = _sum_and_noise(schedule, grad_norms, t, cross_terms)
     return D * D / (2.0 * S_t), noise  # D * D, not D ** 2: mirror_bound relies on it
 
 
@@ -448,8 +498,7 @@ def mirror_bound(
     Euclidean specialization (bregman_init = D*D/2, mu = 1) equals it
     bit for bit.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"base learning rate gamma must be positive, got {gamma}")
+    _check_positive(gamma, "base learning rate gamma")
     S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms, t, cross_terms=True)
     return mirror.bregman_init / S_t / gamma + gamma * noise / mirror.mu
 

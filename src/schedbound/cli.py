@@ -147,8 +147,7 @@ def _gamma_arg(raw: str) -> float | None:
         value = float(raw)
     except ValueError:
         raise ValueError(f"--gamma must be a float or 'star', got {raw!r}") from None
-    if not value > 0.0:
-        raise ValueError(f"--gamma must be positive, got {value}")
+    bounds._check_positive(value, "--gamma")
     return value
 
 

@@ -50,14 +50,15 @@ class Schedule:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("schedule must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        # a NaN makes both extremes NaN, so it reads as not finite first
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("schedule values must be finite")
-        if not np.all(arr > 0.0):
+        if not lo > 0.0:
             raise ValueError("schedule values must be strictly positive")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -163,9 +164,9 @@ def with_cooldown(base: Schedule, c: float, shape: CooldownShape = CooldownShape
     """
     T = base.horizon
     T0 = cooldown_start(T, c)
-    t = np.arange(1, T + 1)
-    u = (t - T0) / float(T + 1 - T0)
-    out = np.where(t < T0, base.values, base.value_at(T0) * _cooldown_factor(np.maximum(u, 0.0), shape))
+    n = T + 1 - T0
+    out = base.values.copy()
+    out[T0 - 1 :] = base.value_at(T0) * _cooldown_factor(np.arange(n) / float(n), shape)
     return Schedule(out)
 
 
@@ -284,8 +285,8 @@ def extended(
             f"extended cooldown starts at step {start_long}, not after the "
             f"continuation begins at step {start_short}; shrink c_long or grow T_long"
         )
-    t = np.arange(1, T_long + 1)
-    flat = np.where(t < start_short, 1.0, rho)
+    flat = np.full(T_long, rho)
+    flat[: start_short - 1] = 1.0
     return with_cooldown(Schedule(flat), c_long, shape)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import _check_positive
 from .schedules import Schedule, constant, cosine, wsd
 
 
@@ -85,9 +86,19 @@ def generate_problem(m: int = 20, d: int = 2, seed: int = 0) -> ToyProblem:
     return ToyProblem(A=A, b=A @ x_oracle, x_start=np.zeros(d), x_oracle=x_oracle, seed=seed)
 
 
+def _loss_and_subgradient(problem: ToyProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(loss(problem, x), linf_subgradient(problem, x)) from one residual, for float64 x."""
+    r = problem.A @ x - problem.b
+    i = int(np.argmax(np.abs(r)))  # argmax returns the smallest maximizing index
+    peak = r[i]
+    if peak == 0.0:
+        return 0.0, np.zeros(problem.d)
+    return float(abs(peak)), np.sign(peak) * problem.A[i]
+
+
 def loss(problem: ToyProblem, x: np.ndarray) -> float:
     """f(x) = max_i |<A_i, x> - b_i|."""
-    return float(np.max(np.abs(problem.A @ np.asarray(x, dtype=np.float64) - problem.b)))
+    return _loss_and_subgradient(problem, np.asarray(x, dtype=np.float64))[0]
 
 
 def linf_subgradient(problem: ToyProblem, x: np.ndarray) -> np.ndarray:
@@ -97,11 +108,7 @@ def linf_subgradient(problem: ToyProblem, x: np.ndarray) -> np.ndarray:
     tie-break for determinism).  At r = 0 the zero vector is returned,
     which is a valid subgradient at a minimizer.
     """
-    r = problem.A @ np.asarray(x, dtype=np.float64) - problem.b
-    i = int(np.argmax(np.abs(r)))  # argmax returns the smallest maximizing index
-    if r[i] == 0.0:
-        return np.zeros(problem.d)
-    return np.sign(r[i]) * problem.A[i]
+    return _loss_and_subgradient(problem, np.asarray(x, dtype=np.float64))[1]
 
 
 def run_sgd(
@@ -116,19 +123,20 @@ def run_sgd(
     Deterministic: the only randomness lives in the problem instance.
     Loss is recorded before each update, one entry per schedule step.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"base learning rate gamma must be positive, got {gamma}")
+    _check_positive(gamma, "base learning rate gamma")
     x = np.array(problem.x_start if x_start is None else x_start, dtype=np.float64)
     if x.shape != (problem.d,):
         raise ValueError(f"x_start must have length {problem.d}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x_start must be finite, got {x}")
     T = schedule.horizon
     losses = np.empty(T)
     iterates = np.empty((T, problem.d)) if record_iterates else None
-    for t in range(T):
-        losses[t] = loss(problem, x)
+    for t, eta in enumerate(schedule.values.tolist()):
+        losses[t], g = _loss_and_subgradient(problem, x)
         if iterates is not None:
             iterates[t] = x
-        x = x - gamma * schedule.values[t] * linf_subgradient(problem, x)
+        x = x - gamma * eta * g
     return RunRecord(losses=losses, schedule_used=schedule, gamma=gamma, seed=problem.seed, iterates=iterates)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="module")
 def repro_all_csv(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("repro_csv")
-    assert cli.main(["repro", "all", "--outdir", str(outdir)]) == 0
+    # an overflow or invalid value anywhere in `repro all` fails the suite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["repro", "all", "--outdir", str(outdir)]) == 0
     return outdir
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -124,6 +125,34 @@ class TestHarmonic:
     def test_large_oracle(self):
         assert harmonic(10**5 - 1) == pytest.approx(12.090136129863428, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            0, 1, 2, 5,
+            bounds.HARMONIC_BLOCK - 1, bounds.HARMONIC_BLOCK, bounds.HARMONIC_BLOCK + 1,
+            19999, 20001, 99999, 179998, 10**6,
+        ],
+    )
+    def test_equals_fsum_exactly(self, n):
+        assert harmonic(n) == math.fsum(1.0 / k for k in range(1, n + 1))
+
+    @pytest.mark.parametrize("chunk_bits", [20, 30])
+    def test_more_chunks_stay_exact(self, monkeypatch, chunk_bits):
+        # narrower chunks take the path that n >= 2**28 takes with the shipped
+        # width: more than one integer chunk before the remainder
+        monkeypatch.setattr(bounds, "_CHUNK_BITS", chunk_bits)
+        for n in (1, 7, bounds.HARMONIC_BLOCK + 3, 40000):
+            assert harmonic(n) == math.fsum(1.0 / k for k in range(1, n + 1))
+
+    def test_memory_stays_blockwise(self):
+        tracemalloc.start()
+        try:
+            harmonic(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_array_matches_scalar(self):
         hs = harmonic_numbers(50)
         assert hs[0] == 0.0
@@ -133,6 +162,17 @@ class TestHarmonic:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             harmonic(-1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(ValueError, match="integer n"):
+            harmonic(n)
+        with pytest.raises(ValueError, match="integer n"):
+            harmonic_numbers(n)
+
+    def test_numpy_integer_accepted(self):
+        assert harmonic(np.int64(5)) == harmonic(5)
+        assert np.array_equal(harmonic_numbers(np.int32(5)), harmonic_numbers(5))
 
 
 class TestGradNormModel:
@@ -151,6 +191,45 @@ class TestGradNormModel:
             GradNormModel(G=-1.0)
         with pytest.raises(ValueError):
             GradNormModel(alpha=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"G": math.inf}, "gradient norm scale must be finite"),
+            ({"G": math.nan}, "gradient norm scale must be positive"),
+            ({"alpha": math.inf}, "gradient norm exponent must be <= 0"),
+            ({"alpha": -math.inf}, "gradient norm exponent must be finite"),
+            ({"alpha": math.nan}, "gradient norm exponent must be finite"),
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GradNormModel(**kwargs)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_bound_spec(self, value):
+        with pytest.raises(ValueError, match="initial distance D"):
+            BoundSpec(constant(4), D=value)
+        with pytest.raises(ValueError, match="base learning rate gamma"):
+            BoundSpec(constant(4), gamma=value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_mirror_spec(self, value):
+        with pytest.raises(ValueError, match="initial Bregman divergence"):
+            MirrorSpec(bregman_init=value)
+        with pytest.raises(ValueError, match="strong-convexity modulus"):
+            MirrorSpec(bregman_init=0.5, mu=value)
+        with pytest.raises(ValueError, match="base learning rate gamma"):
+            mirror_bound(MirrorSpec(bregman_init=0.5), constant(4), gamma=value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_terms_distance(self, value):
+        # sweeps and transfers take D without a BoundSpec
+        for terms in (bound_terms, best_iterate_terms):
+            with pytest.raises(ValueError, match="initial distance D"):
+                terms(constant(4), D=value)
 
 
 class TestBoundTerms:
@@ -189,6 +268,29 @@ class TestBoundTerms:
             dist2, noise2 = bound_terms(trunc)
             assert dist == pytest.approx(dist2, rel=1e-12)
             assert noise == pytest.approx(noise2, rel=1e-12)
+
+    @given(
+        values=st.lists(st.floats(min_value=1e-3, max_value=4.0), min_size=1, max_size=300),
+        alpha=st.sampled_from([0.0, -0.5]),
+        data=st.data(),
+    )
+    def test_prefix_difference_matches_three_array_form(self, values, alpha, data):
+        # the kernel's expression with a separate array for each tail sum,
+        # as it read before one difference array served both eta tails
+        eta = np.array(values)
+        grad = GradNormModel(G=1.3, alpha=alpha)
+        t = data.draw(st.integers(min_value=1, max_value=eta.size))
+        q = eta[:t] * eta[:t] * grad.values(t) * grad.values(t)
+        S, Q = np.zeros(t + 1), np.zeros(t + 1)
+        np.cumsum(eta[:t], out=S[1:])
+        np.cumsum(q, out=Q[1:])
+        expect = Q[t] / (2.0 * S[t])
+        if t >= 2:
+            tail_after = S[t] - S[1:t]
+            tail_incl = S[t] - S[: t - 1]
+            q_tail = Q[t] - Q[: t - 1]
+            expect += 0.5 * np.sum(eta[: t - 1] * q_tail / (tail_after * tail_incl))
+        assert bound_terms(Schedule(eta), grad, t=t)[1] == expect
 
     def test_horizon_out_of_range(self):
         with pytest.raises(ValueError):

@@ -305,6 +305,28 @@ def test_horizon_too_large_for_memory_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["bound", "--schedule", "wsd:T=50,c=0.2", "--D", "inf"], "initial distance D"),
+        (["bound", "--schedule", "wsd:T=50,c=0.2", "--gamma", "inf"], "--gamma"),
+        (["bound", "--schedule", "wsd:T=50,c=0.2", "--G", "inf"], "gradient norm scale"),
+        (["bound", "--schedule", "wsd:T=50,c=0.2", "--grad-alpha", "nan"], "gradient norm exponent"),
+        (["sweep-cooldown", "--T", "50", "--gamma", "inf"], "--gamma"),
+        (["sweep-gamma", "--schedule", "wsd:T=50,c=0.2", "--D", "inf"], "initial distance D"),
+        (["transfer-lr", "--T", "50", "--G", "inf"], "gradient norm scale"),
+        (["toy-run", "--schedule", "wsd:T=50,c=0.2", "--gamma", "inf"], "gamma"),
+        (["toy-run", "--schedule", "wsd:T=5,c=0.2", "--gamma", "0.1", "--x-start", "inf,0"], "x_start"),
+    ],
+)
+def test_non_finite_parameter_exit_2_before_any_file(tmp_path, capsys, args, names):
+    code, out, err = run_cli([*args, "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert names in err and "finite" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_outdir_exit_2(capsys):
     code, _, err = run_cli(
         ["schedule", "--schedule", "constant:T=3", "--outdir", "/proc/definitely/nope"], capsys

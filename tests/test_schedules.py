@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from schedbound import schedules
@@ -68,6 +68,30 @@ def test_schedule_validation():
         Schedule(np.ones((2, 2)))
     with pytest.raises(ValueError):
         Schedule(np.array([]))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1.0, np.nan], "must be finite"),
+        ([np.inf, 1.0], "must be finite"),
+        ([1.0, -np.inf], "must be finite"),
+        ([-1.0, np.nan, 2.0], "must be finite"),
+        ([1.0, 0.0], "must be strictly positive"),
+        ([-2.0, 1.0], "must be strictly positive"),
+        ([1.0, -0.0], "must be strictly positive"),
+    ],
+)
+def test_schedule_rejects_with_message(values, message):
+    with pytest.raises(ValueError, match=message):
+        Schedule(np.array(values))
+
+
+def test_schedule_copies_its_input():
+    raw = np.ones(3)
+    s = Schedule(raw)
+    raw[0] = 5.0
+    assert s.values[0] == 1.0
 
 
 def test_schedule_values_read_only():
@@ -329,3 +353,77 @@ def test_generators_positive(T):
         assert s.horizon == T
         assert np.all(s.values > 0)
         assert np.all(np.isfinite(s.values))
+
+
+# --- the cooldown arithmetic as np.where over int index arrays -------------
+# with_cooldown and extended write their legs in place; these oracles keep the
+# whole-array form they replaced, and the two must agree bit for bit
+
+
+def _where_cooldown(values: np.ndarray, c: float, shape: CooldownShape) -> np.ndarray:
+    T = values.size
+    T0 = cooldown_start(T, c)
+    t = np.arange(1, T + 1)
+    u = np.maximum((t - T0) / float(T + 1 - T0), 0.0)
+    factor = 1.0 - u if shape is CooldownShape.LINEAR else 1.0 - np.sqrt(u)
+    return np.where(t < T0, values, float(values[T0 - 1]) * factor)
+
+
+def _where_extended(T_short, c_short, T_long, rho, c_long, shape) -> np.ndarray:
+    t = np.arange(1, T_long + 1)
+    flat = np.where(t < cooldown_start(T_short, c_short), 1.0, rho)
+    return _where_cooldown(flat, c_long, shape)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+long_horizons = st.integers(min_value=1, max_value=5000)
+cooldowns = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+shapes = st.sampled_from(list(CooldownShape))
+
+
+def _base(kind: str, T: int, seed: int) -> np.ndarray:
+    if kind == "constant":
+        return constant(T).values
+    if kind == "inv_sqrt":
+        return inv_sqrt(T).values
+    if kind == "random":
+        return np.random.default_rng(seed).uniform(1e-3, 2.0, size=T)
+    # extended: a flat phase, a continuation at rho and a cooldown; T_long = T
+    T_short = max(1, T // 2)
+    assume(T > T_short and cooldown_start(T, 0.1) > cooldown_start(T_short, 0.2))
+    return extended(T_short, 0.2, T, 0.5, 0.1).values
+
+
+@given(
+    T=long_horizons,
+    c=cooldowns,
+    shape=shapes,
+    kind=st.sampled_from(["constant", "inv_sqrt", "random", "extended"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_with_cooldown_matches_where_form(T, c, shape, kind, seed):
+    values = _base(kind, T, seed)
+    assert _same_bits(with_cooldown(Schedule(values), c, shape).values, _where_cooldown(values, c, shape))
+
+
+@given(T=long_horizons, c=cooldowns, shape=shapes)
+def test_wsd_matches_where_form(T, c, shape):
+    assert _same_bits(wsd(T, c, shape).values, _where_cooldown(np.ones(T), c, shape))
+
+
+@given(
+    T_short=st.integers(min_value=1, max_value=2500),
+    extra=st.integers(min_value=1, max_value=2500),
+    c_short=cooldowns,
+    c_long=cooldowns,
+    rho=st.floats(min_value=1e-3, max_value=1.0),  # a subnormal rho cools down to 0
+    shape=shapes,
+)
+def test_extended_matches_where_form(T_short, extra, c_short, c_long, rho, shape):
+    T_long = T_short + extra
+    assume(cooldown_start(T_long, c_long) > cooldown_start(T_short, c_short))
+    got = extended(T_short, c_short, T_long, rho, c_long, shape).values
+    assert _same_bits(got, _where_extended(T_short, c_short, T_long, rho, c_long, shape))

@@ -133,6 +133,41 @@ class TestRunSgd:
             run_sgd(p, constant(5), 0.0)
         with pytest.raises(ValueError):
             run_sgd(p, constant(5), -0.1)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            run_sgd(p, constant(5), np.inf)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            run_sgd(p, constant(5), np.nan)
+
+    def test_start_validation(self):
+        p = generate_problem(5, 2, 0)
+        with pytest.raises(ValueError, match="x_start must be finite"):
+            run_sgd(p, constant(5), 0.1, x_start=np.array([np.inf, 0.0]))
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        start=st.sampled_from(["origin", "oracle", "offset"]),
+        gamma=st.floats(min_value=1e-3, max_value=0.5),
+    )
+    def test_matches_two_residual_loop(self, seed, start, gamma):
+        # one residual per step must give the losses and iterates of the loop
+        # that forms it twice, with the loss and subgradient formulas spelled out
+        p = generate_problem(12, 3, seed)
+        x0 = {"origin": p.x_start, "oracle": p.x_oracle, "offset": p.x_oracle + 1e-3}[start]
+        sched = wsd(60, 0.3)
+        rec = run_sgd(p, sched, gamma, x_start=x0, record_iterates=True)
+        x = np.array(x0, dtype=np.float64)
+        for t in range(sched.horizon):
+            r = p.A @ x - p.b
+            assert rec.losses[t] == float(np.max(np.abs(r)))
+            assert rec.iterates[t].tobytes() == x.tobytes()
+            i = int(np.argmax(np.abs(r)))
+            g = np.zeros(p.d) if r[i] == 0.0 else np.sign(r[i]) * p.A[i]
+            assert np.array_equal(g, linf_subgradient(p, x))
+            assert rec.losses[t] == loss(p, x)
+            x = x - gamma * sched.values[t] * g
+        if start == "oracle":
+            assert not np.any(rec.losses)
 
     def test_record_metadata(self):
         p = generate_problem(5, 2, 7)
