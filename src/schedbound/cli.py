@@ -155,6 +155,15 @@ def _grad_norms(args) -> bounds.GradNormModel:
     return bounds.GradNormModel(G=args.G, alpha=args.grad_alpha)
 
 
+def _c_grid(args) -> np.ndarray:
+    """Log grid of --points cooldown fractions from --c-min to --c-max."""
+    if not 0.0 < args.c_min <= args.c_max <= 1.0:
+        raise ValueError("need 0 < --c-min <= --c-max <= 1")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    return np.logspace(math.log10(args.c_min), math.log10(args.c_max), args.points)
+
+
 def _echo(args, **extra) -> dict:
     skip = {"outdir", "name", "format"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
@@ -223,12 +232,7 @@ def _cmd_sweep_cooldown(args, outdir) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
-    if not 0.0 < args.c_min <= args.c_max <= 1.0:
-        raise ValueError("need 0 < --c-min <= --c-max <= 1")
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
-    grid = np.logspace(math.log10(args.c_min), math.log10(args.c_max), args.points)
-    sweep = tuning.sweep_cooldown(args.T, grid, shape, grad, args.D, gamma=gamma, base=args.base)
+    sweep = tuning.sweep_cooldown(args.T, _c_grid(args), shape, grad, args.D, gamma=gamma, base=args.base)
     rows = zip(sweep.grid, sweep.objective, sweep.aux["gamma"])
     summary = {
         "config": _echo(args),
@@ -249,7 +253,6 @@ def _cmd_transfer_horizon(args, outdir) -> dict:
     else:
         res = tuning.transfer_horizon_cooldown(args.T1, args.T2, args.c, shape, args.base, grad, args.D)
         param = "c"
-    rows = zip(res.diagnostics.grid, res.diagnostics.objective, res.diagnostics.aux["mismatch"])
     summary = {
         "config": _echo(args),
         param: res.value,
@@ -257,18 +260,14 @@ def _cmd_transfer_horizon(args, outdir) -> dict:
         "target_gamma": res.target_gamma,
         "achieved_gamma": res.achieved_gamma,
     }
-    header = [param, "abs_gamma_mismatch", "gamma_mismatch"]
-    summary["files"] = [serialize.serialize(outdir, args.name, header, rows, args.format)]
+    summary["files"] = [serialize.serialize(outdir, args.name, *res.table(param), args.format)]
     return serialize.write_summary(outdir, args.name, summary)
 
 
 def _cmd_transfer_lr(args, outdir) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
-    if not 0.0 < args.c_min <= args.c_max <= 1.0:
-        raise ValueError("need 0 < --c-min <= --c-max <= 1")
-    grid = np.logspace(math.log10(args.c_min), math.log10(args.c_max), args.points)
-    curve = tuning.lr_transfer_curve(args.T, grid, shape, grad, args.D)
+    curve = tuning.lr_transfer_curve(args.T, _c_grid(args), shape, grad, args.D)
     fit = tuning.fit_polynomial(curve, degree=6)
     summary = {
         "config": _echo(args),
@@ -289,12 +288,11 @@ def _cmd_toy_run(args, outdir) -> dict:
         except ValueError:
             raise ValueError(f"--x-start must be comma-separated floats, got {args.x_start!r}") from None
     rec = toy.run_sgd(problem, sched, args.gamma, x_start=x_start, record_iterates=args.record_iterates)
-    rows = zip(range(1, sched.horizon + 1), sched.values, rec.losses)
     summary = {
         "config": _echo(args),
         "final_loss": float(rec.losses[-1]),
         "min_loss": float(np.min(rec.losses)),
-        "files": [serialize.serialize(outdir, args.name, ["t", "eta", "loss"], rows, args.format)],
+        "files": [serialize.serialize(outdir, args.name, *rec.table(), args.format)],
     }
     if args.record_iterates:
         header = ["t"] + [f"x{i + 1}" for i in range(problem.d)]
@@ -307,11 +305,8 @@ def _cmd_toy_compare(args, outdir) -> dict:
     runs = toy.comparison_runs(seed=args.seed, T=args.T)
     summary: dict = {"config": _echo(args), "files": []}
     for name in ("wsd", "constant", "cosine"):
-        rec = runs[name]
-        rows = zip(range(1, args.T + 1), rec.schedule_used.values, rec.losses)
-        path = serialize.serialize(outdir, f"{args.name}_{name}", ["t", "eta", "loss"], rows, args.format)
-        summary["files"].append(path)
-        summary[f"final_loss_{name}"] = float(rec.losses[-1])
+        summary["files"].append(serialize.serialize(outdir, f"{args.name}_{name}", *runs[name].table(), args.format))
+        summary[f"final_loss_{name}"] = float(runs[name].losses[-1])
     return serialize.write_summary(outdir, args.name, summary)
 
 

@@ -38,10 +38,7 @@ def rho_transfer(outdir: str, fmt: str = "csv") -> dict:
     out: dict = {"files": [], "T1": T1, "c": c}
     for mult in (2, 4):
         res = tuning.transfer_horizon_rho(T1, mult * T1, c)
-        rows = zip(res.diagnostics.grid, res.diagnostics.objective, res.diagnostics.aux["mismatch"])
-        out["files"].append(
-            serialize(outdir, f"rho_transfer_{mult}x", ["rho", "abs_gamma_mismatch", "gamma_mismatch"], rows, fmt)
-        )
+        out["files"].append(serialize(outdir, f"rho_transfer_{mult}x", *res.table("rho"), fmt))
         out[f"rho_{mult}x"] = res.value
         out[f"feasible_{mult}x"] = res.feasible
     return out
@@ -53,10 +50,7 @@ def cooldown_transfer(outdir: str, fmt: str = "csv") -> dict:
     out: dict = {"files": [], "T1": T1, "c_short": c}
     for base, tag in (("constant", "wsd"), ("inv-sqrt", "inv_sqrt")):
         res = tuning.transfer_horizon_cooldown(T1, 2 * T1, c, base=base)
-        rows = zip(res.diagnostics.grid, res.diagnostics.objective, res.diagnostics.aux["mismatch"])
-        out["files"].append(
-            serialize(outdir, f"cooldown_transfer_{tag}", ["c", "abs_gamma_mismatch", "gamma_mismatch"], rows, fmt)
-        )
+        out["files"].append(serialize(outdir, f"cooldown_transfer_{tag}", *res.table("c"), fmt))
         out[f"c_long_{tag}"] = res.value
         out[f"feasible_{tag}"] = res.feasible
     return out
@@ -149,10 +143,8 @@ def toy_runs(outdir: str, fmt: str = "csv") -> dict:
     T0 = schedules.cooldown_start(T, 0.2)
     out: dict = {"files": [], "seed": seed, "T": T, "T0": T0}
     for name in ("wsd", "constant", "cosine"):
-        rec = runs[name]
-        rows = zip(range(1, T + 1), rec.schedule_used.values, rec.losses)
-        out["files"].append(serialize(outdir, f"toy_{name}", ["t", "eta", "loss"], rows, fmt))
-        out[f"final_loss_{name}"] = float(rec.losses[-1])
+        out["files"].append(serialize(outdir, f"toy_{name}", *runs[name].table(), fmt))
+        out[f"final_loss_{name}"] = float(runs[name].losses[-1])
     w = runs["wsd"].losses
     out["wsd_cooldown_drop_ratio"] = float(w[T0 - 1] / w[T - 1])
     out["wsd_pre_window_ratio"] = float(w[2 * T0 - T - 1] / w[T0 - 1])

@@ -9,7 +9,10 @@ tokens buy the same drop?") or in model size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .bounds import _check_positive
 
 # Scaling the loss by ln(32000)/ln(50257) ~ 0.959 converts between the
 # 50k-vocabulary fit and a 32k-vocabulary training setup; pass it as
@@ -28,6 +31,7 @@ class ScalingLaw:
     A = B = 0 degenerates to the constant floor E, which is allowed;
     the exponents and E must be positive.  loss_scale is an optional
     multiplicative adjustment (e.g. vocabulary rescaling), default off.
+    Every constant must be finite.
     """
 
     E: float = 1.8172
@@ -38,20 +42,25 @@ class ScalingLaw:
     loss_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.E > 0.0:
-            raise ValueError(f"irreducible loss E must be positive, got {self.E}")
-        if self.A < 0.0 or self.B < 0.0:
-            raise ValueError(f"scaling prefactors must be non-negative, got A={self.A}, B={self.B}")
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError(f"scaling exponents must be positive, got alpha={self.alpha}, beta={self.beta}")
-        if not self.loss_scale > 0.0:
-            raise ValueError(f"loss scale must be positive, got {self.loss_scale}")
+        _check_positive(self.E, "irreducible loss E")
+        _check_non_negative(self.A, "scaling prefactor A")
+        _check_non_negative(self.B, "scaling prefactor B")
+        _check_positive(self.alpha, "scaling exponent alpha")
+        _check_positive(self.beta, "scaling exponent beta")
+        _check_positive(self.loss_scale, "loss scale")
+
+
+def _check_non_negative(value: float, name: str):
+    """Raise ValueError naming the parameter unless value is non-negative and finite."""
+    if value < 0.0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_counts(**counts: float):
     for name, value in counts.items():
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        _check_positive(value, name)
 
 
 def loss(law: ScalingLaw, N: float, D: float) -> float:
@@ -71,8 +80,7 @@ def tokens_for_delta(law: ScalingLaw, N: float, D1: float, delta: float) -> floa
     remaining data-limited loss B / D1**beta.
     """
     _check_counts(N=N, D1=D1)
-    if delta < 0.0:
-        raise ValueError(f"loss delta must be non-negative, got {delta}")
+    _check_non_negative(delta, "loss delta")
     if delta == 0.0:
         return float(D1)
     gap = delta / law.loss_scale
@@ -91,8 +99,7 @@ def params_for_delta(law: ScalingLaw, N1: float, D: float, delta: float) -> floa
     model-limited loss A / N1**alpha.
     """
     _check_counts(N1=N1, D=D)
-    if delta < 0.0:
-        raise ValueError(f"loss delta must be non-negative, got {delta}")
+    _check_non_negative(delta, "loss delta")
     if delta == 0.0:
         return float(N1)
     gap = delta / law.loss_scale

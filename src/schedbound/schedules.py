@@ -148,6 +148,15 @@ def _cooldown_factor(u: np.ndarray, shape: CooldownShape) -> np.ndarray:
     return 1.0 - np.sqrt(u)
 
 
+def _cool(values: np.ndarray, c: float, shape: CooldownShape) -> Schedule:
+    """with_cooldown on a fresh float64 array, written in place, as a Schedule."""
+    T = values.size
+    T0 = cooldown_start(T, c)
+    n = T + 1 - T0
+    values[T0 - 1 :] = values[T0 - 1] * _cooldown_factor(np.arange(n) / float(n), shape)
+    return Schedule(values)
+
+
 def with_cooldown(base: Schedule, c: float, shape: CooldownShape = CooldownShape.LINEAR) -> Schedule:
     """Replace the last fraction c of a schedule with a cooldown to zero.
 
@@ -162,12 +171,7 @@ def with_cooldown(base: Schedule, c: float, shape: CooldownShape = CooldownShape
         c: fraction of the horizon spent cooling down, in (0, 1].
         shape: linear or one-minus-sqrt decay.
     """
-    T = base.horizon
-    T0 = cooldown_start(T, c)
-    n = T + 1 - T0
-    out = base.values.copy()
-    out[T0 - 1 :] = base.value_at(T0) * _cooldown_factor(np.arange(n) / float(n), shape)
-    return Schedule(out)
+    return _cool(base.values.copy(), c, shape)
 
 
 def constant(T: int) -> Schedule:
@@ -186,7 +190,7 @@ def wsd(T: int, c: float, shape: CooldownShape = CooldownShape.LINEAR) -> Schedu
         c: cooldown fraction in (0, 1]; c = 1 gives pure decay from step 1.
         shape: cooldown shape.
     """
-    return with_cooldown(constant(T), c, shape)
+    return _cool(np.ones(_allocatable_horizon(T)), c, shape)
 
 
 def linear_decay(T: int) -> Schedule:
@@ -287,7 +291,7 @@ def extended(
         )
     flat = np.full(T_long, rho)
     flat[: start_short - 1] = 1.0
-    return with_cooldown(Schedule(flat), c_long, shape)
+    return _cool(flat, c_long, shape)
 
 
 # --- spec-string parsing -------------------------------------------------

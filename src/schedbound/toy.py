@@ -75,6 +75,11 @@ class RunRecord:
     seed: int | None = None
     iterates: np.ndarray | None = None
 
+    def table(self):
+        """Header and rows of the run: step t, schedule value eta_t, loss f(x_t)."""
+        steps = range(1, self.losses.size + 1)
+        return ["t", "eta", "loss"], zip(steps, self.schedule_used.values, self.losses)
+
 
 def generate_problem(m: int = 20, d: int = 2, seed: int = 0) -> ToyProblem:
     """Random instance: A uniform on [-1,1]^(m x d), b = A @ x_oracle, x_start = 0."""
@@ -140,27 +145,18 @@ def run_sgd(
     return RunRecord(losses=losses, schedule_used=schedule, gamma=gamma, seed=problem.seed, iterates=iterates)
 
 
-def comparison_runs(
-    seed: int = 0,
-    T: int = 400,
-    m: int = 20,
-    d: int = 2,
-    record_iterates: bool = False,
-) -> dict[str, RunRecord]:
-    """The three-run comparison on one shared problem instance.
+def comparison_runs(seed: int = 0, T: int = 400) -> dict[str, RunRecord]:
+    """The three-run comparison on one shared generate_problem(seed=seed) instance.
 
     wsd (c = 0.2, gamma = 0.02) and cosine (gamma = 0.04) start at 0;
     the constant baseline (gamma = 0.02) starts at (1e-3, ..., 1e-3) so
     its path does not sit on top of the others when plotted.
     """
-    problem = generate_problem(m=m, d=d, seed=seed)
-    offset = np.full(d, 1e-3)
+    problem = generate_problem(seed=seed)
+    offset = np.full(problem.d, 1e-3)
     configs = [
         ("wsd", wsd(T, 0.2), 0.02, None),
         ("constant", constant(T), 0.02, offset),
         ("cosine", cosine(T), 0.04, None),
     ]
-    return {
-        name: run_sgd(problem, sched, gamma, x_start=start, record_iterates=record_iterates)
-        for name, sched, gamma, start in configs
-    }
+    return {name: run_sgd(problem, sched, gamma, x_start=start) for name, sched, gamma, start in configs}

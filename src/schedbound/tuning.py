@@ -15,11 +15,13 @@ import numpy as np
 
 from . import bounds
 from .bounds import GradNormModel
-from .schedules import CooldownShape, Schedule, inv_sqrt, with_cooldown, wsd
+from .schedules import CooldownShape, Schedule, extended, inv_sqrt, with_cooldown, wsd
 
 DEFAULT_COOLDOWN_GRID = np.logspace(math.log10(0.02), 0.0, 50)
 GAMMA_GRID_POINTS = 61
 GAMMA_GRID_DECADES = 3.0
+# relative width to which the transfers bisect a bracketed root
+TRANSFER_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,8 @@ class SweepResult:
 class TransferResult:
     """Outcome of matching a reference tuned gamma on a new configuration.
 
-    value is the matched parameter (rho or cooldown fraction).  feasible
+    value is the matched parameter (rho or cooldown fraction), bisected
+    to TRANSFER_REL_TOL when one grid bracket holds the root.  feasible
     is False when no grid point brackets the target, in which case value
     is the grid point coming closest.
     """
@@ -52,6 +55,11 @@ class TransferResult:
     target_gamma: float
     achieved_gamma: float
     diagnostics: SweepResult
+
+    def table(self, param: str):
+        """Header and rows of the diagnostics: grid point, |mismatch|, mismatch."""
+        d = self.diagnostics
+        return [param, "abs_gamma_mismatch", "gamma_mismatch"], zip(d.grid, d.objective, d.aux["mismatch"])
 
 
 @dataclass(frozen=True)
@@ -162,9 +170,9 @@ def sweep_cooldown(
     return _sweep(grid, objective, aux={"gamma": gammas})
 
 
-def _refine(g, lo, hi, g_lo, rel_tol: float):
-    """Bisect a sign change of g on [lo, hi]; g_lo is the sign at lo."""
-    while hi - lo > rel_tol * 0.5 * (lo + hi):
+def _refine(g, lo, hi, g_lo):
+    """Bisect a sign change of g on [lo, hi] to TRANSFER_REL_TOL; g_lo is the sign at lo."""
+    while hi - lo > TRANSFER_REL_TOL * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
         if (g(mid) > 0.0) == (g_lo > 0.0):
             lo = mid
@@ -173,7 +181,7 @@ def _refine(g, lo, hi, g_lo, rel_tol: float):
     return 0.5 * (lo + hi)
 
 
-def _match_gamma(g, grid: np.ndarray, rel_tol: float) -> tuple[float, bool, np.ndarray]:
+def _match_gamma(g, grid: np.ndarray) -> tuple[float, bool, np.ndarray]:
     """Root of the mismatch g bracketed on the grid, bisection-refined.
 
     Requires a unique sign change between adjacent grid points; with
@@ -191,8 +199,21 @@ def _match_gamma(g, grid: np.ndarray, rel_tol: float) -> tuple[float, bool, np.n
     if sign_change.size > 1:
         return float(grid[int(np.argmin(np.abs(vals)))]), True, vals
     i = int(sign_change[0])
-    root = _refine(g, float(grid[i]), float(grid[i + 1]), float(vals[i]), rel_tol)
+    root = _refine(g, float(grid[i]), float(grid[i + 1]), float(vals[i]))
     return float(root), True, vals
+
+
+def _transfer(reference: Schedule, family, grid, grad_norms: GradNormModel, D: float) -> TransferResult:
+    """Match optimal_gamma(family(x)) over grid to the optimal gamma of reference."""
+    target = bounds.optimal_gamma(reference, grad_norms, D)
+
+    def gamma_at(x: float) -> float:
+        return bounds.optimal_gamma(family(float(x)), grad_norms, D)
+
+    grid = np.asarray(grid, dtype=np.float64)
+    value, feasible, vals = _match_gamma(lambda x: gamma_at(x) - target, grid)
+    diag = _sweep(grid, np.abs(vals), aux={"mismatch": vals})
+    return TransferResult(value, feasible, target, gamma_at(value), diag)
 
 
 def transfer_horizon_rho(
@@ -203,7 +224,6 @@ def transfer_horizon_rho(
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
     rho_grid: np.ndarray | None = None,
-    rel_tol: float = 1e-4,
 ) -> TransferResult:
     """Continuation factor rho that keeps the tuned gamma unchanged.
 
@@ -211,29 +231,16 @@ def transfer_horizon_rho(
     (see schedules.extended) lowers the bound-optimal gamma; this finds
     the rho whose extended schedule has the same optimal gamma as the
     original wsd(T_short, c) plan, so the already-tuned base learning
-    rate stays optimal for the longer run.
+    rate stays optimal for the longer run.  The root is bisected to
+    TRANSFER_REL_TOL; equal horizons give rho = 1.
     """
     if T_long < T_short:
         raise ValueError(f"extended horizon {T_long} must be >= base horizon {T_short}")
-    target = bounds.optimal_gamma(wsd(T_short, c, shape), grad_norms, D)
+    reference = wsd(T_short, c, shape)
     if T_long == T_short:
-        grid = np.array([1.0])
-        zero = np.array([0.0])
-        return TransferResult(1.0, True, target, target, _sweep(grid, zero, aux={"mismatch": zero}))
-    from .schedules import extended
-
-    def gamma_at(rho: float) -> float:
-        return bounds.optimal_gamma(extended(T_short, c, T_long, float(rho), c, shape), grad_norms, D)
-
-    def mismatch(rho: float) -> float:
-        return gamma_at(rho) - target
-
-    if rho_grid is None:
-        rho_grid = np.linspace(0.02, 1.0, 50)
-    grid = np.asarray(rho_grid, dtype=np.float64)
-    value, feasible, vals = _match_gamma(mismatch, grid, rel_tol)
-    diag = _sweep(grid, np.abs(vals), aux={"mismatch": vals})
-    return TransferResult(value, feasible, target, gamma_at(value), diag)
+        return _transfer(reference, lambda rho: reference, [1.0], grad_norms, D)
+    grid = np.linspace(0.02, 1.0, 50) if rho_grid is None else rho_grid
+    return _transfer(reference, lambda rho: extended(T_short, c, T_long, rho, c, shape), grid, grad_norms, D)
 
 
 def transfer_horizon_cooldown(
@@ -245,38 +252,25 @@ def transfer_horizon_cooldown(
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
     c_grid: np.ndarray | None = None,
-    rel_tol: float = 1e-4,
 ) -> TransferResult:
     """Cooldown fraction for a longer run that keeps the tuned gamma unchanged.
 
     Finds c_long with optimal_gamma(family(T_long, c_long)) equal to
     optimal_gamma(family(T_short, c_short)), where the family is a flat
     (base="constant") or 1/sqrt(t) (base="inv-sqrt") schedule with a
-    cooldown tail.  feasible is False when even c_long = 1 cannot reach
-    the target.
+    cooldown tail.  The root is bisected to TRANSFER_REL_TOL; equal
+    horizons give c_short.  feasible is False when even c_long = 1
+    cannot reach the target.
     """
     if T_long < T_short:
         raise ValueError(f"extended horizon {T_long} must be >= base horizon {T_short}")
     build_short = _cooldown_family(T_short, shape, base)
     build_long = _cooldown_family(T_long, shape, base)
-    target = bounds.optimal_gamma(build_short(c_short), grad_norms, D)
     if T_long == T_short:
-        grid = np.array([float(c_short)])
-        zero = np.array([0.0])
-        return TransferResult(float(c_short), True, target, target, _sweep(grid, zero, aux={"mismatch": zero}))
-
-    def gamma_at(c: float) -> float:
-        return bounds.optimal_gamma(build_long(float(c)), grad_norms, D)
-
-    def mismatch(c: float) -> float:
-        return gamma_at(c) - target
-
-    if c_grid is None:
-        c_grid = DEFAULT_COOLDOWN_GRID
-    grid = np.asarray(c_grid, dtype=np.float64)
-    value, feasible, vals = _match_gamma(mismatch, grid, rel_tol)
-    diag = _sweep(grid, np.abs(vals), aux={"mismatch": vals})
-    return TransferResult(value, feasible, target, gamma_at(value), diag)
+        grid = [float(c_short)]
+    else:
+        grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
+    return _transfer(build_short(c_short), build_long, grid, grad_norms, D)
 
 
 def lr_transfer_curve(

@@ -317,6 +317,12 @@ def test_horizon_too_large_for_memory_exit_2(tmp_path, capsys):
         (["transfer-lr", "--T", "50", "--G", "inf"], "gradient norm scale"),
         (["toy-run", "--schedule", "wsd:T=50,c=0.2", "--gamma", "inf"], "gamma"),
         (["toy-run", "--schedule", "wsd:T=5,c=0.2", "--gamma", "0.1", "--x-start", "inf,0"], "x_start"),
+        (["scaling-law", "--solve", "tokens", "--delta", "0.01", "--N", "inf", "--D", "1e10"], "N must"),
+        (["scaling-law", "--solve", "tokens", "--delta", "0.01", "--N", "1e8", "--D", "inf"], "D1 must"),
+        (["scaling-law", "--solve", "params", "--delta", "0.01", "--N", "1e8", "--D", "inf"], "D must"),
+        (["scaling-law", "--solve", "tokens", "--delta", "nan", "--N", "1e8", "--D", "1e10"], "loss delta"),
+        (["scaling-law", "--solve", "params", "--delta", "0.01", "--N", "1e8", "--D", "1e10", "--E", "inf"], "loss E"),
+        (["scaling-law", "--solve", "params", "--delta", "0.01", "--N", "1e8", "--D", "1e10", "--B", "inf"], "prefactor B"),
     ],
 )
 def test_non_finite_parameter_exit_2_before_any_file(tmp_path, capsys, args, names):
@@ -325,6 +331,45 @@ def test_non_finite_parameter_exit_2_before_any_file(tmp_path, capsys, args, nam
     assert names in err and "finite" in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["sweep-cooldown", "--T", "50"], ["transfer-lr", "--T", "50"]])
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_points_below_one_exit_2_before_any_file(tmp_path, capsys, command, points):
+    code, out, err = run_cli([*command, "--points", points, "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"--points must be >= 1, got {points}" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, repro_target, pairs",
+    [
+        (
+            ["transfer-horizon", "--mode", "rho", "--T1", "4000", "--T2", "8000", "--c", "0.2"],
+            "rho-transfer",
+            [("transfer_horizon.csv", "rho_transfer_2x.csv")],
+        ),
+        (
+            ["transfer-horizon", "--mode", "cooldown", "--T1", "4000", "--T2", "8000", "--base", "inv-sqrt"],
+            "cooldown-transfer",
+            [("transfer_horizon.csv", "cooldown_transfer_inv_sqrt.csv")],
+        ),
+        (
+            ["toy-compare", "--name", "toy"],
+            "toy",
+            [(f"toy_{name}.csv", f"toy_{name}.csv") for name in ("wsd", "constant", "cosine")],
+        ),
+    ],
+    ids=["rho-transfer", "cooldown-transfer-inv-sqrt", "toy"],
+)
+def test_command_writes_the_repro_target_bytes(tmp_path, capsys, args, repro_target, pairs):
+    # each table is defined once, so the command and the repro target agree byte for byte
+    assert run_cli([*args, "--outdir", str(tmp_path / "cmd")], capsys)[0] == 0
+    assert run_cli(["repro", repro_target, "--outdir", str(tmp_path / "repro")], capsys)[0] == 0
+    for ours, theirs in pairs:
+        assert (tmp_path / "cmd" / ours).read_bytes() == (tmp_path / "repro" / theirs).read_bytes()
 
 
 def test_unwritable_outdir_exit_2(capsys):

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +142,29 @@ class TestTransferHorizon:
         diag = res.diagnostics
         assert "mismatch" in diag.aux
         assert len(diag.aux["mismatch"]) == len(diag.grid)
+
+    def test_equal_horizons_tabulate_one_zero_row(self):
+        cases = [
+            (transfer_horizon_rho(400, 400), "rho", 1.0),
+            (transfer_horizon_cooldown(400, 400, 0.3), "c", 0.3),
+            (transfer_horizon_cooldown(400, 400, 0.3, base="inv-sqrt"), "c", 0.3),
+        ]
+        for res, param, value in cases:
+            header, rows = res.table(param)
+            assert header == [param, "abs_gamma_mismatch", "gamma_mismatch"]
+            assert list(rows) == [(value, 0.0, 0.0)]
+            assert not np.signbit(res.diagnostics.aux["mismatch"][0])
+            assert res.achieved_gamma == res.target_gamma
+
+
+def test_perfbench_mirrors_the_transfer_tolerance(monkeypatch):
+    # perfbench checks rho_* and c_long_* headlines at its own copy of the tolerance
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    assert workloads.BISECTION_REL_TOL == tuning.TRANSFER_REL_TOL
 
 
 class TestLrTransferCurve:
