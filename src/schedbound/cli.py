@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand validates its parameters, dispatches to the library,
-writes CSV/JSON artifacts into an output directory, and prints a JSON
-summary (echoing the resolved configuration) to stdout.  Exit codes:
+Every subcommand validates its parameters, dispatches to the library and
+hands the headline numbers and data tables to `_write`, the one artifact
+writer: the tables as CSV/JSON plus a `<name>_summary.json` (echoing the
+resolved configuration), which is also printed to stdout.  Exit codes:
 0 success, 2 validation error (bad subcommand, parameter, or output
 path), 1 runtime error.
 """
@@ -109,12 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=float, required=True, help="parameter count")
     p.add_argument("--D", type=float, required=True, help="token count")
     p.add_argument("--solve", choices=("tokens", "params"), required=True)
-    p.add_argument("--E", type=float, default=None)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--loss-scale", type=float, default=1.0)
+    law = scaling.ScalingLaw()
+    p.add_argument("--E", type=float, default=law.E)
+    p.add_argument("--A", type=float, default=law.A)
+    p.add_argument("--B", type=float, default=law.B)
+    p.add_argument("--alpha", type=float, default=law.alpha)
+    p.add_argument("--beta", type=float, default=law.beta)
+    p.add_argument("--loss-scale", type=float, default=law.loss_scale)
     _add_common(p, "scaling_law")
 
     p = sub.add_parser("fit", help="fit a parametric model to (x, y) CSV data")
@@ -164,25 +166,27 @@ def _c_grid(args) -> np.ndarray:
     return np.logspace(math.log10(args.c_min), math.log10(args.c_max), args.points)
 
 
-def _echo(args, **extra) -> dict:
-    skip = {"outdir", "name", "format"}
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
-    config.update(extra)
-    return config
+def _write_tables(args, tables) -> list[str]:
+    """Write each (name, header, rows) table in --format; return the paths."""
+    return [serialize.serialize(args.outdir, name, header, rows, args.format) for name, header, rows in tables]
 
 
-def _cmd_schedule(args, outdir) -> dict:
+def _write(args, headlines: dict, tables=(), name: str | None = None) -> dict:
+    """Write the tables, then <name>_summary.json: config, headlines and, if any tables, their files."""
+    summary = {"config": {k: v for k, v in sorted(vars(args).items()) if k not in {"outdir", "name", "format"}}}
+    summary.update(headlines)
+    if tables:
+        summary["files"] = _write_tables(args, tables)
+    return serialize.write_summary(args.outdir, name or args.name, summary)
+
+
+def _cmd_schedule(args) -> dict:
     sched = schedules.parse_spec(args.schedule)
     rows = zip(range(1, sched.horizon + 1), sched.values)
-    summary = {
-        "config": _echo(args),
-        "horizon": sched.horizon,
-        "files": [serialize.serialize(outdir, args.name, ["t", "eta"], rows, args.format)],
-    }
-    return serialize.write_summary(outdir, args.name, summary)
+    return _write(args, {"horizon": sched.horizon}, [(args.name, ["t", "eta"], rows)])
 
 
-def _cmd_bound(args, outdir) -> dict:
+def _cmd_bound(args) -> dict:
     sched = schedules.parse_spec(args.schedule)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
@@ -190,8 +194,7 @@ def _cmd_bound(args, outdir) -> dict:
     spec = bounds.BoundSpec(sched, grad, args.D, gamma_star if gamma is None else gamma)
     curve = bounds.bound_curve(spec, stride=args.stride)
     rows = zip(curve.t, curve.values, curve.dist_terms, curve.noise_terms)
-    summary = {
-        "config": _echo(args),
+    headlines = {
         "gamma_used": spec.gamma,
         "gamma_star": gamma_star,
         "omega_final": curve.value_final,
@@ -200,51 +203,47 @@ def _cmd_bound(args, outdir) -> dict:
         "tuned_bound_final": 2.0 * math.sqrt(curve.dist_final * curve.noise_final),
         "noise_kernel": curve.noise_kernel,
     }
-    summary["files"] = [serialize.serialize(outdir, args.name, ["t", "omega", "T1", "T2"], rows, args.format)]
-    return serialize.write_summary(outdir, args.name, summary)
+    return _write(args, headlines, [(args.name, ["t", "omega", "T1", "T2"], rows)])
 
 
-def _cmd_sweep_gamma(args, outdir) -> dict:
+def _cmd_sweep_gamma(args) -> dict:
     sched = schedules.parse_spec(args.schedule)
     grad = _grad_norms(args)
     grid = None
     if (args.gamma_min is None) != (args.gamma_max is None):
         raise ValueError("--gamma-min and --gamma-max must be given together")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     if args.gamma_min is not None:
         if not 0.0 < args.gamma_min < args.gamma_max:
             raise ValueError("need 0 < --gamma-min < --gamma-max")
-        if args.points < 1:
-            raise ValueError(f"--points must be >= 1, got {args.points}")
         grid = np.logspace(math.log10(args.gamma_min), math.log10(args.gamma_max), args.points)
+    elif args.points != tuning.GAMMA_GRID_POINTS:
+        raise ValueError("--points sets the size of the --gamma-min/--gamma-max grid; give both")
     sweep = tuning.sweep_gamma(sched, grad, args.D, gamma_grid=grid)
-    summary = {
-        "config": _echo(args),
+    headlines = {
         "argmin_gamma": sweep.argmin_value,
         "argmin_omega": sweep.argmin_objective,
         "gamma_star": bounds.optimal_gamma(sched, grad, args.D),
     }
-    rows = zip(sweep.grid, sweep.objective)
-    summary["files"] = [serialize.serialize(outdir, args.name, ["gamma", "omega"], rows, args.format)]
-    return serialize.write_summary(outdir, args.name, summary)
+    return _write(args, headlines, [(args.name, ["gamma", "omega"], zip(sweep.grid, sweep.objective))])
 
 
-def _cmd_sweep_cooldown(args, outdir) -> dict:
+def _cmd_sweep_cooldown(args) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
     sweep = tuning.sweep_cooldown(args.T, _c_grid(args), shape, grad, args.D, gamma=gamma, base=args.base)
     rows = zip(sweep.grid, sweep.objective, sweep.aux["gamma"])
-    summary = {
-        "config": _echo(args),
+    headlines = {
         "argmin_c": sweep.argmin_value,
         "argmin_omega": sweep.argmin_objective,
         "gamma_at_argmin": float(sweep.aux["gamma"][int(np.argmin(sweep.objective))]),
     }
-    summary["files"] = [serialize.serialize(outdir, args.name, ["c", "omega", "gamma"], rows, args.format)]
-    return serialize.write_summary(outdir, args.name, summary)
+    return _write(args, headlines, [(args.name, ["c", "omega", "gamma"], rows)])
 
 
-def _cmd_transfer_horizon(args, outdir) -> dict:
+def _cmd_transfer_horizon(args) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     if args.mode == "rho":
@@ -253,32 +252,28 @@ def _cmd_transfer_horizon(args, outdir) -> dict:
     else:
         res = tuning.transfer_horizon_cooldown(args.T1, args.T2, args.c, shape, args.base, grad, args.D)
         param = "c"
-    summary = {
-        "config": _echo(args),
+    headlines = {
         param: res.value,
         "feasible": res.feasible,
         "target_gamma": res.target_gamma,
         "achieved_gamma": res.achieved_gamma,
     }
-    summary["files"] = [serialize.serialize(outdir, args.name, *res.table(param), args.format)]
-    return serialize.write_summary(outdir, args.name, summary)
+    return _write(args, headlines, [(args.name, *res.table(param))])
 
 
-def _cmd_transfer_lr(args, outdir) -> dict:
+def _cmd_transfer_lr(args) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     curve = tuning.lr_transfer_curve(args.T, _c_grid(args), shape, grad, args.D)
     fit = tuning.fit_polynomial(curve, degree=6)
-    summary = {
-        "config": _echo(args),
+    headlines = {
         "poly6_coefficients": [float(x) for x in fit.coefficients],
         "poly6_residual_norm": fit.residual_norm,
     }
-    summary["files"] = [serialize.serialize(outdir, args.name, ["c", "log_ratio"], curve, args.format)]
-    return serialize.write_summary(outdir, args.name, summary)
+    return _write(args, headlines, [(args.name, ["c", "log_ratio"], curve)])
 
 
-def _cmd_toy_run(args, outdir) -> dict:
+def _cmd_toy_run(args) -> dict:
     sched = schedules.parse_spec(args.schedule)
     problem = toy.generate_problem(args.m, args.d, args.seed)
     x_start = None
@@ -288,49 +283,29 @@ def _cmd_toy_run(args, outdir) -> dict:
         except ValueError:
             raise ValueError(f"--x-start must be comma-separated floats, got {args.x_start!r}") from None
     rec = toy.run_sgd(problem, sched, args.gamma, x_start=x_start, record_iterates=args.record_iterates)
-    summary = {
-        "config": _echo(args),
-        "final_loss": float(rec.losses[-1]),
-        "min_loss": float(np.min(rec.losses)),
-        "files": [serialize.serialize(outdir, args.name, *rec.table(), args.format)],
-    }
+    tables = [(args.name, *rec.table())]
     if args.record_iterates:
         header = ["t"] + [f"x{i + 1}" for i in range(problem.d)]
         it_rows = ([t + 1, *rec.iterates[t]] for t in range(sched.horizon))
-        summary["files"].append(serialize.serialize(outdir, f"{args.name}_iterates", header, it_rows, args.format))
-    return serialize.write_summary(outdir, args.name, summary)
+        tables.append((f"{args.name}_iterates", header, it_rows))
+    headlines = {"final_loss": float(rec.losses[-1]), "min_loss": float(np.min(rec.losses))}
+    return _write(args, headlines, tables)
 
 
-def _cmd_toy_compare(args, outdir) -> dict:
+def _cmd_toy_compare(args) -> dict:
     runs = toy.comparison_runs(seed=args.seed, T=args.T)
-    summary: dict = {"config": _echo(args), "files": []}
-    for name in ("wsd", "constant", "cosine"):
-        summary["files"].append(serialize.serialize(outdir, f"{args.name}_{name}", *runs[name].table(), args.format))
-        summary[f"final_loss_{name}"] = float(runs[name].losses[-1])
-    return serialize.write_summary(outdir, args.name, summary)
+    names = ("wsd", "constant", "cosine")
+    headlines = {f"final_loss_{name}": float(runs[name].losses[-1]) for name in names}
+    return _write(args, headlines, [(f"{args.name}_{name}", *runs[name].table()) for name in names])
 
 
-def _cmd_scaling_law(args, outdir) -> dict:
-    defaults = scaling.ScalingLaw()
-    law = scaling.ScalingLaw(
-        E=defaults.E if args.E is None else args.E,
-        A=defaults.A if args.A is None else args.A,
-        B=defaults.B if args.B is None else args.B,
-        alpha=defaults.alpha if args.alpha is None else args.alpha,
-        beta=defaults.beta if args.beta is None else args.beta,
-        loss_scale=args.loss_scale,
-    )
+def _cmd_scaling_law(args) -> dict:
+    law = scaling.ScalingLaw(args.E, args.A, args.B, args.alpha, args.beta, args.loss_scale)
     if args.solve == "tokens":
         result = scaling.tokens_for_delta(law, args.N, args.D, args.delta)
     else:
         result = scaling.params_for_delta(law, args.N, args.D, args.delta)
-    summary = {
-        "config": _echo(args, E=law.E, A=law.A, B=law.B, alpha=law.alpha, beta=law.beta),
-        "loss_before": scaling.loss(law, args.N, args.D),
-        "result": result,
-        "solve": args.solve,
-    }
-    return serialize.write_summary(outdir, args.name, summary)
+    return _write(args, {"loss_before": scaling.loss(law, args.N, args.D), "result": result, "solve": args.solve})
 
 
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
@@ -347,13 +322,16 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
         if len(cells) < 2:
             raise ValueError(f"input row {ln!r} needs two columns (x, y)")
         try:
-            points.append((float(cells[0]), float(cells[1])))
+            x, y = float(cells[0]), float(cells[1])
         except ValueError:
             raise ValueError(f"input row {ln!r} has non-numeric cells") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"input row {ln!r} has a non-finite cell")
+        points.append((x, y))
     return points
 
 
-def _cmd_fit(args, outdir) -> dict:
+def _cmd_fit(args) -> dict:
     points = _read_xy_csv(args.input)
     if args.model == "hgamma":
         fit = tuning.fit_inv_gamma_linear(points)
@@ -366,22 +344,26 @@ def _cmd_fit(args, outdir) -> dict:
         extra = {}
     xs = np.array([p[0] for p in points])
     rows = zip(xs, [p[1] for p in points], fit.predict(xs))
-    summary = {
-        "config": _echo(args),
+    headlines = {
         "model_kind": fit.model_kind,
         "coefficients": [float(c) for c in fit.coefficients],
         "residual_norm": fit.residual_norm,
         **extra,
     }
-    summary["files"] = [serialize.serialize(outdir, args.name, ["x", "y", "fitted"], rows, args.format)]
-    return serialize.write_summary(outdir, args.name, summary)
+    return _write(args, headlines, [(args.name, ["x", "y", "fitted"], rows)])
 
 
-def _cmd_repro(args, outdir) -> dict:
+def _cmd_repro(args) -> dict:
     if args.target == "list":
         return {"targets": sorted(repro.TARGETS)}
-    summary = {"config": _echo(args), **repro.run_target(args.target, outdir, args.format)}
-    return serialize.write_summary(outdir, f"{args.name}_{args.target}", summary)
+    results = {}
+    for target, run in repro.run_target(args.target).items():
+        # each target's tables are written as soon as it returns, under that target's files
+        headlines, tables = run()
+        results[target] = {**headlines, "files": _write_tables(args, tables)}
+        del tables  # frees the target's data before the next target runs
+    headlines = results if args.target == "all" else results[args.target]
+    return _write(args, headlines, name=f"{args.name}_{args.target}")
 
 
 _HANDLERS = {
@@ -407,8 +389,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags/subcommands and 0 on --help
         return int(exc.code or 0)
     try:
-        outdir = _resolve_outdir(args)
-        summary = _HANDLERS[args.command](args, outdir)
+        args.outdir = _resolve_outdir(args)
+        summary = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

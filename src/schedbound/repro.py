@@ -1,8 +1,9 @@
 """Pinned, deterministic experiment reproductions behind `schedbound repro`.
 
-Each target writes CSV data plus a JSON summary of its headline numbers
-into the output directory.  Inputs are hard-wired; repeated invocations
-produce byte-identical files.
+Each target takes no arguments and returns `(headlines, tables)`: a dict of
+its headline numbers and a list of `(name, header, rows)` data tables.  A
+target writes nothing; `schedbound repro` writes each table and the summary.
+Inputs are hard-wired; repeated invocations produce identical results.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 import math
 
 from . import bounds, scaling, schedules, toy, tuning
-from .serialize import serialize
 
 
-def gamma_star_scaling(outdir: str, fmt: str = "csv") -> dict:
+def gamma_star_scaling() -> tuple[dict, list]:
     """gamma* vs horizon for wsd(c=0.2) and cosine, with 1/sqrt(T) fits."""
     Ts = [200 * 2**k for k in range(7)]
     wsd_pts = [(T, bounds.optimal_gamma(schedules.wsd(T, 0.2))) for T in Ts]
@@ -21,88 +21,87 @@ def gamma_star_scaling(outdir: str, fmt: str = "csv") -> dict:
     fit_w = tuning.fit_inv_sqrt(wsd_pts)
     fit_c = tuning.fit_inv_sqrt(cos_pts)
     rows = [(T, gw, gc) for (T, gw), (_, gc) in zip(wsd_pts, cos_pts)]
-    files = [serialize(outdir, "gamma_star_scaling", ["T", "gamma_star_wsd", "gamma_star_cosine"], rows, fmt)]
-    return {
-        "files": files,
+    headlines = {
         "a_wsd": float(fit_w.coefficients[0]),
         "a_cosine": float(fit_c.coefficients[0]),
         "free_exponent_wsd": fit_w.free_exponent,
         "free_exponent_cosine": fit_c.free_exponent,
         "ratio_cosine_over_wsd": float(fit_c.coefficients[0] / fit_w.coefficients[0]),
     }
+    return headlines, [("gamma_star_scaling", ["T", "gamma_star_wsd", "gamma_star_cosine"], rows)]
 
 
-def rho_transfer(outdir: str, fmt: str = "csv") -> dict:
+def rho_transfer() -> tuple[dict, list]:
     """Continuation factor keeping gamma* fixed when doubling/quadrupling T."""
     T1, c = 4000, 0.2
-    out: dict = {"files": [], "T1": T1, "c": c}
+    out: dict = {"T1": T1, "c": c}
+    tables = []
     for mult in (2, 4):
         res = tuning.transfer_horizon_rho(T1, mult * T1, c)
-        out["files"].append(serialize(outdir, f"rho_transfer_{mult}x", *res.table("rho"), fmt))
+        tables.append((f"rho_transfer_{mult}x", *res.table("rho")))
         out[f"rho_{mult}x"] = res.value
         out[f"feasible_{mult}x"] = res.feasible
-    return out
+    return out, tables
 
 
-def cooldown_transfer(outdir: str, fmt: str = "csv") -> dict:
+def cooldown_transfer() -> tuple[dict, list]:
     """Cooldown fraction keeping gamma* fixed on a doubled horizon."""
     T1, c = 4000, 0.2
-    out: dict = {"files": [], "T1": T1, "c_short": c}
+    out: dict = {"T1": T1, "c_short": c}
+    tables = []
     for base, tag in (("constant", "wsd"), ("inv-sqrt", "inv_sqrt")):
         res = tuning.transfer_horizon_cooldown(T1, 2 * T1, c, base=base)
-        out["files"].append(serialize(outdir, f"cooldown_transfer_{tag}", *res.table("c"), fmt))
+        tables.append((f"cooldown_transfer_{tag}", *res.table("c")))
         out[f"c_long_{tag}"] = res.value
         out[f"feasible_{tag}"] = res.feasible
-    return out
+    return out, tables
 
 
-def lr_transfer(outdir: str, fmt: str = "csv") -> dict:
+def lr_transfer() -> tuple[dict, list]:
     """ln(gamma*(1)/gamma*(c)) across cooldown fractions, both shapes."""
     T = 10_000
     lin = tuning.lr_transfer_curve(T, shape=schedules.CooldownShape.LINEAR)
     sqr = tuning.lr_transfer_curve(T, shape=schedules.CooldownShape.ONE_MINUS_SQRT)
     rows = [(c, v, w) for (c, v), (_, w) in zip(lin, sqr)]
-    files = [serialize(outdir, "lr_transfer", ["c", "log_ratio_linear", "log_ratio_one_minus_sqrt"], rows, fmt)]
     fit = tuning.fit_polynomial(lin, degree=6)
     at_02 = math.log(
         bounds.optimal_gamma(schedules.wsd(T, 1.0)) / bounds.optimal_gamma(schedules.wsd(T, 0.2))
     )
-    return {
-        "files": files,
+    headlines = {
         "T": T,
         "log_ratio_linear_at_c_0.2": at_02,
         "poly6_coefficients_linear": [float(x) for x in fit.coefficients],
         "poly6_residual_norm": fit.residual_norm,
     }
+    return headlines, [("lr_transfer", ["c", "log_ratio_linear", "log_ratio_one_minus_sqrt"], rows)]
 
 
-def cooldown_sweep(outdir: str, fmt: str = "csv") -> dict:
+def cooldown_sweep() -> tuple[dict, list]:
     """Bound vs cooldown fraction, per-c-tuned and at a fixed gamma."""
-    out: dict = {"files": []}
+    out: dict = {}
+    tables = []
     for T in (400, 4000):
         tuned = tuning.sweep_cooldown(T)
         g_fix = 0.5 * bounds.optimal_gamma(schedules.wsd(T, 1.0))
         fixed = tuning.sweep_cooldown(T, gamma=g_fix)
         rows = zip(tuned.grid, tuned.objective, tuned.aux["gamma"], fixed.objective)
-        out["files"].append(
-            serialize(outdir, f"cooldown_sweep_T{T}", ["c", "omega_tuned", "gamma_tuned", "omega_fixed_gamma"], rows, fmt)
-        )
+        tables.append((f"cooldown_sweep_T{T}", ["c", "omega_tuned", "gamma_tuned", "omega_fixed_gamma"], rows))
         out[f"T{T}"] = {
             "argmin_c_tuned": tuned.argmin_value,
             "argmin_c_fixed_gamma": fixed.argmin_value,
             "fixed_gamma": g_fix,
         }
-    return out
+    return out, tables
 
 
-def gradnorm_shapes(outdir: str, fmt: str = "csv") -> dict:
+def gradnorm_shapes() -> tuple[dict, list]:
     """Cooldown drop of the bound under shrinking gradient-norm models."""
     T, c = 400, 0.2
     T0 = schedules.cooldown_start(T, c)
     sched = schedules.wsd(T, c)
     alphas = (0.0, -0.5, -1.0)
     curves = []
-    out: dict = {"files": [], "T": T, "c": c, "T0": T0}
+    out: dict = {"T": T, "c": c, "T0": T0}
     for alpha in alphas:
         g = bounds.GradNormModel(alpha=alpha)
         spec = bounds.BoundSpec(sched, g, gamma=bounds.optimal_gamma(sched, g))
@@ -111,11 +110,10 @@ def gradnorm_shapes(outdir: str, fmt: str = "csv") -> dict:
         out[f"drop_ratio_alpha_{alpha:g}"] = float(curve.values[T0 - 1] / curve.values[T - 1])
     rows = zip(curves[0].t, *[c.values for c in curves])
     header = ["t"] + [f"omega_alpha_{a:g}" for a in alphas]
-    out["files"].append(serialize(outdir, "gradnorm_shapes", header, rows, fmt))
-    return out
+    return out, [("gradnorm_shapes", header, rows)]
 
 
-def min_ablation(outdir: str, fmt: str = "csv") -> dict:
+def min_ablation() -> tuple[dict, list]:
     """Last-iterate bound vs the best-iterate ablation along the run."""
     T, c = 400, 0.2
     T0 = schedules.cooldown_start(T, c)
@@ -124,9 +122,7 @@ def min_ablation(outdir: str, fmt: str = "csv") -> dict:
     last = bounds.bound_curve(spec, stride=1)
     best = bounds.best_iterate_curve(spec, stride=1)
     rows = zip(last.t, last.values, best.values)
-    files = [serialize(outdir, "min_ablation", ["t", "omega_last_iterate", "omega_best_iterate"], rows, fmt)]
-    return {
-        "files": files,
+    headlines = {
         "T": T,
         "c": c,
         "T0": T0,
@@ -134,24 +130,26 @@ def min_ablation(outdir: str, fmt: str = "csv") -> dict:
         "drop_ratio_last_iterate": float(last.values[T0 - 1] / last.values[T - 1]),
         "drop_ratio_best_iterate": float(best.values[T0 - 1] / best.values[T - 1]),
     }
+    return headlines, [("min_ablation", ["t", "omega_last_iterate", "omega_best_iterate"], rows)]
 
 
-def toy_runs(outdir: str, fmt: str = "csv") -> dict:
+def toy_runs() -> tuple[dict, list]:
     """The three-schedule subgradient-descent comparison, seed 0."""
     T, seed = 400, 0
     runs = toy.comparison_runs(seed=seed, T=T)
     T0 = schedules.cooldown_start(T, 0.2)
-    out: dict = {"files": [], "seed": seed, "T": T, "T0": T0}
+    out: dict = {"seed": seed, "T": T, "T0": T0}
+    tables = []
     for name in ("wsd", "constant", "cosine"):
-        out["files"].append(serialize(outdir, f"toy_{name}", *runs[name].table(), fmt))
+        tables.append((f"toy_{name}", *runs[name].table()))
         out[f"final_loss_{name}"] = float(runs[name].losses[-1])
     w = runs["wsd"].losses
     out["wsd_cooldown_drop_ratio"] = float(w[T0 - 1] / w[T - 1])
     out["wsd_pre_window_ratio"] = float(w[2 * T0 - T - 1] / w[T0 - 1])
-    return out
+    return out, tables
 
 
-def schedule_comparison(outdir: str, fmt: str = "csv") -> dict:
+def schedule_comparison() -> tuple[dict, list]:
     """Tuned bound for the standard schedule zoo at one horizon."""
     T = 400
     zoo = [
@@ -175,11 +173,11 @@ def schedule_comparison(outdir: str, fmt: str = "csv") -> dict:
         rows.append((name, gs, val))
         if val < best_val:
             best_name, best_val = name, val
-    files = [serialize(outdir, "schedule_comparison", ["schedule", "gamma_star", "tuned_bound"], rows, fmt)]
-    return {"files": files, "T": T, "best_schedule": best_name, "best_tuned_bound": best_val}
+    headlines = {"T": T, "best_schedule": best_name, "best_tuned_bound": best_val}
+    return headlines, [("schedule_comparison", ["schedule", "gamma_star", "tuned_bound"], rows)]
 
 
-def cosine_cycles(outdir: str, fmt: str = "csv") -> dict:
+def cosine_cycles() -> tuple[dict, list]:
     """Cosine warm restarts: shorter cycles only hurt the bound."""
     T, final = 400, 0.1
     g_full = bounds.optimal_gamma(schedules.cosine(T, final, 1.0))
@@ -189,18 +187,17 @@ def cosine_cycles(outdir: str, fmt: str = "csv") -> dict:
         tuned = bounds.tuned_bound(sched)
         fixed = bounds.bound_value(bounds.BoundSpec(sched, gamma=g_full))
         rows.append((cycle, tuned, fixed))
-    files = [serialize(outdir, "cosine_cycles", ["cycle", "omega_tuned", "omega_at_full_cycle_gamma"], rows, fmt)]
-    return {
-        "files": files,
+    headlines = {
         "T": T,
         "final_fraction": final,
         "full_cycle_gamma": g_full,
         "best_cycle_tuned": float(min(rows, key=lambda r: r[1])[0]),
         "best_cycle_fixed_gamma": float(min(rows, key=lambda r: r[2])[0]),
     }
+    return headlines, [("cosine_cycles", ["cycle", "omega_tuned", "omega_at_full_cycle_gamma"], rows)]
 
 
-def closed_form_constants(outdir: str, fmt: str = "csv") -> dict:
+def closed_form_constants() -> tuple[dict, list]:
     """Headline harmonic-number constants at T = 1e5."""
     T = 10**5
     T0 = int(0.8 * T)
@@ -214,11 +211,10 @@ def closed_form_constants(outdir: str, fmt: str = "csv") -> dict:
         "wsd_bound_sqrtT": bounds.wsd_bound_exact(T, T0) * math.sqrt(T),
         "linear_decay_bound_sqrtT": bounds.linear_decay_bound_exact(T) * math.sqrt(T),
     }
-    files = [serialize(outdir, "closed_form_constants", ["name", "value"], sorted(vals.items()), fmt)]
-    return {"files": files, "T": T, "T0": T0, **vals}
+    return {"T": T, "T0": T0, **vals}, [("closed_form_constants", ["name", "value"], sorted(vals.items()))]
 
 
-def scaling_law_cases(outdir: str, fmt: str = "csv") -> dict:
+def scaling_law_cases() -> tuple[dict, list]:
     """Loss-delta pricing for the four documented cases, delta = 0.01."""
     law = scaling.ScalingLaw()
     delta = 0.01
@@ -229,7 +225,7 @@ def scaling_law_cases(outdir: str, fmt: str = "csv") -> dict:
         ("params", 210e6, 10.24e9),
     ]
     rows = []
-    out: dict = {"files": [], "delta": delta}
+    out: dict = {"delta": delta}
     for mode, N, D in cases:
         if mode == "tokens":
             result = scaling.tokens_for_delta(law, N, D, delta)
@@ -239,8 +235,7 @@ def scaling_law_cases(outdir: str, fmt: str = "csv") -> dict:
             result = scaling.params_for_delta(law, N, D, delta)
             rows.append((mode, N, D, delta, result))
             out[f"params_from_{N / 1e6:.0f}M"] = result
-    out["files"] = [serialize(outdir, "scaling_law_cases", ["mode", "N", "D", "delta", "result"], rows, fmt)]
-    return out
+    return out, [("scaling_law_cases", ["mode", "N", "D", "delta", "result"], rows)]
 
 
 TARGETS = {
@@ -263,11 +258,11 @@ TARGETS = {
 TARGET_NAMES = [name for name in TARGETS if name != "fig4"]
 
 
-def run_target(target: str, outdir: str, fmt: str = "csv") -> dict:
-    """Run one repro target (or 'all') and return its summary dict."""
+def run_target(target: str) -> dict:
+    """Resolve a repro target name, or 'all', to {name: target function}; call each to run it."""
     if target == "all":
-        return {name: TARGETS[name](outdir, fmt) for name in TARGET_NAMES}
+        return {name: TARGETS[name] for name in TARGET_NAMES}
     if target not in TARGETS:
-        known = ", ".join(["all"] + sorted(TARGETS))
+        known = ", ".join(["all", "list"] + sorted(TARGETS))
         raise ValueError(f"unknown repro target {target!r}; known targets: {known}")
-    return TARGETS[target](outdir, fmt)
+    return {target: TARGETS[target]}

@@ -266,6 +266,7 @@ def test_repro_unknown_target(tmp_path, capsys):
     code, _, err = run_cli(["repro", "nosuch", "--outdir", str(tmp_path)], capsys)
     assert code == 2
     assert "unknown repro target" in err
+    assert "known targets: all, list, " in err
 
 
 def test_repro_toy_byte_identical(tmp_path, capsys):
@@ -333,7 +334,15 @@ def test_non_finite_parameter_exit_2_before_any_file(tmp_path, capsys, args, nam
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [["sweep-cooldown", "--T", "50"], ["transfer-lr", "--T", "50"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep-cooldown", "--T", "50"],
+        ["transfer-lr", "--T", "50"],
+        ["sweep-gamma", "--schedule", "wsd:T=50,c=0.2"],
+        ["sweep-gamma", "--schedule", "wsd:T=50,c=0.2", "--gamma-min", "0.01", "--gamma-max", "1"],
+    ],
+)
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_points_below_one_exit_2_before_any_file(tmp_path, capsys, command, points):
     code, out, err = run_cli([*command, "--points", points, "--outdir", str(tmp_path)], capsys)
@@ -370,6 +379,82 @@ def test_command_writes_the_repro_target_bytes(tmp_path, capsys, args, repro_tar
     assert run_cli(["repro", repro_target, "--outdir", str(tmp_path / "repro")], capsys)[0] == 0
     for ours, theirs in pairs:
         assert (tmp_path / "cmd" / ours).read_bytes() == (tmp_path / "repro" / theirs).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["repro", "all"],
+        ["repro", "all", "--format", "json"],
+        ["repro", "toy", "--name", "r"],
+        ["repro", "fig4"],
+        ["repro", "list"],
+        ["bound", "--schedule", "wsd:T=100000,c=0.2"],
+        ["bound", "--schedule", "cosine:T=400", "--gamma", "0.1", "--format", "json"],
+        ["schedule", "--schedule", "wsd:T=40,c=0.2"],
+        ["sweep-gamma", "--schedule", "wsd:T=400,c=0.2"],
+        ["sweep-gamma", "--schedule", "wsd:T=400,c=0.2", "--gamma-min", "0.01", "--gamma-max", "1", "--points", "11"],
+        ["sweep-cooldown", "--T", "400", "--points", "9"],
+        ["transfer-horizon", "--mode", "rho", "--T1", "400", "--T2", "800"],
+        ["transfer-horizon", "--mode", "cooldown", "--T1", "400", "--T2", "800", "--base", "inv-sqrt", "--format", "json"],
+        ["transfer-lr", "--T", "400", "--points", "12"],
+        ["toy-run", "--schedule", "wsd:T=50,c=0.2", "--gamma", "0.05", "--record-iterates"],
+        ["toy-run", "--schedule", "wsd:T=50,c=0.2", "--gamma", "0.05", "--record-iterates", "--format", "json"],
+        ["toy-compare", "--T", "100"],
+        ["scaling-law", "--delta", "0.01", "--N", "124e6", "--D", "10.24e9", "--solve", "tokens"],
+        ["scaling-law", "--delta", "0.01", "--N", "124e6", "--D", "10.24e9", "--solve", "params"],
+        ["fit", "--model", "hgamma"],
+        ["fit", "--model", "invsqrt", "--format", "json"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_outdir_holds_exactly_the_listed_files(tmp_path, capsys, args):
+    if args[0] == "fit":
+        data = tmp_path / "xy.csv"
+        data.write_text("x,y\n" + "\n".join(f"{x},{2.0 / x + 0.5 * x + 1.0}" for x in (1.0, 2.0, 4.0, 8.0)) + "\n")
+        args = [*args, "--input", str(data)]
+    outdir = tmp_path / "out"
+    code, out, _ = run_cli([*args, "--outdir", str(outdir)], capsys)
+    assert code == 0
+    summary = json.loads(out)
+    # repro lists each target's files under that target
+    listed = [*summary.get("files", [])]
+    for value in summary.values():
+        if isinstance(value, dict):
+            listed += value.get("files", [])
+    if args[0] == "scaling-law":
+        assert listed == []
+    if args[:2] == ["repro", "list"]:
+        assert "summary_file" not in summary
+    else:
+        listed.append(summary["summary_file"])
+    assert len(set(listed)) == len(listed)
+    assert sorted(str(p) for p in outdir.iterdir()) == sorted(listed)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_fit_non_finite_cell_exit_2_before_any_file(tmp_path, capsys, cell, column):
+    row = f"{cell},0.7" if column == "x" else f"0.2,{cell}"
+    data = tmp_path / "xy.csv"
+    data.write_text(f"x,y\n0.1,1.0\n{row}\n0.4,0.6\n0.8,0.65\n")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(["fit", "--model", "hgamma", "--input", str(data), "--outdir", str(outdir)], capsys)
+    assert code == 2
+    assert repr(row) in err and "non-finite" in err
+    assert out == ""
+    assert list(outdir.iterdir()) == []
+
+
+def test_sweep_gamma_points_without_range_exit_2(tmp_path, capsys):
+    # --points sizes only the --gamma-min/--gamma-max grid; the default grid has a fixed size
+    code, out, err = run_cli(
+        ["sweep-gamma", "--schedule", "wsd:T=50,c=0.2", "--points", "11", "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert "--points" in err and "--gamma-min" in err and "--gamma-max" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_outdir_exit_2(capsys):
