@@ -45,10 +45,13 @@ single horizon, T for a curve) chooses between the first two:
   the far part of each horizon's single sum comes from J exponentials
   whose sums are carried across horizons (module expsum, which states its
   error), so the curve costs O(T * J) at any stride; J is about 190 to
-  250 at T = 100000.  Its last row comes from the per-horizon kernel.
-  EXP_SUM_MARGIN = 0.6 is where the two kernels' times cross: 3.4 to
-  3.7 ns per direct pair against 1.8 to 2.2 ns per unit of J * T at
-  T = 100000 and 1000000, strides 25 to 10000 (2 vCPUs).
+  250 at T = 100000.  Only the 30 to 50 nodes that are neither smooth nor
+  dead over a group form an exponential per step: the smooth ones take
+  Taylor moments of the group, the dead ones nothing.  Its last row comes
+  from the per-horizon kernel.
+  EXP_SUM_MARGIN = 0.25 is where the two kernels' times cross: about
+  7 ns per direct pair against 1.6 to 2.0 ns per unit of J * T on wsd
+  at T = 100000 and 1000000, strides 800 to 14000 (2 vCPUs).
 
 Best-iterate curves with T >= LONG_HORIZON (running-sum) take S_t and
 Q_t from pairwise block sums and a compensated running sum, so they cost
@@ -78,7 +81,7 @@ RUNNING_SUM = "running-sum"
 # a curve from EXP_SUM_HORIZON on takes the exp-sum kernel when the direct
 # kernel's pair count sum(t) exceeds EXP_SUM_MARGIN * J * T (J nodes), see above
 EXP_SUM_HORIZON = 100_000
-EXP_SUM_MARGIN = 0.6
+EXP_SUM_MARGIN = 0.25
 
 
 # harmonic() sums the terms 1/k in blocks of HARMONIC_BLOCK, each term cut
@@ -441,14 +444,15 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
             kernel = EXP_SUM
     S = np.empty(ts.size)
     noise = np.empty(ts.size)
-    buf = np.empty((2, T)) if prefix is None and cross_terms else None
     if kernel == RUNNING_SUM:
         S[:n] = _running_sums(_block_sums(eta, stride))[:n]
         noise[:n] = _running_sums(_block_sums(q, stride))[:n] / (2.0 * S[:n])
     elif kernel == EXP_SUM:
         S[:n] = _running_sums(blocks)[:n]
         noise[:n] = expsum.curve_noise(eta, q, stride, a, w)
-    else:
+    # made after the exp-sum kernel has freed its working arrays
+    buf = np.empty((2, T)) if prefix is None and cross_terms else None
+    if kernel in (SUFFIX_SUM, PREFIX_DIFFERENCE):
         for i in range(n):
             S[i], noise[i] = _horizon(eta, q, prefix, int(ts[i]), cross_terms, buf)
     S[n], noise[n] = _horizon(eta, q, prefix, T, cross_terms, buf)

@@ -192,7 +192,10 @@ def _cmd_bound(args) -> dict:
     gamma = _gamma_arg(args.gamma)
     gamma_star = bounds.optimal_gamma(sched, grad, args.D)
     spec = bounds.BoundSpec(sched, grad, args.D, gamma_star if gamma is None else gamma)
-    curve = bounds.bound_curve(spec, stride=args.stride)
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming the flag
+        curve = bounds.bound_curve(spec, stride=args.stride)
+    if not np.isfinite(curve.values).all():
+        raise ValueError(f"--gamma {args.gamma} overflows the bound")
     rows = zip(curve.t, curve.values, curve.dist_terms, curve.noise_terms)
     headlines = {
         "gamma_used": spec.gamma,
@@ -215,16 +218,24 @@ def _cmd_sweep_gamma(args) -> dict:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if args.gamma_min is not None:
-        if not 0.0 < args.gamma_min < args.gamma_max:
+        bounds._check_positive(args.gamma_min, "--gamma-min")
+        bounds._check_positive(args.gamma_max, "--gamma-max")
+        if not args.gamma_min < args.gamma_max:
             raise ValueError("need 0 < --gamma-min < --gamma-max")
         grid = np.logspace(math.log10(args.gamma_min), math.log10(args.gamma_max), args.points)
     elif args.points != tuning.GAMMA_GRID_POINTS:
         raise ValueError("--points sets the size of the --gamma-min/--gamma-max grid; give both")
+    dist, noise = bounds.bound_terms(sched, grad, args.D)
+    if grid is not None:
+        # the bound is convex in gamma, so it is finite on the grid if it is at both ends
+        for flag, value, end in (("--gamma-min", args.gamma_min, grid[0]), ("--gamma-max", args.gamma_max, grid[-1])):
+            if not math.isfinite(dist / float(end) + float(end) * noise):
+                raise ValueError(f"{flag} {value} overflows the bound")
     sweep = tuning.sweep_gamma(sched, grad, args.D, gamma_grid=grid)
     headlines = {
         "argmin_gamma": sweep.argmin_value,
         "argmin_omega": sweep.argmin_objective,
-        "gamma_star": bounds.optimal_gamma(sched, grad, args.D),
+        "gamma_star": math.sqrt(dist / noise),
     }
     return _write(args, headlines, [(args.name, ["gamma", "omega"], zip(sweep.grid, sweep.objective))])
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
@@ -516,6 +517,25 @@ def exact_prefix_sums(pairs, rows):
     return [Fraction(running[t - 1], scale) for t in rows]
 
 
+def exact_noise(eta, t):
+    """Noise term at horizon t for G = 1, to about 1e-50 relative.
+
+    Every eta is an integer multiple of 2^-E, so the tails S_t - S_k are
+    exact integers and only the t divisions round, at 60 digits.
+    """
+    ratios = [float(x).as_integer_ratio() for x in eta[:t]]
+    scale = max(den for _, den in ratios)  # every den is a power of two
+    nums = [num * (scale // den) for num, den in ratios]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(0)
+        tail = 0
+        for k in range(t - 1, 0, -1):  # 0-based k pairs eta_k with S_t - S_k = sum of nums[k:]
+            tail += nums[k]
+            total += Decimal(nums[k - 1] ** 2) / Decimal(tail)
+        return (total + nums[t - 1]) / Decimal(scale) / 2
+
+
 @pytest.fixture
 def exp_sum_kernel(monkeypatch):
     """Send every curve with more than two horizons through the exp-sum kernel."""
@@ -575,10 +595,63 @@ class TestExpSum:
         assert np.array_equal(curve.dist_terms, 0.5 / curve.t)
         assert (curve.dist_final, curve.noise_final) == bound_terms(sched)
 
-    @pytest.mark.parametrize("stride, kernel", [(300, bounds.EXP_SUM), (700, bounds.SUFFIX_SUM)])
+    @pytest.mark.parametrize("stride, kernel", [(700, bounds.EXP_SUM), (1500, bounds.SUFFIX_SUM)])
     def test_kernel_follows_pair_count(self, stride, kernel):
-        # sum(t) is 0.85 * J * T at stride 300 and 0.38 * J * T at stride 700
+        # sum(t) is 0.38 * J * T at stride 700 and 0.19 * J * T at stride 1500
         assert bound_curve(BoundSpec(wsd(bounds.LONG_HORIZON, 0.2)), stride=stride).noise_kernel == kernel
+
+    @pytest.mark.parametrize(
+        "sched",
+        [
+            wsd(bounds.LONG_HORIZON, 0.2),
+            wsd(bounds.LONG_HORIZON, 0.2, CooldownShape.ONE_MINUS_SQRT),
+            cosine(bounds.LONG_HORIZON),
+        ],
+        ids=["wsd-linear", "wsd-1-sqrt", "cosine"],
+    )
+    def test_moment_inflow_matches_direct_nodes(self, monkeypatch, sched):
+        curve = bound_curve(BoundSpec(sched))
+        monkeypatch.setattr(expsum, "SMOOTH", 0.0)  # no node is smooth
+        direct = bound_curve(BoundSpec(sched))
+        assert curve.noise_kernel == direct.noise_kernel == bounds.EXP_SUM
+        assert np.max(np.abs(curve.values / direct.values - 1.0)) <= 1e-15
+
+    def test_moment_inflow_holds_its_truncation_bound(self):
+        # a_j * span = SMOOTH at the first node, the edge of the smooth class
+        truncation = (expsum.SMOOTH / 2) ** expsum.TAYLOR / math.factorial(expsum.TAYLOR) * math.exp(expsum.SMOOTH)
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            L = int(rng.integers(2, 80))
+            steps = rng.uniform(0.01, 1.0, size=(4, L)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4, 1))
+            g = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+            q = rng.uniform(0.0, 1.0, size=(4, L))
+            a = expsum.SMOOTH / g[:, 0].max() * np.array([1.0, 0.9, 0.5, 1e-2, 1e-8])
+            inflow = expsum._moment_inflow(q, g, a)
+            with localcontext() as ctx:
+                ctx.prec = 40
+                for b, j in np.ndindex(inflow.shape):
+                    exact = sum(Decimal(qk) * (Decimal(-a[j]) * Decimal(gk)).exp() for qk, gk in zip(q[b], g[b]))
+                    assert abs(Decimal(inflow[b, j]) / exact - 1) <= truncation + 8 * 2.0**-52, (b, j)
+
+    @pytest.mark.parametrize("shape", [CooldownShape.LINEAR, CooldownShape.ONE_MINUS_SQRT])
+    def test_long_wsd_rows_match_exact_oracle(self, shape):
+        sched = wsd(bounds.LONG_HORIZON, 0.2, shape)
+        curve = bound_curve(BoundSpec(sched))
+        assert curve.noise_kernel == bounds.EXP_SUM
+        for row in (2, 1600, 1999):  # 1999 is the last row from the exp-sum kernel
+            exact = exact_noise(sched.values, int(curve.t[row]))
+            assert abs(Decimal(curve.noise_terms[row]) / exact - 1) <= 1e-14, row
+
+    def test_curve_memory(self):
+        T = bounds.LONG_HORIZON
+        spec = BoundSpec(wsd(T, 0.2))
+        tracemalloc.start()
+        try:
+            bound_curve(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * T * 8
 
     def test_best_iterate_curve_on_suffix_sum_path(self):
         T = bounds.LONG_HORIZON

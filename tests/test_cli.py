@@ -334,6 +334,28 @@ def test_non_finite_parameter_exit_2_before_any_file(tmp_path, capsys, args, nam
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would turn into an exit 1
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["sweep-gamma", "--gamma-min", "0.01", "--gamma-max", "inf"], "--gamma-max"),
+        (["sweep-gamma", "--gamma-min", "1e-320", "--gamma-max", "1e300", "--points", "5"], "--gamma-min"),
+        (["sweep-gamma", "--gamma-min", "0.01", "--gamma-max", "1e308"], "--gamma-max"),
+        (["sweep-gamma", "--gamma-min", "nan", "--gamma-max", "1"], "--gamma-min"),
+        (["sweep-gamma", "--gamma-min", "0.01", "--gamma-max", "nan"], "--gamma-max"),
+        (["bound", "--gamma", "1e-320"], "--gamma"),
+        (["bound", "--gamma", "nan"], "--gamma"),
+    ],
+)
+def test_gamma_that_overflows_the_bound_exit_2_before_any_file(tmp_path, capsys, args, flag):
+    command, *rest = args
+    code, out, err = run_cli([command, "--schedule", "wsd:T=400,c=0.2", *rest, "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"{flag} " in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command",
     [
