@@ -69,6 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expsum
+from ._checks import finite, integer, positive
 from .schedules import Schedule
 
 # accumulator length from which the noise term uses the float64 suffix-sum
@@ -91,14 +92,6 @@ HARMONIC_BLOCK = 8192
 _CHUNK_BITS = 40
 
 
-def _check_count(n, needs: str) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"{needs} an integer n, got {n!r}")
-    if n < 0:
-        raise ValueError(f"{needs} n >= 0, got {n}")
-    return int(n)
-
-
 def harmonic(n: int) -> float:
     """n-th harmonic number H_n = sum_{k=1}^n 1/k, with H_0 = 0, exactly rounded.
 
@@ -115,7 +108,7 @@ def harmonic(n: int) -> float:
     over 2**(b K); int true division rounds that quotient correctly, once.
     Memory is three arrays of the block length.
     """
-    n = _check_count(n, "harmonic number needs")
+    n = integer(n, "n for the harmonic number H_n", 0)
     K = -(-(52 + n.bit_length()) // _CHUNK_BITS)
     scale = float(2**_CHUNK_BITS)
     sums = [0] * K
@@ -140,19 +133,11 @@ def harmonic(n: int) -> float:
 
 def harmonic_numbers(n: int) -> np.ndarray:
     """Array [H_0, H_1, ..., H_n] via cumulative summation."""
-    n = _check_count(n, "harmonic numbers need")
+    n = integer(n, "n for the harmonic numbers H_0..H_n", 0)
     out = np.zeros(n + 1)
     if n:
         out[1:] = np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64))
     return out
-
-
-def _check_positive(value, name: str):
-    """Raise ValueError naming the parameter unless value is positive and finite."""
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -168,11 +153,10 @@ class GradNormModel:
     alpha: float = 0.0
 
     def __post_init__(self):
-        _check_positive(self.G, "gradient norm scale")
+        positive(self.G, "gradient norm scale")
         if self.alpha > 0.0:
             raise ValueError(f"gradient norm exponent must be <= 0, got {self.alpha}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"gradient norm exponent must be finite, got {self.alpha}")
+        finite(self.alpha, "gradient norm exponent")
 
     def values(self, T: int) -> np.ndarray:
         """G_t for t = 1..T."""
@@ -191,8 +175,8 @@ class BoundSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        _check_positive(self.D, "initial distance D")
-        _check_positive(self.gamma, "base learning rate gamma")
+        positive(self.D, "initial distance D")
+        positive(self.gamma, "base learning rate gamma")
 
 
 @dataclass(frozen=True)
@@ -209,8 +193,8 @@ class MirrorSpec:
     dual_grad_norms: GradNormModel = field(default_factory=GradNormModel)
 
     def __post_init__(self):
-        _check_positive(self.bregman_init, "initial Bregman divergence")
-        _check_positive(self.mu, "strong-convexity modulus")
+        positive(self.bregman_init, "initial Bregman divergence")
+        positive(self.mu, "strong-convexity modulus")
 
 
 @dataclass(frozen=True)
@@ -298,9 +282,9 @@ def _resolve_t(schedule: Schedule, t: int | None) -> int:
     T = schedule.horizon
     if t is None:
         return T
-    if not 1 <= t <= T:
+    if (t := integer(t, "horizon t")) > T:
         raise ValueError(f"horizon {t} outside 1..{T}")
-    return int(t)
+    return t
 
 
 def _sum_and_noise(schedule, grad_norms, t, cross_terms) -> tuple[float, float]:
@@ -312,8 +296,7 @@ def _sum_and_noise(schedule, grad_norms, t, cross_terms) -> tuple[float, float]:
 
 
 def _terms(schedule, grad_norms, D, t, cross_terms):
-    D = float(D)
-    _check_positive(D, "initial distance D")
+    D = positive(D, "initial distance D")
     S_t, noise = _sum_and_noise(schedule, grad_norms, t, cross_terms)
     return D * D / (2.0 * S_t), noise  # D * D, not D ** 2: mirror_bound relies on it
 
@@ -424,11 +407,7 @@ def _running_sums(blocks: np.ndarray) -> np.ndarray:
 
 def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve:
     T = spec.schedule.horizon
-    if stride is None:
-        stride = default_stride(T)
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    stride = default_stride(T) if stride is None else integer(stride, "stride")
     ts = _grid(T, stride)
     eta = spec.schedule.values
     q, prefix = _accumulators(eta, spec.grad_norms.values(T))
@@ -502,7 +481,7 @@ def mirror_bound(
     Euclidean specialization (bregman_init = D*D/2, mu = 1) equals it
     bit for bit.
     """
-    _check_positive(gamma, "base learning rate gamma")
+    positive(gamma, "base learning rate gamma")
     S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms, t, cross_terms=True)
     return mirror.bregman_init / S_t / gamma + gamma * noise / mirror.mu
 
@@ -516,8 +495,7 @@ def constant_bound_exact(T: int, D: float = 1.0, G: float = 1.0) -> float:
     Agrees with 2*sqrt(dist*noise) to rounding error; the harmonic term
     means a flat schedule loses a log factor over decaying ones.
     """
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
+    T, D, G = integer(T, "horizon"), positive(D, "initial distance D"), positive(G, "gradient norm scale")
     return D * G * math.sqrt((1.0 + harmonic(T - 1)) / T)
 
 
@@ -531,10 +509,8 @@ def wsd_bound_exact(T: int, T0: int, D: float = 1.0, G: float = 1.0) -> float:
     undershoots the numeric value by a relative O(1/T); use
     linear_decay_bound_exact for that schedule.
     """
-    T = int(T)
-    T0 = int(T0)
-    if T0 < 1:
-        raise ValueError(f"cooldown start must be >= 1, got {T0}")
+    T, T0 = integer(T, "horizon"), integer(T0, "cooldown start")
+    D, G = positive(D, "initial distance D"), positive(G, "gradient norm scale")
     if T - T0 < 2:
         raise ValueError(f"cooldown must span at least 2 steps, got T - T0 = {T - T0}")
     n = T - T0
@@ -550,8 +526,7 @@ def linear_decay_bound_exact(T: int, D: float = 1.0, G: float = 1.0) -> float:
 
     Approaches 2*D*G/sqrt(T) as T grows; an upper bound for finite T.
     """
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
+    T, D, G = integer(T, "horizon"), positive(D, "initial distance D"), positive(G, "gradient norm scale")
     return (2.0 + (harmonic(T - 1) - 2.0 / 3.0) / (T + 1.0)) * D * G / math.sqrt(T)
 
 
@@ -560,9 +535,6 @@ def polynomial_bound_approx(T: int, alpha: float, D: float = 1.0, G: float = 1.0
 
     Minimized over alpha at alpha = 1, where it reads 2*D*G/sqrt(T).
     """
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError(f"decay exponent must be positive, got {alpha}")
+    T, D, G = integer(T, "horizon"), positive(D, "initial distance D"), positive(G, "gradient norm scale")
+    alpha = positive(alpha, "decay exponent")
     return D * G * (alpha + 1.0) / math.sqrt(alpha * T)

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import bounds, repro, scaling, schedules, serialize, toy, tuning
+from ._checks import integer, positive
 
 OUTDIR_ENV = "SCHEDBOUND_OUTDIR"
 
@@ -149,8 +150,7 @@ def _gamma_arg(raw: str) -> float | None:
         value = float(raw)
     except ValueError:
         raise ValueError(f"--gamma must be a float or 'star', got {raw!r}") from None
-    bounds._check_positive(value, "--gamma")
-    return value
+    return positive(value, "--gamma")
 
 
 def _grad_norms(args) -> bounds.GradNormModel:
@@ -161,8 +161,7 @@ def _c_grid(args) -> np.ndarray:
     """Log grid of --points cooldown fractions from --c-min to --c-max."""
     if not 0.0 < args.c_min <= args.c_max <= 1.0:
         raise ValueError("need 0 < --c-min <= --c-max <= 1")
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    integer(args.points, "--points")
     return np.logspace(math.log10(args.c_min), math.log10(args.c_max), args.points)
 
 
@@ -215,11 +214,10 @@ def _cmd_sweep_gamma(args) -> dict:
     grid = None
     if (args.gamma_min is None) != (args.gamma_max is None):
         raise ValueError("--gamma-min and --gamma-max must be given together")
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    integer(args.points, "--points")
     if args.gamma_min is not None:
-        bounds._check_positive(args.gamma_min, "--gamma-min")
-        bounds._check_positive(args.gamma_max, "--gamma-max")
+        positive(args.gamma_min, "--gamma-min")
+        positive(args.gamma_max, "--gamma-max")
         if not args.gamma_min < args.gamma_max:
             raise ValueError("need 0 < --gamma-min < --gamma-max")
         grid = np.logspace(math.log10(args.gamma_min), math.log10(args.gamma_max), args.points)

@@ -9,10 +9,9 @@ tokens buy the same drop?") or in model size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .bounds import _check_positive
+from ._checks import non_negative, positive
 
 # Scaling the loss by ln(32000)/ln(50257) ~ 0.959 converts between the
 # 50k-vocabulary fit and a 32k-vocabulary training setup; pass it as
@@ -42,30 +41,17 @@ class ScalingLaw:
     loss_scale: float = 1.0
 
     def __post_init__(self):
-        _check_positive(self.E, "irreducible loss E")
-        _check_non_negative(self.A, "scaling prefactor A")
-        _check_non_negative(self.B, "scaling prefactor B")
-        _check_positive(self.alpha, "scaling exponent alpha")
-        _check_positive(self.beta, "scaling exponent beta")
-        _check_positive(self.loss_scale, "loss scale")
-
-
-def _check_non_negative(value: float, name: str):
-    """Raise ValueError naming the parameter unless value is non-negative and finite."""
-    if value < 0.0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _check_counts(**counts: float):
-    for name, value in counts.items():
-        _check_positive(value, name)
+        positive(self.E, "irreducible loss E")
+        non_negative(self.A, "scaling prefactor A")
+        non_negative(self.B, "scaling prefactor B")
+        positive(self.alpha, "scaling exponent alpha")
+        positive(self.beta, "scaling exponent beta")
+        positive(self.loss_scale, "loss scale")
 
 
 def loss(law: ScalingLaw, N: float, D: float) -> float:
     """Predicted loss for N parameters trained on D tokens."""
-    _check_counts(N=N, D=D)
+    N, D = positive(N, "N"), positive(D, "D")
     return law.loss_scale * (law.E + law.A / N**law.alpha + law.B / D**law.beta)
 
 
@@ -79,8 +65,8 @@ def tokens_for_delta(law: ScalingLaw, N: float, D1: float, delta: float) -> floa
     Raises InfeasibleTargetError when delta meets or exceeds the whole
     remaining data-limited loss B / D1**beta.
     """
-    _check_counts(N=N, D1=D1)
-    _check_non_negative(delta, "loss delta")
+    N, D1 = positive(N, "N"), positive(D1, "D1")
+    delta = non_negative(delta, "loss delta")
     if delta == 0.0:
         return float(D1)
     gap = delta / law.loss_scale
@@ -98,8 +84,8 @@ def params_for_delta(law: ScalingLaw, N1: float, D: float, delta: float) -> floa
     InfeasibleTargetError when the drop exceeds the remaining
     model-limited loss A / N1**alpha.
     """
-    _check_counts(N1=N1, D=D)
-    _check_non_negative(delta, "loss delta")
+    N1, D = positive(N1, "N1"), positive(D, "D")
+    delta = non_negative(delta, "loss delta")
     if delta == 0.0:
         return float(N1)
     gap = delta / law.loss_scale

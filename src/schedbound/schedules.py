@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import fraction, integer, positive
+
 
 class CooldownShape(enum.Enum):
     """Shape of the decay leg appended by a cooldown."""
@@ -68,7 +70,7 @@ class Schedule:
 
     def value_at(self, t: int) -> float:
         """eta_t for 1-based step index t."""
-        if not 1 <= t <= self.horizon:
+        if integer(t, "step index t") > self.horizon:
             raise ValueError(f"step index {t} outside 1..{self.horizon}")
         return float(self.values[t - 1])
 
@@ -92,20 +94,12 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_horizon(T: int) -> int:
-    if not isinstance(T, (int, np.integer)) or isinstance(T, bool):
-        raise ValueError(f"horizon must be an integer, got {T!r}")
-    if T < 1:
-        raise ValueError(f"horizon must be >= 1, got {T}")
-    return int(T)
-
-
 def _allocatable_horizon(T: int) -> int:
-    """_check_horizon, and that arrays of length T fit in physical memory.
+    """T as a horizon that arrays of length T fit in physical memory.
 
     For the constructors that allocate them, before they do.
     """
-    T = _check_horizon(T)
+    T = integer(T, "horizon")
     need = 8 * _ARRAYS_PER_STEP * T
     memory = _physical_memory()
     if memory is not None and need > memory:
@@ -114,13 +108,6 @@ def _allocatable_horizon(T: int) -> int:
             f"more than the {memory / 2**30:.3g} GiB of physical memory"
         )
     return T
-
-
-def _check_fraction(c: float, name: str = "cooldown fraction") -> float:
-    c = float(c)
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"{name} must be in (0, 1], got {c}")
-    return c
 
 
 def _round_half_up(x: float) -> int:
@@ -136,8 +123,8 @@ def cooldown_start(T: int, c: float) -> int:
     virtual eta_{T+1} = 0 closes the leg.  c close to 0 can round to an
     empty cooldown (T0 = T with eta_T = 1).
     """
-    T = _check_horizon(T)
-    c = _check_fraction(c)
+    T = integer(T, "horizon")
+    c = fraction(c, "cooldown fraction")
     return max(1, T - _round_half_up(c * T))
 
 
@@ -216,9 +203,7 @@ def polynomial_decay(T: int, alpha: float) -> Schedule:
     unlike every other generator in this module.
     """
     T = _allocatable_horizon(T)
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError(f"decay exponent must be positive, got {alpha}")
+    alpha = positive(alpha, "decay exponent")
     t = np.arange(1, T + 1, dtype=np.float64)
     return Schedule((T + 1.0 - t) ** alpha)
 
@@ -239,9 +224,7 @@ def cosine(T: int, final_fraction: float = 0.0, cycle_length: float = 1.0) -> Sc
     f = float(final_fraction)
     if not 0.0 <= f < 1.0:
         raise ValueError(f"final fraction must be in [0, 1), got {f}")
-    ell = float(cycle_length)
-    if not 0.0 < ell <= 1.0:
-        raise ValueError(f"cycle length must be in (0, 1], got {ell}")
+    ell = fraction(cycle_length, "cycle length")
     C = max(1, _round_half_up(ell * T))
     t = np.arange(T)
     vals = f + (1.0 - f) * 0.5 * (1.0 + np.cos(np.pi * (t % C) / C))
@@ -275,9 +258,9 @@ def extended(
         ValueError: if T_long <= T_short, or the extended cooldown would
             begin before the continuation phase does.
     """
-    T_short = _check_horizon(T_short)
+    T_short = integer(T_short, "horizon")
     T_long = _allocatable_horizon(T_long)
-    rho = _check_fraction(rho, "continuation factor rho")
+    rho = fraction(rho, "continuation factor rho")
     if c_long is None:
         c_long = c_short
     if T_long <= T_short:
@@ -296,7 +279,7 @@ def extended(
 
 # --- spec-string parsing -------------------------------------------------
 
-_INT_KEYS = {"T", "T1", "T2", "m", "d"}
+_INT_KEYS = {"T", "T1", "T2"}
 
 
 def _parse_kv(body: str) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _check_positive
+from ._checks import integer, positive
 from .schedules import Schedule, constant, cosine, wsd
 
 
@@ -83,8 +83,7 @@ class RunRecord:
 
 def generate_problem(m: int = 20, d: int = 2, seed: int = 0) -> ToyProblem:
     """Random instance: A uniform on [-1,1]^(m x d), b = A @ x_oracle, x_start = 0."""
-    if m < 1 or d < 1:
-        raise ValueError(f"problem shape must be at least 1x1, got {m}x{d}")
+    m, d = integer(m, "row count m"), integer(d, "dimension d")
     rng = np.random.Generator(np.random.Philox(seed))
     A = rng.uniform(-1.0, 1.0, size=(m, d))
     x_oracle = rng.uniform(-1.0, 1.0, size=d)
@@ -128,7 +127,7 @@ def run_sgd(
     Deterministic: the only randomness lives in the problem instance.
     Loss is recorded before each update, one entry per schedule step.
     """
-    _check_positive(gamma, "base learning rate gamma")
+    positive(gamma, "base learning rate gamma")
     x = np.array(problem.x_start if x_start is None else x_start, dtype=np.float64)
     if x.shape != (problem.d,):
         raise ValueError(f"x_start must have length {problem.d}, got shape {x.shape}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
+from ._checks import integer, positive
 from .bounds import GradNormModel
 from .schedules import CooldownShape, Schedule, extended, inv_sqrt, with_cooldown, wsd
 
@@ -102,8 +103,7 @@ def _sweep(grid: np.ndarray, objective: np.ndarray, aux: dict | None = None) -> 
 
 def default_gamma_grid(center: float) -> np.ndarray:
     """Log grid of 61 points spanning 3 decades centered at center."""
-    if not center > 0.0:
-        raise ValueError(f"gamma grid center must be positive, got {center}")
+    center = positive(center, "gamma grid center")
     half = GAMMA_GRID_DECADES / 2.0
     return center * np.logspace(-half, half, GAMMA_GRID_POINTS)
 
@@ -379,8 +379,7 @@ def fit_inv_sqrt(points) -> FitResult:
 
 def fit_polynomial(points, degree: int = 6) -> FitResult:
     """Fit a polynomial of the given degree; coefficients ascending in power."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    degree = integer(degree, "degree", 0)
     x, y = _split_points(points)
     coef, resid = _lstsq_columns(np.vander(x, degree + 1, increasing=True), y)
     return FitResult(coef, resid, f"polynomial-degree-{degree}")
