@@ -1,12 +1,9 @@
 """Argument checks shared by every module.
 
-Counts are integers (numpy integers too, bools not) from a least value
-on; scales are positive and finite; fractions lie in (0, 1].  Each check
-returns the value as an int or float and raises a ValueError that names
-the argument.
+Counts are integers (numpy integers too, bools not) from a least value on,
+scales are positive and finite, fractions lie in (0, 1].  Each check returns
+the value as an int or float, or raises a ValueError naming the argument.
 """
-
-from __future__ import annotations
 
 import math
 

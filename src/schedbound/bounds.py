@@ -295,10 +295,17 @@ def _sum_and_noise(schedule, grad_norms, t, cross_terms) -> tuple[float, float]:
     return _horizon(eta, q, prefix, t, cross_terms, np.empty((2, t)) if prefix is None else None)
 
 
+def _in_range(dist, noise) -> tuple[float, float]:
+    """The final (dist_term, noise_term), or a ValueError naming D or G if a term left the float range."""
+    dist = positive(dist, "the distance term of initial distance D and the schedule")
+    return dist, positive(noise, "the noise term of gradient norm scale and the schedule")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a term out of range fails _in_range
 def _terms(schedule, grad_norms, D, t, cross_terms):
     D = positive(D, "initial distance D")
     S_t, noise = _sum_and_noise(schedule, grad_norms, t, cross_terms)
-    return D * D / (2.0 * S_t), noise  # D * D, not D ** 2: mirror_bound relies on it
+    return _in_range(D * D / (2.0 * S_t), noise)  # D * D, not D ** 2: mirror_bound relies on it
 
 
 def bound_terms(
@@ -405,6 +412,7 @@ def _running_sums(blocks: np.ndarray) -> np.ndarray:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a final term out of range fails _in_range; an overflowing value stays inf
 def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve:
     T = spec.schedule.horizon
     stride = default_stride(T) if stride is None else integer(stride, "stride")
@@ -437,6 +445,7 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     S[n], noise[n] = _horizon(eta, q, prefix, T, cross_terms, buf)
     D = float(spec.D)
     dist = D * D / (2.0 * S)
+    _in_range(dist[n], noise[n])
     return BoundCurve(
         t=ts,
         values=dist / spec.gamma + spec.gamma * noise,

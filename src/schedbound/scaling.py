@@ -49,10 +49,18 @@ class ScalingLaw:
         positive(self.loss_scale, "loss scale")
 
 
+def _power(base: float, exponent: float, name: str) -> float:
+    """base ** exponent, or a ValueError naming the exponent if the power over- or underflows."""
+    try:
+        return positive(base**exponent, f"scaling exponent {name}: {base} ** {exponent}")
+    except OverflowError:
+        raise ValueError(f"scaling exponent {name}: {base} ** {exponent} overflows") from None
+
+
 def loss(law: ScalingLaw, N: float, D: float) -> float:
     """Predicted loss for N parameters trained on D tokens."""
     N, D = positive(N, "N"), positive(D, "D")
-    return law.loss_scale * (law.E + law.A / N**law.alpha + law.B / D**law.beta)
+    return law.loss_scale * (law.E + law.A / _power(N, law.alpha, "alpha") + law.B / _power(D, law.beta, "beta"))
 
 
 def tokens_for_delta(law: ScalingLaw, N: float, D1: float, delta: float) -> float:
@@ -68,13 +76,14 @@ def tokens_for_delta(law: ScalingLaw, N: float, D1: float, delta: float) -> floa
     N, D1 = positive(N, "N"), positive(D1, "D1")
     delta = non_negative(delta, "loss delta")
     if delta == 0.0:
-        return float(D1)
+        return D1
     gap = delta / law.loss_scale
-    if law.B == 0.0 or 1.0 / D1**law.beta <= gap / law.B:
+    inverse = 1.0 / _power(D1, law.beta, "beta")
+    if law.B == 0.0 or inverse <= gap / law.B:
         raise InfeasibleTargetError(
             f"a loss drop of {delta} is unreachable by adding tokens from D1={D1}"
         )
-    return float((1.0 / D1**law.beta - gap / law.B) ** (-1.0 / law.beta))
+    return _power(inverse - gap / law.B, -1.0 / law.beta, "beta")
 
 
 def params_for_delta(law: ScalingLaw, N1: float, D: float, delta: float) -> float:
@@ -87,10 +96,11 @@ def params_for_delta(law: ScalingLaw, N1: float, D: float, delta: float) -> floa
     N1, D = positive(N1, "N1"), positive(D, "D")
     delta = non_negative(delta, "loss delta")
     if delta == 0.0:
-        return float(N1)
+        return N1
     gap = delta / law.loss_scale
-    if law.A == 0.0 or 1.0 / N1**law.alpha <= gap / law.A:
+    inverse = 1.0 / _power(N1, law.alpha, "alpha")
+    if law.A == 0.0 or inverse <= gap / law.A:
         raise InfeasibleTargetError(
             f"a loss drop of {delta} is unreachable by adding parameters from N1={N1}"
         )
-    return float((1.0 / N1**law.alpha - gap / law.A) ** (-1.0 / law.alpha))
+    return _power(inverse - gap / law.A, -1.0 / law.alpha, "alpha")

@@ -95,7 +95,7 @@ def _physical_memory() -> int | None:
 
 
 def _allocatable_horizon(T: int) -> int:
-    """T as a horizon that arrays of length T fit in physical memory.
+    """T as an integer horizon >= 1 whose arrays of length T fit in physical memory.
 
     For the constructors that allocate them, before they do.
     """
@@ -296,16 +296,12 @@ def _parse_kv(body: str) -> dict:
             raise ValueError(f"duplicate schedule parameter {key!r}")
         if key == "shape":
             params[key] = CooldownShape.parse(raw)
-        elif key in _INT_KEYS:
-            try:
-                params[key] = int(raw)
-            except ValueError:
-                raise ValueError(f"parameter {key!r} must be an integer, got {raw!r}") from None
         else:
+            parse, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
             try:
-                params[key] = float(raw)
+                params[key] = parse(raw)
             except ValueError:
-                raise ValueError(f"parameter {key!r} must be a number, got {raw!r}") from None
+                raise ValueError(f"parameter {key!r} must be {kind}, got {raw!r}") from None
     return params
 
 

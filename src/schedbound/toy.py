@@ -83,7 +83,7 @@ class RunRecord:
 
 def generate_problem(m: int = 20, d: int = 2, seed: int = 0) -> ToyProblem:
     """Random instance: A uniform on [-1,1]^(m x d), b = A @ x_oracle, x_start = 0."""
-    m, d = integer(m, "row count m"), integer(d, "dimension d")
+    m, d, seed = integer(m, "row count m"), integer(d, "dimension d"), integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.Philox(seed))
     A = rng.uniform(-1.0, 1.0, size=(m, d))
     x_oracle = rng.uniform(-1.0, 1.0, size=d)

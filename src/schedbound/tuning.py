@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from ._checks import integer, positive
+from ._checks import fraction, integer, positive
 from .bounds import GradNormModel
 from .schedules import CooldownShape, Schedule, extended, inv_sqrt, with_cooldown, wsd
 
@@ -158,10 +158,12 @@ def sweep_cooldown(
         c_grid = DEFAULT_COOLDOWN_GRID
     grid = np.asarray(c_grid, dtype=np.float64)
     build = _cooldown_family(T, shape, base)
+    if gamma is not None:
+        gamma = positive(gamma, "base learning rate gamma")
 
     def at(c: float):
         dist, noise = bounds.bound_terms(build(float(c)), grad_norms, D)
-        g = math.sqrt(dist / noise) if gamma is None else float(gamma)
+        g = math.sqrt(dist / noise) if gamma is None else gamma
         return dist / g + g * noise, g
 
     pairs = [at(c) for c in grid]
@@ -234,8 +236,6 @@ def transfer_horizon_rho(
     rate stays optimal for the longer run.  The root is bisected to
     TRANSFER_REL_TOL; equal horizons give rho = 1.
     """
-    if T_long < T_short:
-        raise ValueError(f"extended horizon {T_long} must be >= base horizon {T_short}")
     reference = wsd(T_short, c, shape)
     if T_long == T_short:
         return _transfer(reference, lambda rho: reference, [1.0], grad_norms, D)
@@ -267,7 +267,7 @@ def transfer_horizon_cooldown(
     build_short = _cooldown_family(T_short, shape, base)
     build_long = _cooldown_family(T_long, shape, base)
     if T_long == T_short:
-        grid = [float(c_short)]
+        grid = [fraction(c_short, "cooldown fraction")]
     else:
         grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
     return _transfer(build_short(c_short), build_long, grid, grad_norms, D)

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -332,6 +334,53 @@ def test_non_finite_parameter_exit_2_before_any_file(tmp_path, capsys, args, nam
     assert names in err and "finite" in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _float_flags(command):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions if a.type is float]
+
+
+# each command at T <= 800 with small grids; the flag under test comes last, so it overrides a value given here
+_SWEEP_COMMANDS = [
+    ["bound", "--schedule", "wsd:T=400,c=0.2"],
+    ["sweep-gamma", "--schedule", "wsd:T=400,c=0.2"],
+    ["sweep-cooldown", "--T", "400", "--points", "5"],
+    ["transfer-horizon", "--mode", "rho", "--T1", "400", "--T2", "800"],
+    ["transfer-lr", "--T", "400", "--points", "8"],
+    ["toy-run", "--schedule", "wsd:T=50,c=0.2", "--gamma", "0.05"],
+    ["scaling-law", "--solve", "tokens", "--delta", "0.01", "--N", "124e6", "--D", "10.24e9"],
+    ["scaling-law", "--solve", "params", "--delta", "0.01", "--N", "124e6", "--D", "10.24e9"],
+]
+def test_float_flags_are_found():
+    assert _float_flags("bound") == ["--D", "--G", "--grad-alpha"]
+
+
+# flags that only work with a partner
+_PARTNERS = {"--gamma-min": ["--gamma-max", "1", "--points", "5"], "--gamma-max": ["--gamma-min", "0.01", "--points", "5"]}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would turn into an exit 1
+@pytest.mark.parametrize("value", ["inf", "nan", "1e200", "1e300", "1e-200", "-1e-200"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param(command, flag, id=" ".join([*command[: 3 if command[0] == "scaling-law" else 1], flag]))
+        for command in _SWEEP_COMMANDS
+        for flag in _float_flags(command[0])
+    ],
+)
+def test_extreme_float_flag_exit_0_with_finite_cells_or_exit_2_before_any_file(tmp_path, capsys, command, flag, value):
+    outdir = tmp_path / "out"
+    code, out, err = run_cli([*command, *_PARTNERS.get(flag, []), f"{flag}={value}", "--outdir", str(outdir)], capsys)
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == ""
+        assert list(outdir.iterdir()) == []
+        return
+    for path in outdir.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in line.split(",")), (path.name, line)
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would turn into an exit 1
