@@ -87,7 +87,7 @@ def test_integer_takes_numpy_integers_and_no_bools():
         (_checks.finite, [-1.0, 0.0, 1e300], [math.nan, math.inf, -math.inf]),
         (_checks.fraction, [1e-300, 0.5, 1], [0.0, 1.5, math.nan, math.inf]),
     ],
-    ids=lambda x: getattr(x, "__name__", ""),
+    ids=["positive", "non_negative", "finite", "fraction"],
 )
 def test_scale_checks_coerce_to_float(check, good, bad):
     for x in good:
