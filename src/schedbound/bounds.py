@@ -64,7 +64,7 @@ pinned repro outputs stay byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,14 +199,26 @@ class MirrorSpec:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Bound evaluated along a grid of horizons for a fixed gamma."""
+    """Bound evaluated along a grid of horizons for a fixed gamma.
+
+    values is dist_terms / gamma + gamma * noise_terms; a value that
+    overflows stays inf.
+    """
 
     t: np.ndarray
-    values: np.ndarray
+    values: np.ndarray = field(init=False)
     dist_terms: np.ndarray
     noise_terms: np.ndarray
     gamma: float
     noise_kernel: str  # EXP_SUM, RUNNING_SUM, SUFFIX_SUM or PREFIX_DIFFERENCE, see _curve()
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __post_init__(self):
+        object.__setattr__(self, "values", self.dist_terms / self.gamma + self.gamma * self.noise_terms)
+
+    def at_gamma(self, gamma: float) -> BoundCurve:
+        """The same terms at base learning rate gamma."""
+        return replace(self, gamma=gamma)
 
     @property
     def dist_final(self) -> float:
@@ -252,7 +264,7 @@ def _horizon(eta, q, prefix, t: int, cross_terms: bool, buf) -> tuple[float, flo
     """(S_t, noise_term) at horizon t from _accumulators.
 
     The suffix-sum kernel (prefix None) works in buf, a float64 array of
-    shape (2, >= t); the prefix-difference kernel ignores it.
+    length >= t; the prefix-difference kernel ignores it.
     """
     if prefix is not None:
         S, Q = prefix
@@ -272,9 +284,8 @@ def _horizon(eta, q, prefix, t: int, cross_terms: bool, buf) -> tuple[float, flo
     S_t = np.sum(eta[:t])
     if not cross_terms:
         return float(S_t), float(np.sum(q[:t]) / (2.0 * S_t))
-    tail, ratio = buf[0, : t - 1], buf[1, : t - 1]
-    np.cumsum(eta[1:t][::-1], out=tail)  # S_t - S_k for k = t-1, ..., 1
-    np.divide(q[: t - 1][::-1], tail, out=ratio)
+    tail = np.cumsum(eta[1:t][::-1], out=buf[: t - 1])  # S_t - S_k for k = t-1, ..., 1
+    ratio = np.divide(q[: t - 1][::-1], tail, out=tail)
     return float(S_t), float(0.5 * (q[t - 1] / eta[t - 1] + np.sum(ratio)))
 
 
@@ -292,13 +303,13 @@ def _sum_and_noise(schedule, grad_norms, t, cross_terms) -> tuple[float, float]:
     t = _resolve_t(schedule, t)
     eta = schedule.values[:t]
     q, prefix = _accumulators(eta, grad_norms.values(t))
-    return _horizon(eta, q, prefix, t, cross_terms, np.empty((2, t)) if prefix is None else None)
+    return _horizon(eta, q, prefix, t, cross_terms, np.empty(t) if prefix is None else None)
 
 
-def _in_range(dist, noise) -> tuple[float, float]:
+def _in_range(dist, noise, D="initial distance D", G="gradient norm scale") -> tuple[float, float]:
     """The final (dist_term, noise_term), or a ValueError naming D or G if a term left the float range."""
-    dist = positive(dist, "the distance term of initial distance D and the schedule")
-    return dist, positive(noise, "the noise term of gradient norm scale and the schedule")
+    dist = positive(dist, f"the distance term of {D} and the schedule")
+    return dist, positive(noise, f"the noise term of {G} and the schedule")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a term out of range fails _in_range
@@ -438,7 +449,7 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
         S[:n] = _running_sums(blocks)[:n]
         noise[:n] = expsum.curve_noise(eta, q, stride, a, w)
     # made after the exp-sum kernel has freed its working arrays
-    buf = np.empty((2, T)) if prefix is None and cross_terms else None
+    buf = np.empty(T) if prefix is None and cross_terms else None
     if kernel in (SUFFIX_SUM, PREFIX_DIFFERENCE):
         for i in range(n):
             S[i], noise[i] = _horizon(eta, q, prefix, int(ts[i]), cross_terms, buf)
@@ -446,14 +457,7 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     D = float(spec.D)
     dist = D * D / (2.0 * S)
     _in_range(dist[n], noise[n])
-    return BoundCurve(
-        t=ts,
-        values=dist / spec.gamma + spec.gamma * noise,
-        dist_terms=dist,
-        noise_terms=noise,
-        gamma=spec.gamma,
-        noise_kernel=kernel,
-    )
+    return BoundCurve(t=ts, dist_terms=dist, noise_terms=noise, gamma=spec.gamma, noise_kernel=kernel)
 
 
 def bound_curve(spec: BoundSpec, stride: int | None = None) -> BoundCurve:
@@ -491,8 +495,10 @@ def mirror_bound(
     bit for bit.
     """
     positive(gamma, "base learning rate gamma")
-    S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms, t, cross_terms=True)
-    return mirror.bregman_init / S_t / gamma + gamma * noise / mirror.mu
+    with np.errstate(over="ignore", invalid="ignore"):  # a term out of range fails _in_range
+        S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms, t, cross_terms=True)
+    dist, noise = _in_range(mirror.bregman_init / S_t, noise, "initial Bregman divergence", "dual gradient norm scale")
+    return dist / gamma + gamma * noise / mirror.mu
 
 
 # --- closed forms for specific schedules ---------------------------------

@@ -17,7 +17,9 @@ import sys
 
 import numpy as np
 
-from . import bounds, repro, scaling, schedules, serialize, toy, tuning
+# only what `bound`, `schedule` and the parser need; the other handlers
+# import tuning, toy and repro themselves
+from . import bounds, scaling, schedules, serialize
 from ._checks import integer, positive
 
 OUTDIR_ENV = "SCHEDBOUND_OUTDIR"
@@ -58,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_bound_params(p)
     p.add_argument("--gamma-min", type=float, default=None)
     p.add_argument("--gamma-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=tuning.GAMMA_GRID_POINTS)
+    p.add_argument("--points", type=int, default=None, help="size of the --gamma-min/--gamma-max grid")
     _add_common(p, "sweep_gamma")
 
     p = sub.add_parser("sweep-cooldown", help="bound vs cooldown fraction")
@@ -189,14 +191,17 @@ def _cmd_bound(args) -> dict:
     sched = schedules.parse_spec(args.schedule)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
-    gamma_star = bounds.optimal_gamma(sched, grad, args.D)
-    spec = bounds.BoundSpec(sched, grad, args.D, gamma_star if gamma is None else gamma)
+    # the terms do not depend on gamma, and the curve's last row gives gamma_star
+    spec = bounds.BoundSpec(sched, grad, args.D, 1.0 if gamma is None else gamma)
     curve = bounds.bound_curve(spec, stride=args.stride)
+    gamma_star = curve.optimal_gamma
+    if gamma is None:
+        curve = curve.at_gamma(gamma_star)
     if not np.isfinite(curve.values).all():  # bound_curve leaves an overflow as inf
         raise ValueError(f"--gamma {args.gamma} overflows the bound")
     rows = zip(curve.t, curve.values, curve.dist_terms, curve.noise_terms)
     headlines = {
-        "gamma_used": spec.gamma,
+        "gamma_used": curve.gamma,
         "gamma_star": gamma_star,
         "omega_final": curve.value_final,
         "T1_final": curve.dist_final,
@@ -208,7 +213,11 @@ def _cmd_bound(args) -> dict:
 
 
 def _cmd_sweep_gamma(args) -> dict:
+    from . import tuning
+
     sched = schedules.parse_spec(args.schedule)
+    if args.points is None:  # the default lives in tuning, which the parser does not import
+        args.points = tuning.GAMMA_GRID_POINTS
     grad = _grad_norms(args)
     grid = None
     if (args.gamma_min is None) != (args.gamma_max is None):
@@ -238,6 +247,8 @@ def _cmd_sweep_gamma(args) -> dict:
 
 
 def _cmd_sweep_cooldown(args) -> dict:
+    from . import tuning
+
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
@@ -252,6 +263,8 @@ def _cmd_sweep_cooldown(args) -> dict:
 
 
 def _cmd_transfer_horizon(args) -> dict:
+    from . import tuning
+
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     if args.mode == "rho":
@@ -270,6 +283,8 @@ def _cmd_transfer_horizon(args) -> dict:
 
 
 def _cmd_transfer_lr(args) -> dict:
+    from . import tuning
+
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     curve = tuning.lr_transfer_curve(args.T, _c_grid(args), shape, grad, args.D)
@@ -282,6 +297,8 @@ def _cmd_transfer_lr(args) -> dict:
 
 
 def _cmd_toy_run(args) -> dict:
+    from . import toy
+
     sched = schedules.parse_spec(args.schedule)
     problem = toy.generate_problem(args.m, args.d, args.seed)
     x_start = None
@@ -301,6 +318,8 @@ def _cmd_toy_run(args) -> dict:
 
 
 def _cmd_toy_compare(args) -> dict:
+    from . import toy
+
     runs = toy.comparison_runs(seed=args.seed, T=args.T)
     names = ("wsd", "constant", "cosine")
     headlines = {f"final_loss_{name}": float(runs[name].losses[-1]) for name in names}
@@ -340,6 +359,8 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
 
 
 def _cmd_fit(args) -> dict:
+    from . import tuning
+
     points = _read_xy_csv(args.input)
     if args.model == "hgamma":
         fit = tuning.fit_inv_gamma_linear(points)
@@ -362,6 +383,8 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_repro(args) -> dict:
+    from . import repro
+
     if args.target == "list":
         return {"targets": sorted(repro.TARGETS)}
     results = {}

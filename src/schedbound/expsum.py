@@ -22,8 +22,9 @@ groups the nodes fall in three classes, split by searchsorted on a:
   far below rounding, and the inflow is 0;
 * live, the rest (30 to 50 nodes on wsd at T = 100000): one exponential
   per node and step.
-So the inflow costs one exponential per live node and step, plus TAYLOR
-products per step and O(J) per group for the smooth nodes.  The
+So the inflow costs one exponential per live node and step, plus, for the
+smooth nodes, TAYLOR products and sums per step (the powers of a chunk
+formed one degree at a time, in place) and O(J) per group.  The
 default-stride rows of wsd, 1-sqrt, cosine and constant at T = 100000
 differ by at most 4.4e-16 relative from taking every node live.
 
@@ -86,10 +87,13 @@ def _moment_inflow(q, g, a) -> np.ndarray:
     """
     span = g[:, 0]
     h = 0.5 * span.max()
-    powers = np.empty((g.shape[0], TAYLOR, g.shape[1]))
-    powers[:, 0] = q
-    powers[:, 1:] = ((g - 0.5 * span[:, None]) / h)[:, None]
-    moments = np.cumprod(powers, axis=1, out=powers).sum(axis=2)
+    x = (g - 0.5 * span[:, None]) / h
+    term = q.copy()  # q_k x_k^p, from p = 0 up
+    moments = np.empty((g.shape[0], TAYLOR))
+    moments[:, 0] = term.sum(axis=1)
+    for p in range(1, TAYLOR):
+        term *= x
+        moments[:, p] = term.sum(axis=1)
     coef = np.ones((TAYLOR, a.size))
     coef[1:] = np.multiply.outer(-1.0 / np.arange(1, TAYLOR), a * h)
     return (moments @ np.cumprod(coef, axis=0, out=coef)) * np.exp(np.multiply.outer(-0.5 * span, a))

@@ -8,6 +8,7 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Iterable, Sequence
@@ -29,10 +30,45 @@ def _cell(x) -> str:
     return str(x)
 
 
+# rows that csv_text holds at once
+CSV_BLOCK = 4096
+
+
+def _column_format(column) -> str | None:
+    """The %-template of a column whose cells are all floats ("%.17g") or all ints ("%d"), else None.
+
+    A bool is an int to Python but is written as true/false, so it is no int here.
+    """
+    types = set(map(type, column))
+    if all(issubclass(tp, (float, np.floating)) for tp in types):
+        return "%.17g"
+    if all(issubclass(tp, (int, np.integer)) and not issubclass(tp, bool) for tp in types):
+        return "%d"
+    return None
+
+
+def _block_lines(block: list) -> list[str]:
+    """The CSV lines of a block of rows.
+
+    A float or int column is formatted by one row template, which writes
+    the same digits as _cell; any other column, and a block of ragged or
+    empty rows, goes through _cell cell by cell.
+    """
+    widths = set(map(len, block))
+    if widths == {0} or len(widths) > 1:
+        return [",".join(_cell(x) for x in row) for row in block]
+    columns = list(zip(*block))
+    formats = [_column_format(column) for column in columns]
+    columns = [column if fmt else [_cell(x) for x in column] for column, fmt in zip(columns, formats)]
+    return list(map(",".join(fmt or "%s" for fmt in formats).__mod__, zip(*columns)))
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line per row, each cell as _cell writes it."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(x) for x in row))
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, CSV_BLOCK)):
+        lines += _block_lines(block)
     return "\n".join(lines) + "\n"
 
 

@@ -544,6 +544,19 @@ def exp_sum_kernel(monkeypatch):
     monkeypatch.setattr(bounds, "EXP_SUM_MARGIN", 0)
 
 
+def _cumprod_moment_inflow(q, g, a):
+    """expsum._moment_inflow with its moments from one cumprod over a (rows, TAYLOR, L) array of powers."""
+    span = g[:, 0]
+    h = 0.5 * span.max()
+    powers = np.empty((g.shape[0], expsum.TAYLOR, g.shape[1]))
+    powers[:, 0] = q
+    powers[:, 1:] = ((g - 0.5 * span[:, None]) / h)[:, None]
+    moments = np.cumprod(powers, axis=1, out=powers).sum(axis=2)
+    coef = np.ones((expsum.TAYLOR, a.size))
+    coef[1:] = np.multiply.outer(-1.0 / np.arange(1, expsum.TAYLOR), a * h)
+    return (moments @ np.cumprod(coef, axis=0, out=coef)) * np.exp(np.multiply.outer(-0.5 * span, a))
+
+
 class TestExpSum:
     @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("alpha", [0.0, -0.5])
@@ -615,6 +628,21 @@ class TestExpSum:
         direct = bound_curve(BoundSpec(sched))
         assert curve.noise_kernel == direct.noise_kernel == bounds.EXP_SUM
         assert np.max(np.abs(curve.values / direct.values - 1.0)) <= 1e-15
+
+    @given(
+        rows=st.integers(1, 6),
+        L=st.integers(1, 300),
+        fractions=st.lists(st.floats(1e-12, 1e3), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_moment_recurrence_equals_cumprod(self, rows, L, fractions, seed):
+        rng = np.random.default_rng(seed)
+        steps = rng.uniform(0.01, 1.0, size=(rows, L)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+        g = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+        q = rng.uniform(0.0, 1.0, size=(rows, L))
+        # nodes up to 1000 times past the smooth class weight the high moments, so a changed bit shows
+        a = np.sort(expsum.SMOOTH / g[:, 0].max() * np.array(fractions))
+        assert np.array_equal(expsum._moment_inflow(q, g, a), _cumprod_moment_inflow(q, g, a))
 
     def test_moment_inflow_holds_its_truncation_bound(self):
         # a_j * span = SMOOTH at the first node, the edge of the smooth class

@@ -10,18 +10,20 @@ from schedbound import _checks
 from schedbound.bounds import (
     BoundSpec,
     GradNormModel,
+    MirrorSpec,
     best_iterate_curve,
     bound_curve,
     bound_terms,
     constant_bound_exact,
     linear_decay_bound_exact,
+    mirror_bound,
     polynomial_bound_approx,
     wsd_bound_exact,
 )
 from schedbound.scaling import ScalingLaw, loss, params_for_delta, tokens_for_delta
-from schedbound.schedules import constant, wsd
+from schedbound.schedules import Schedule, constant, wsd
 from schedbound.toy import generate_problem
-from schedbound.tuning import default_gamma_grid, fit_polynomial, sweep_cooldown
+from schedbound.tuning import default_gamma_grid, fit_polynomial, sweep_cooldown, transfer_horizon_cooldown
 
 _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
 
@@ -46,6 +48,11 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         pytest.param("row count m", lambda: generate_problem(2.5, 2), id="generate_problem m=2.5"),
         pytest.param("seed", lambda: generate_problem(20, 2, 2.5), id="generate_problem seed=2.5"),
         pytest.param("step index t", lambda: constant(4).value_at(2.5), id="value_at 2.5"),
+        # scales that are not numbers
+        pytest.param("cooldown fraction", lambda: transfer_horizon_cooldown(400, 400, None), id="transfer_horizon_cooldown c=None"),
+        pytest.param("initial distance D", lambda: BoundSpec(constant(4), D="abc"), id="BoundSpec D='abc'"),
+        pytest.param("gradient norm scale", lambda: GradNormModel(G="2", alpha=-0.5), id="GradNormModel G='2'"),
+        pytest.param("gradient norm scale", lambda: GradNormModel(G=[1.0, 2.0]), id="GradNormModel G=list"),
         # terms that leave the float range, without a numpy warning
         pytest.param("initial distance D", lambda: bound_terms(wsd(10, 0.2), D=1e200), id="bound_terms D=1e200"),
         pytest.param("initial distance D", lambda: bound_terms(wsd(10, 0.2), D=1e-200), id="bound_terms D=1e-200"),
@@ -56,6 +63,21 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
             "gradient norm scale",
             lambda: bound_curve(BoundSpec(wsd(100_000, 0.2), GradNormModel(G=1e200))),
             id="bound_curve exp-sum G=1e200",
+        ),
+        pytest.param(
+            "dual gradient norm scale",
+            lambda: mirror_bound(MirrorSpec(0.5, dual_grad_norms=GradNormModel(G=1e200)), constant(4)),
+            id="mirror_bound G=1e200",
+        ),
+        pytest.param(
+            "dual gradient norm scale",
+            lambda: mirror_bound(MirrorSpec(0.5, dual_grad_norms=GradNormModel(G=1e-200)), constant(4)),
+            id="mirror_bound G=1e-200",
+        ),
+        pytest.param(
+            "initial Bregman divergence",
+            lambda: mirror_bound(MirrorSpec(1e300), Schedule(np.full(4, 1e-300))),
+            id="mirror_bound bregman_init=1e300",
         ),
         pytest.param("base learning rate gamma", lambda: sweep_cooldown(100, [0.5], gamma=-1.0), id="sweep_cooldown gamma=-1"),
         pytest.param("gradient norm scale", lambda: best_iterate_curve(BoundSpec(wsd(10, 0.2), GradNormModel(G=1e-200))), id="best_iterate_curve G=1e-200"),
@@ -92,6 +114,6 @@ def test_integer_takes_numpy_integers_and_no_bools():
 def test_scale_checks_coerce_to_float(check, good, bad):
     for x in good:
         assert check(x, "x") == x and type(check(x, "x")) is float
-    for x in bad:
+    for x in [*bad, None, "abc", "2", [1.0]]:
         with pytest.raises(ValueError, match="^x must be"):
             check(x, "x")

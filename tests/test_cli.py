@@ -60,6 +60,28 @@ def test_bound_gamma_star_default(tmp_path, capsys):
     assert summary["gamma_star"] == pytest.approx(0.040234436980874144, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", ["wsd:T=50,c=0.3", "wsd:T=100000,c=0.2"])
+def test_bound_takes_gamma_star_from_the_curve(tmp_path, capsys, monkeypatch, spec):
+    from schedbound import bounds
+    from schedbound.schedules import parse_spec
+
+    sched = parse_spec(spec)
+    gamma_star = bounds.optimal_gamma(sched)
+    curve = bounds.bound_curve(bounds.BoundSpec(sched, gamma=gamma_star))
+
+    def second_pass(*args, **kwargs):
+        raise AssertionError("bound evaluated the final horizon outside its curve")
+
+    monkeypatch.setattr(bounds, "bound_terms", second_pass)
+    code, out, _ = run_cli(["bound", "--schedule", spec, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["gamma_star"] == summary["gamma_used"] == gamma_star
+    assert summary["omega_final"] == curve.value_final
+    rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
+    assert [float(ln.split(",")[1]) for ln in rows] == curve.values.tolist()
+
+
 def test_sweep_gamma(tmp_path, capsys):
     code, out, _ = run_cli(
         [

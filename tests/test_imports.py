@@ -1,6 +1,8 @@
-"""The package depends on numpy and the standard library only."""
+"""The package depends on numpy and the standard library only, and each CLI subcommand imports only its own modules."""
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +28,73 @@ def test_imports_are_relative_numpy_or_stdlib(path):
 
 def test_check_sees_every_module():
     assert {p.name for p in PACKAGE.glob("*.py")} >= {"bounds.py", "cli.py", "serialize.py"}
+
+
+ROOT = PACKAGE.parents[1]
+# what `bound` and `schedule` never run
+UNUSED_BY_BOUND = {"schedbound.tuning", "schedbound.toy", "schedbound.repro"}
+
+
+def _imported(argv, tmp_path) -> set[str]:
+    """The modules `python -m schedbound.cli ARGV` imports, from its -X importtime log."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "schedbound.cli", *argv, "--outdir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--schedule", "wsd:T=100000,c=0.2"], ["schedule", "--schedule", "cosine:T=100"]],
+    ids=["bound", "schedule"],
+)
+def test_subcommand_imports_only_what_it_runs(argv, tmp_path):
+    imported = _imported(argv, tmp_path)
+    assert {"schedbound.bounds", "schedbound.serialize"} <= imported
+    assert not imported & UNUSED_BY_BOUND
+
+
+def test_package_exports_resolve_lazily():
+    code = """
+import sys
+import schedbound
+assert [m for m in sys.modules if m.startswith("schedbound.")] == [], "import schedbound loaded a submodule"
+for name in schedbound.__all__:
+    obj = getattr(schedbound, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+assert set(schedbound.__all__) <= set(dir(schedbound))
+namespace = {}
+exec("from schedbound import *", namespace)
+assert set(namespace) - {"__builtins__"} == set(schedbound.__all__)
+try:
+    schedbound.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("no AttributeError")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, spans",
+    [
+        (["bound", "--schedule", "wsd:T=2000,c=0.2"], {"bounds.bound_curve", "serialize.csv_text"}),
+        (["repro", "all"], {"repro.toy", "tuning.sweep_cooldown", "toy.run_sgd", "bounds.bound_terms"}),
+    ],
+    ids=["bound", "repro all"],
+)
+def test_tracer_wraps_the_lazily_imported_layers(argv, spans, tmp_path):
+    out = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(out), *argv, "--outdir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(out.read_text())["spans"]}
+    assert spans <= names

@@ -1,12 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedbound.serialize import csv_text, format_float, json_text, serialize, write_summary, write_text
+from schedbound import serialize as serialize_module
+from schedbound.serialize import _cell, csv_text, format_float, json_text, serialize, write_summary, write_text
 
 
 def test_format_float_17_digits():
@@ -37,6 +39,65 @@ def test_csv_cell_types():
 def test_csv_numpy_scalars():
     row = (np.int64(4), np.float64(0.5))
     assert csv_text(["a", "b"], [row]).splitlines()[1] == "4,0.5"
+
+
+def _per_cell_csv(header, rows):
+    """csv_text as one _cell call per cell."""
+    return "".join(",".join(_cell(x) for x in row) + "\n" for row in [header, *rows])
+
+
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-320])
+_CELLS = {
+    "float": _FLOATS,
+    "np.float64": _FLOATS.map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "int": st.integers() | st.sampled_from([2**53 + 1, -(2**70)]),
+    "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "np.uint64": st.integers(0, 2**64 - 1).map(np.uint64),
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "str": st.text("ab,-.e1", max_size=4),
+}
+_MIXED = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    """(header, rows): typed, mixed and empty columns, now and then a ragged row."""
+    kinds = draw(st.lists(st.sampled_from([*_CELLS, "mixed"]), max_size=4))
+    cells = [_CELLS.get(kind, _MIXED) for kind in kinds]
+    rows = [tuple(draw(cell) for cell in cells) for _ in range(draw(st.integers(0, 9)))]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if rows[i] and draw(st.booleans()) else (*rows[i], draw(_MIXED))
+    return [f"c{j}" for j in range(len(kinds))], rows
+
+
+@settings(max_examples=300)
+@given(table=_tables(), block=st.integers(1, 4))
+def test_csv_text_equals_per_cell_form(table, block):
+    header, rows = table
+    with mock.patch.object(serialize_module, "CSV_BLOCK", block):
+        assert csv_text(header, iter(rows)) == _per_cell_csv(header, rows)
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        (["t", "v"], []),
+        ([], [(), ()]),
+        (["t", "v"], [(1, 0.5), (2,), (3, 0.25, "x")]),
+        (["x", "y"], np.array([[0.1, -0.0], [math.nan, -math.inf]])),
+        (["t", "v"], zip(np.arange(1, 4), np.array([1.0, 1e300, 5e-324]))),
+        (["v"], [(1,), (0.5,), (2**60,)]),
+        (["flag"], [(True,), (np.bool_(False),)]),
+        (["v"], [(np.float16(0.1),), (np.longdouble(0.1),)]),
+    ],
+    ids=["empty", "empty rows", "ragged", "ndarray", "curve", "int and float", "bools", "float16 and longdouble"],
+)
+def test_csv_text_equals_per_cell_form_on(header, rows):
+    rows = list(rows)
+    assert csv_text(header, rows) == _per_cell_csv(header, rows)
 
 
 def test_json_text_sorted_and_plain():
