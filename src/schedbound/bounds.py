@@ -312,7 +312,7 @@ def _in_range(dist, noise, D="initial distance D", G="gradient norm scale") -> t
     return dist, positive(noise, f"the noise term of {G} and the schedule")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a term out of range fails _in_range
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a term out of range fails _in_range
 def _terms(schedule, grad_norms, D, t, cross_terms):
     D = positive(D, "initial distance D")
     S_t, noise = _sum_and_noise(schedule, grad_norms, t, cross_terms)
@@ -423,7 +423,7 @@ def _running_sums(blocks: np.ndarray) -> np.ndarray:
     return total
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a final term out of range fails _in_range; an overflowing value stays inf
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a final term out of range fails _in_range; an overflowing value stays inf
 def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve:
     T = spec.schedule.horizon
     stride = default_stride(T) if stride is None else integer(stride, "stride")
@@ -495,7 +495,7 @@ def mirror_bound(
     bit for bit.
     """
     positive(gamma, "base learning rate gamma")
-    with np.errstate(over="ignore", invalid="ignore"):  # a term out of range fails _in_range
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a term out of range fails _in_range
         S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms, t, cross_terms=True)
     dist, noise = _in_range(mirror.bregman_init / S_t, noise, "initial Bregman divergence", "dual gradient norm scale")
     return dist / gamma + gamma * noise / mirror.mu

@@ -216,7 +216,8 @@ def _cmd_sweep_gamma(args) -> dict:
     from . import tuning
 
     sched = schedules.parse_spec(args.schedule)
-    if args.points is None:  # the default lives in tuning, which the parser does not import
+    points_given = args.points is not None
+    if not points_given:  # the default lives in tuning, which the parser does not import
         args.points = tuning.GAMMA_GRID_POINTS
     grad = _grad_norms(args)
     grid = None
@@ -229,19 +230,18 @@ def _cmd_sweep_gamma(args) -> dict:
         if not args.gamma_min < args.gamma_max:
             raise ValueError("need 0 < --gamma-min < --gamma-max")
         grid = np.logspace(math.log10(args.gamma_min), math.log10(args.gamma_max), args.points)
-    elif args.points != tuning.GAMMA_GRID_POINTS:
+    elif points_given:
         raise ValueError("--points sets the size of the --gamma-min/--gamma-max grid; give both")
-    dist, noise = bounds.bound_terms(sched, grad, args.D)
+    sweep = tuning.sweep_gamma(sched, grad, args.D, gamma_grid=grid)
     if grid is not None:
         # the bound is convex in gamma, so it is finite on the grid if it is at both ends
-        for flag, value, end in (("--gamma-min", args.gamma_min, grid[0]), ("--gamma-max", args.gamma_max, grid[-1])):
-            if not math.isfinite(dist / float(end) + float(end) * noise):
+        for flag, value, omega in (("--gamma-min", args.gamma_min, sweep.objective[0]), ("--gamma-max", args.gamma_max, sweep.objective[-1])):
+            if not math.isfinite(omega):
                 raise ValueError(f"{flag} {value} overflows the bound")
-    sweep = tuning.sweep_gamma(sched, grad, args.D, gamma_grid=grid)
     headlines = {
         "argmin_gamma": sweep.argmin_value,
         "argmin_omega": sweep.argmin_objective,
-        "gamma_star": math.sqrt(dist / noise),
+        "gamma_star": math.sqrt(sweep.dist[0] / sweep.noise[0]),
     }
     return _write(args, headlines, [(args.name, ["gamma", "omega"], zip(sweep.grid, sweep.objective))])
 
@@ -252,12 +252,16 @@ def _cmd_sweep_cooldown(args) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
-    sweep = tuning.sweep_cooldown(args.T, _c_grid(args), shape, grad, args.D, gamma=gamma, base=args.base)
-    rows = zip(sweep.grid, sweep.objective, sweep.aux["gamma"])
+    sweep = tuning.sweep_cooldown(args.T, _c_grid(args), shape, grad, args.D, base=args.base)
+    if gamma is not None:
+        sweep = sweep.at_gamma(gamma)
+        if not np.isfinite(sweep.objective).all():
+            raise ValueError(f"--gamma {args.gamma} overflows the bound")
+    rows = zip(sweep.grid, sweep.objective, sweep.gamma)
     headlines = {
         "argmin_c": sweep.argmin_value,
         "argmin_omega": sweep.argmin_objective,
-        "gamma_at_argmin": float(sweep.aux["gamma"][int(np.argmin(sweep.objective))]),
+        "gamma_at_argmin": float(sweep.gamma[int(np.argmin(sweep.objective))]),
     }
     return _write(args, headlines, [(args.name, ["c", "omega", "gamma"], rows)])
 

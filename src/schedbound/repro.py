@@ -83,8 +83,8 @@ def cooldown_sweep() -> tuple[dict, list]:
     for T in (400, 4000):
         tuned = tuning.sweep_cooldown(T)
         g_fix = 0.5 * bounds.optimal_gamma(schedules.wsd(T, 1.0))
-        fixed = tuning.sweep_cooldown(T, gamma=g_fix)
-        rows = zip(tuned.grid, tuned.objective, tuned.aux["gamma"], fixed.objective)
+        fixed = tuned.at_gamma(g_fix)
+        rows = zip(tuned.grid, tuned.objective, tuned.gamma, fixed.objective)
         tables.append((f"cooldown_sweep_T{T}", ["c", "omega_tuned", "gamma_tuned", "omega_fixed_gamma"], rows))
         out[f"T{T}"] = {
             "argmin_c_tuned": tuned.argmin_value,

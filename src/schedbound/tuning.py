@@ -9,7 +9,7 @@ the simple parametric forms those curves follow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,18 +27,31 @@ TRANSFER_REL_TOL = 1e-4
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Objective evaluated on an ascending parameter grid.
+    """The bound's two terms, and the gamma each is taken at, on an ascending parameter grid.
 
-    argmin ties break toward the smallest parameter value (first grid
-    hit).  aux carries optional per-point extras such as the tuned
-    gamma used at each cooldown fraction.
+    objective is dist / gamma + gamma * noise; a value that overflows
+    stays inf.  argmin ties break toward the smallest parameter value
+    (first grid hit).
     """
 
     grid: np.ndarray
-    objective: np.ndarray
-    argmin_value: float
-    argmin_objective: float
-    aux: dict | None = None
+    dist: np.ndarray
+    noise: np.ndarray
+    gamma: np.ndarray
+    objective: np.ndarray = field(init=False)
+    argmin_value: float = field(init=False)
+    argmin_objective: float = field(init=False)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __post_init__(self):
+        object.__setattr__(self, "objective", self.dist / self.gamma + self.gamma * self.noise)
+        i = int(np.argmin(self.objective))  # first minimum = smallest parameter on ties
+        object.__setattr__(self, "argmin_value", float(self.grid[i]))
+        object.__setattr__(self, "argmin_objective", float(self.objective[i]))
+
+    def at_gamma(self, gamma: float) -> SweepResult:
+        """The same terms at one fixed base learning rate gamma at every grid point."""
+        return replace(self, gamma=np.full_like(self.grid, positive(gamma, "base learning rate gamma")))
 
 
 @dataclass(frozen=True)
@@ -48,19 +61,20 @@ class TransferResult:
     value is the matched parameter (rho or cooldown fraction), bisected
     to TRANSFER_REL_TOL when one grid bracket holds the root.  feasible
     is False when no grid point brackets the target, in which case value
-    is the grid point coming closest.
+    is the grid point coming closest.  mismatch is the tuned gamma minus
+    the target at each grid point.
     """
 
     value: float
     feasible: bool
     target_gamma: float
     achieved_gamma: float
-    diagnostics: SweepResult
+    grid: np.ndarray
+    mismatch: np.ndarray
 
     def table(self, param: str):
-        """Header and rows of the diagnostics: grid point, |mismatch|, mismatch."""
-        d = self.diagnostics
-        return [param, "abs_gamma_mismatch", "gamma_mismatch"], zip(d.grid, d.objective, d.aux["mismatch"])
+        """Header and rows of the grid: grid point, |mismatch|, mismatch."""
+        return [param, "abs_gamma_mismatch", "gamma_mismatch"], zip(self.grid, np.abs(self.mismatch), self.mismatch)
 
 
 @dataclass(frozen=True)
@@ -90,17 +104,6 @@ class FitResult:
         raise ValueError(f"unknown fit model {self.model_kind!r}")
 
 
-def _sweep(grid: np.ndarray, objective: np.ndarray, aux: dict | None = None) -> SweepResult:
-    idx = int(np.argmin(objective))  # first minimum = smallest parameter on ties
-    return SweepResult(
-        grid=np.asarray(grid, dtype=np.float64),
-        objective=np.asarray(objective, dtype=np.float64),
-        argmin_value=float(grid[idx]),
-        argmin_objective=float(objective[idx]),
-        aux=aux,
-    )
-
-
 def default_gamma_grid(center: float) -> np.ndarray:
     """Log grid of 61 points spanning 3 decades centered at center."""
     center = positive(center, "gamma grid center")
@@ -126,7 +129,7 @@ def sweep_gamma(
     grid = np.asarray(gamma_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1 or not np.all(grid > 0.0):
         raise ValueError("gamma grid must be a non-empty 1-d array of positive values")
-    return _sweep(grid, dist / grid + grid * noise)
+    return SweepResult(grid, np.full_like(grid, dist), np.full_like(grid, noise), grid)
 
 
 def _cooldown_family(T: int, shape: CooldownShape, base: str):
@@ -139,37 +142,29 @@ def _cooldown_family(T: int, shape: CooldownShape, base: str):
     raise ValueError(f"unknown base schedule family {base!r} (use constant or inv-sqrt)")
 
 
+def _family_terms(build, grid: np.ndarray, grad_norms: GradNormModel, D: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dist, noise) arrays: the bound terms of build(x) at each grid point x; every tuning grid is evaluated here."""
+    terms = np.array([bounds.bound_terms(build(float(x)), grad_norms, D) for x in grid], dtype=np.float64)
+    return tuple(terms.reshape(-1, 2).T)
+
+
 def sweep_cooldown(
     T: int,
     c_grid: np.ndarray | None = None,
     shape: CooldownShape = CooldownShape.LINEAR,
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
-    gamma: float | None = None,
     base: str = "constant",
 ) -> SweepResult:
-    """Bound at horizon T as a function of the cooldown fraction.
+    """Tuned bound at horizon T as a function of the cooldown fraction.
 
-    gamma = None evaluates each fraction at its own optimal gamma (the
-    tuned bound); a fixed gamma evaluates every fraction at that value,
-    which is how a single already-tuned run responds to cooldown changes.
+    Each fraction is evaluated at its own optimal gamma; .at_gamma(g)
+    evaluates every fraction at one fixed gamma instead, which is how a
+    single already-tuned run responds to cooldown changes.
     """
-    if c_grid is None:
-        c_grid = DEFAULT_COOLDOWN_GRID
-    grid = np.asarray(c_grid, dtype=np.float64)
-    build = _cooldown_family(T, shape, base)
-    if gamma is not None:
-        gamma = positive(gamma, "base learning rate gamma")
-
-    def at(c: float):
-        dist, noise = bounds.bound_terms(build(float(c)), grad_norms, D)
-        g = math.sqrt(dist / noise) if gamma is None else gamma
-        return dist / g + g * noise, g
-
-    pairs = [at(c) for c in grid]
-    objective = np.array([p[0] for p in pairs])
-    gammas = np.array([p[1] for p in pairs])
-    return _sweep(grid, objective, aux={"gamma": gammas})
+    grid = np.asarray(DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid, dtype=np.float64)
+    dist, noise = _family_terms(_cooldown_family(T, shape, base), grid, grad_norms, D)
+    return SweepResult(grid, dist, noise, np.sqrt(dist / noise))
 
 
 def _refine(g, lo, hi, g_lo):
@@ -183,26 +178,24 @@ def _refine(g, lo, hi, g_lo):
     return 0.5 * (lo + hi)
 
 
-def _match_gamma(g, grid: np.ndarray) -> tuple[float, bool, np.ndarray]:
-    """Root of the mismatch g bracketed on the grid, bisection-refined.
+def _match_gamma(g, grid: np.ndarray, vals: np.ndarray) -> tuple[float, bool]:
+    """Root of the mismatch g, whose values on the grid are vals, bisection-refined.
 
     Requires a unique sign change between adjacent grid points; with
     none the target is unreachable (returns the closest grid point,
     flagged infeasible), with several the crossing is ambiguous and the
     grid argmin of |g| is returned unrefined.
     """
-    vals = np.array([g(x) for x in grid])
     sign_change = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
     if sign_change.size == 0:
         root_hits = np.nonzero(vals == 0.0)[0]
         if root_hits.size:
-            return float(grid[root_hits[0]]), True, vals
-        return float(grid[int(np.argmin(np.abs(vals)))]), False, vals
+            return float(grid[root_hits[0]]), True
+        return float(grid[int(np.argmin(np.abs(vals)))]), False
     if sign_change.size > 1:
-        return float(grid[int(np.argmin(np.abs(vals)))]), True, vals
+        return float(grid[int(np.argmin(np.abs(vals)))]), True
     i = int(sign_change[0])
-    root = _refine(g, float(grid[i]), float(grid[i + 1]), float(vals[i]))
-    return float(root), True, vals
+    return float(_refine(g, float(grid[i]), float(grid[i + 1]), float(vals[i]))), True
 
 
 def _transfer(reference: Schedule, family, grid, grad_norms: GradNormModel, D: float) -> TransferResult:
@@ -213,9 +206,10 @@ def _transfer(reference: Schedule, family, grid, grad_norms: GradNormModel, D: f
         return bounds.optimal_gamma(family(float(x)), grad_norms, D)
 
     grid = np.asarray(grid, dtype=np.float64)
-    value, feasible, vals = _match_gamma(lambda x: gamma_at(x) - target, grid)
-    diag = _sweep(grid, np.abs(vals), aux={"mismatch": vals})
-    return TransferResult(value, feasible, target, gamma_at(value), diag)
+    dist, noise = _family_terms(family, grid, grad_norms, D)
+    mismatch = np.sqrt(dist / noise) - target
+    value, feasible = _match_gamma(lambda x: gamma_at(x) - target, grid, mismatch)
+    return TransferResult(value, feasible, target, gamma_at(value), grid, mismatch)
 
 
 def transfer_horizon_rho(
@@ -287,14 +281,9 @@ def lr_transfer_curve(
     of the same shape family.  The ratio is scale-free: it does not
     depend on D or the gradient-norm scale.
     """
-    if c_grid is None:
-        c_grid = DEFAULT_COOLDOWN_GRID
-    build = _cooldown_family(T, shape, "constant")
-    reference = bounds.optimal_gamma(build(1.0), grad_norms, D)
-    out = []
-    for c in np.asarray(c_grid, dtype=np.float64):
-        out.append((float(c), math.log(reference / bounds.optimal_gamma(build(float(c)), grad_norms, D))))
-    return out
+    reference = bounds.optimal_gamma(_cooldown_family(T, shape, "constant")(1.0), grad_norms, D)
+    sweep = sweep_cooldown(T, c_grid, shape, grad_norms, D)
+    return [(float(c), math.log(reference / g)) for c, g in zip(sweep.grid, sweep.gamma)]
 
 
 # --- parametric fits ------------------------------------------------------

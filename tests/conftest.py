@@ -17,6 +17,23 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+
+@pytest.fixture
+def bound_terms_calls(monkeypatch) -> list:
+    """A list that grows by one at each call of bounds.bound_terms, from any module."""
+    from schedbound import bounds
+
+    calls = []
+    inner = bounds.bound_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "bound_terms", counted)
+    return calls
+
+
 # node id -> outcome, filled for the acceptance module only
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 

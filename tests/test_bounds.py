@@ -232,6 +232,28 @@ class TestNonFinite:
             with pytest.raises(ValueError, match="initial distance D"):
                 terms(constant(4), D=value)
 
+    # a valid schedule whose last step vanishes against the prefix sum: S_400 - S_399 rounds to 0
+    TINY_TAIL = Schedule(np.r_[np.ones(399), 1e-14])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: bound_terms(s),
+            lambda s: bound_curve(BoundSpec(s), stride=1),
+            lambda s: mirror_bound(MirrorSpec(bregman_init=0.5), s),
+        ],
+        ids=["bound_terms", "bound_curve", "mirror_bound"],
+    )
+    def test_vanishing_last_step_fails_only_as_a_named_error(self, call):
+        with pytest.raises(ValueError, match="noise term of .*gradient norm scale"):
+            call(self.TINY_TAIL)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="the prefix-difference kernel loses the last step")
+    def test_vanishing_last_step_exact_noise(self):
+        _, noise = bound_terms(self.TINY_TAIL)
+        assert noise == pytest.approx(5.000000000000328e13, rel=1e-12)
+
 
 class TestBoundTerms:
     def test_constant_T4_hand_oracle(self):

@@ -79,7 +79,7 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
             lambda: mirror_bound(MirrorSpec(1e300), Schedule(np.full(4, 1e-300))),
             id="mirror_bound bregman_init=1e300",
         ),
-        pytest.param("base learning rate gamma", lambda: sweep_cooldown(100, [0.5], gamma=-1.0), id="sweep_cooldown gamma=-1"),
+        pytest.param("base learning rate gamma", lambda: sweep_cooldown(100, [0.5]).at_gamma(-1.0), id="sweep_cooldown at_gamma(-1)"),
         pytest.param("gradient norm scale", lambda: best_iterate_curve(BoundSpec(wsd(10, 0.2), GradNormModel(G=1e-200))), id="best_iterate_curve G=1e-200"),
         pytest.param("exponent alpha", lambda: loss(ScalingLaw(alpha=1e200), 1e8, 1e9), id="loss alpha=1e200"),
         pytest.param("exponent beta", lambda: tokens_for_delta(ScalingLaw(beta=1e-200), 1e8, 1e9, 0.01), id="tokens_for_delta beta=1e-200"),

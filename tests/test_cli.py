@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from schedbound import cli
+from schedbound import bounds, cli
 from schedbound.schedules import wsd
 
 
@@ -97,6 +97,14 @@ def test_sweep_gamma(tmp_path, capsys):
     assert lines[0] == "gamma,omega"
     assert len(lines) == 12
     assert summary["argmin_omega"] > 0
+
+
+@pytest.mark.parametrize("rest", [[], ["--gamma-min", "0.01", "--gamma-max", "1", "--points", "11"]])
+def test_sweep_gamma_evaluates_the_schedule_once(tmp_path, capsys, bound_terms_calls, rest):
+    code, out, _ = run_cli(["sweep-gamma", "--schedule", "wsd:T=200,c=0.2", *rest, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(bound_terms_calls) == 1
+    assert json.loads(out)["gamma_star"] == bounds.optimal_gamma(wsd(200, 0.2))
 
 
 def test_sweep_gamma_partial_range_rejected(tmp_path, capsys):
@@ -427,6 +435,15 @@ def test_gamma_that_overflows_the_bound_exit_2_before_any_file(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_cooldown_gamma_that_overflows_the_bound_exit_2_before_any_file(tmp_path, capsys):
+    code, out, err = run_cli(["sweep-cooldown", "--T", "50", "--gamma", "1e-320", "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "--gamma 1e-320 overflows the bound" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -539,10 +556,11 @@ def test_fit_non_finite_cell_exit_2_before_any_file(tmp_path, capsys, cell, colu
     assert list(outdir.iterdir()) == []
 
 
-def test_sweep_gamma_points_without_range_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("points", ["11", "61"])  # 61 is the default grid's own size
+def test_sweep_gamma_points_without_range_exit_2(tmp_path, capsys, points):
     # --points sizes only the --gamma-min/--gamma-max grid; the default grid has a fixed size
     code, out, err = run_cli(
-        ["sweep-gamma", "--schedule", "wsd:T=50,c=0.2", "--points", "11", "--outdir", str(tmp_path)], capsys
+        ["sweep-gamma", "--schedule", "wsd:T=50,c=0.2", "--points", points, "--outdir", str(tmp_path)], capsys
     )
     assert code == 2
     assert "--points" in err and "--gamma-min" in err and "--gamma-max" in err

@@ -55,6 +55,18 @@ def test_targets_compute_without_writing(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cooldown_sweep_evaluates_each_schedule_once(bound_terms_calls):
+    # 2 horizons x (50 fractions + the c = 1 schedule that sets the fixed gamma)
+    repro.cooldown_sweep()
+    assert len(bound_terms_calls) == 102
+
+
+def test_repro_all_bound_terms_calls(bound_terms_calls):
+    for run in repro.run_target("all").values():
+        run()
+    assert len(bound_terms_calls) == 480
+
+
 def test_rho_transfer_headline_numbers(tmp_path):
     summary = _repro_summary("rho-transfer", tmp_path)
     assert summary["rho_2x"] == pytest.approx(0.525, abs=0.025)

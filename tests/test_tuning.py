@@ -67,17 +67,32 @@ class TestSweepCooldown:
 
     def test_fixed_gamma_has_interior_minimum(self):
         gamma = 0.5 * optimal_gamma(wsd(400, 1.0))
-        sweep = sweep_cooldown(400, gamma=gamma)
+        sweep = sweep_cooldown(400).at_gamma(gamma)
         assert sweep.argmin_value < 1.0
         assert sweep.argmin_value > DEFAULT_COOLDOWN_GRID[0]
         assert sweep.argmin_objective < sweep.objective[0]
         assert sweep.argmin_objective < sweep.objective[-1]
 
-    def test_aux_gammas_match_per_c_optimum(self):
+    def test_gammas_match_per_c_optimum(self):
         grid = np.array([0.1, 0.5, 1.0])
         sweep = sweep_cooldown(100, grid)
-        for c, g in zip(sweep.grid, sweep.aux["gamma"]):
+        for c, g in zip(sweep.grid, sweep.gamma):
             assert g == pytest.approx(optimal_gamma(wsd(100, float(c))), rel=1e-12)
+
+    @pytest.mark.parametrize("base", ["constant", "inv-sqrt"])
+    def test_terms_are_those_of_each_schedule_bit_for_bit(self, base):
+        grid = np.array([0.05, 0.2, 0.7, 1.0])
+        build = (lambda c: wsd(300, c)) if base == "constant" else (lambda c: with_cooldown(inv_sqrt(300), c))
+        terms = [bounds.bound_terms(build(float(c))) for c in grid]
+        sweep = sweep_cooldown(300, grid, base=base)
+        assert list(zip(sweep.dist.tolist(), sweep.noise.tolist())) == terms
+        tuned = [math.sqrt(d / n) for d, n in terms]
+        assert sweep.gamma.tolist() == tuned
+        assert sweep.objective.tolist() == [d / g + g * n for (d, n), g in zip(terms, tuned)]
+        g = 0.013
+        fixed = sweep.at_gamma(g)
+        assert fixed.gamma.tolist() == [g] * grid.size
+        assert fixed.objective.tolist() == [d / g + g * n for d, n in terms]
 
     def test_inv_sqrt_base(self):
         grid = np.array([0.2, 1.0])
@@ -137,11 +152,9 @@ class TestTransferHorizon:
         with pytest.raises(ValueError):
             transfer_horizon_rho(400, 200)
 
-    def test_diagnostics_expose_mismatch(self):
+    def test_result_exposes_mismatch(self):
         res = transfer_horizon_rho(400, 800)
-        diag = res.diagnostics
-        assert "mismatch" in diag.aux
-        assert len(diag.aux["mismatch"]) == len(diag.grid)
+        assert len(res.mismatch) == len(res.grid)
 
     def test_equal_horizons_tabulate_one_zero_row(self):
         cases = [
@@ -153,7 +166,7 @@ class TestTransferHorizon:
             header, rows = res.table(param)
             assert header == [param, "abs_gamma_mismatch", "gamma_mismatch"]
             assert list(rows) == [(value, 0.0, 0.0)]
-            assert not np.signbit(res.diagnostics.aux["mismatch"][0])
+            assert not np.signbit(res.mismatch[0])
             assert res.achieved_gamma == res.target_gamma
 
 
