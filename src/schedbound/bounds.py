@@ -53,6 +53,17 @@ single horizon, T for a curve) chooses between the first two:
   7 ns per direct pair against 1.6 to 2.0 ns per unit of J * T on wsd
   at T = 100000 and 1000000, strides 800 to 14000 (2 vCPUs).
 
+The two direct kernels work in the rows of a Workspace: q, the prefix
+sums S and Q, the tail sums and the denominators.  bound_terms makes a
+fresh one for each call unless its caller passes one; the sweeps and
+transfers of module tuning pass one per run, so that the calls of a grid
+allocate nothing and the heap does not trim and regrow between them.
+The rows keep q, S and Q of the last schedule, and the next one
+recomputes them only past the steps the two share: a prefix sum carried
+on from S_k adds in the order np.cumsum does, so the terms are the same
+bit for bit.  A curve makes its own workspace of length T + 1, whose
+rows are made on first use.
+
 Best-iterate curves with T >= LONG_HORIZON (running-sum) take S_t and
 Q_t from pairwise block sums and a compensated running sum, so they cost
 O(T); exp-sum curves take S_t the same way.  All curves evaluate their
@@ -243,40 +254,96 @@ def _noise_kernel(n: int) -> str:
     return SUFFIX_SUM if n >= LONG_HORIZON else PREFIX_DIFFERENCE
 
 
-def _accumulators(eta: np.ndarray, gvals: np.ndarray):
-    """(q, prefix) for the first n = eta.size steps, with q_k = eta_k^2 G_k^2.
+class Workspace:
+    """Rows that the noise kernels fill in place, owned by one caller and reused across its calls.
+
+    A sweep or a transfer makes one and passes it to each of its bound_terms
+    calls, so that evaluating a grid allocates nothing per call.  Fresh
+    temporaries of about 128 KB a call (t >= 16000) instead make the heap
+    trim and regrow between calls, about 93 minor page faults a call.
+    Each row grows to the longest horizon asked of it, or to n if larger,
+    and lives as long as the workspace; the G_t row is kept for the last
+    gradient-norm model.  The rows also keep the accumulators of the last
+    schedule, so that the next one recomputes them only past the steps the
+    two share (the flat part of a cooldown grid).  A workspace is for one
+    thread; a call that raised leaves it usable.
+    """
+
+    def __init__(self, n: int = 0):
+        self._n = integer(n, "workspace length n", 0)
+        self._rows: dict[str, np.ndarray] = {}
+        self._grad_norms = None
+        self._gvals = np.empty(0)
+        self.hold(np.empty(0), False)
+
+    def row(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        """The first n entries of the named row."""
+        row = self._rows.get(name)
+        if row is None or row.size < n:
+            row = self._rows[name] = np.empty(max(n, self._n), dtype)
+            self.hold(np.empty(0), False)
+        return row[:n]
+
+    def gvals(self, grad_norms: GradNormModel, n: int) -> np.ndarray:
+        """G_1..G_n of grad_norms (a longer row of the same model holds them bit for bit)."""
+        if grad_norms != self._grad_norms or self._gvals.size < n:
+            self._grad_norms, self._gvals = grad_norms, grad_norms.values(max(n, self._n))
+            self.hold(np.empty(0), False)
+        return self._gvals[:n]
+
+    def hold(self, eta: np.ndarray, sums: bool):
+        """Record that the rows hold q, and S and Q if sums, of the steps eta with this G row."""
+        self._held, self._sums = eta, sums
+
+    def held(self, eta: np.ndarray, sums: bool) -> int:
+        """How many leading steps of eta the rows hold q, and S and Q if sums, of; after the call, none."""
+        held, held_sums = self._held, self._sums
+        self.hold(np.empty(0), False)
+        m = min(held.size, eta.size) if held_sums or not sums else 0
+        if m == 0:
+            return 0
+        same = np.equal(eta[:m], held[:m], out=self.row("same", m, bool))
+        k = int(np.argmin(same))
+        return m if same[k] else k
+
+
+def _accumulators(eta: np.ndarray, gvals: np.ndarray, work: Workspace):
+    """(q, prefix) for the first n = eta.size steps, with q_k = eta_k^2 G_k^2, in rows of work.
 
     prefix is the pair (S, Q) of prefix sums of eta and q, each with a
     leading zero, when n selects the prefix-difference kernel, and None
     when it selects the suffix-sum kernel, which needs no prefix sums.
+    Only the steps past those the rows already hold (Workspace.held) are
+    computed: the prefix sums go on from S_k and Q_k one step at a time,
+    as np.cumsum adds, so every row equals a fresh one bit for bit.
     """
-    q = eta * eta * gvals * gvals
-    if _noise_kernel(eta.size) == SUFFIX_SUM:
-        return q, None
-    S = np.zeros(eta.size + 1)
-    Q = np.zeros(eta.size + 1)
-    np.cumsum(eta, out=S[1:])
-    np.cumsum(q, out=Q[1:])
-    return q, (S, Q)
+    n = eta.size
+    sums = _noise_kernel(n) == PREFIX_DIFFERENCE
+    q = work.row("q", n)
+    S, Q = (work.row("S", n + 1), work.row("Q", n + 1)) if sums else (None, None)
+    k = work.held(eta, sums)
+    np.multiply(eta[k:], eta[k:], out=q[k:])  # the order of eta * eta * G * G
+    np.multiply(q[k:], gvals[k:], out=q[k:])
+    np.multiply(q[k:], gvals[k:], out=q[k:])
+    if sums:
+        S[0] = Q[0] = 0.0
+        S[k + 1 :], Q[k + 1 :] = eta[k:], q[k:]
+        np.add.accumulate(S[k:], out=S[k:])
+        np.add.accumulate(Q[k:], out=Q[k:])
+    work.hold(eta, sums)
+    return q, (S, Q) if sums else None
 
 
-def _horizon(eta, q, prefix, t: int, cross_terms: bool, buf) -> tuple[float, float]:
-    """(S_t, noise_term) at horizon t from _accumulators.
-
-    The suffix-sum kernel (prefix None) works in buf, a float64 array of
-    length >= t; the prefix-difference kernel ignores it.
-    """
+def _horizon(eta, q, prefix, t: int, cross_terms: bool, work: Workspace) -> tuple[float, float]:
+    """(S_t, noise_term) at horizon t from _accumulators; the cross terms are formed in rows of work."""
     if prefix is not None:
         S, Q = prefix
         total = Q[t] / (2.0 * S[t])
         if cross_terms and t >= 2:
-            tail = S[t] - S[:t]  # sum_{s=k}^t eta_s for k = 1..t
+            tail = np.subtract(S[t], S[:t], out=work.row("tail", t))  # sum_{s=k}^t eta_s for k = 1..t
             # sum_{s=k+1}^t eta_s * sum_{s=k}^t eta_s for k = 1..t-1
-            denom = np.multiply(tail[1:], tail[:-1])
-            # then tail's memory holds sum_{s=k}^t eta_s^2 G_s^2, and
-            # eta_k * q_tail / denom is formed in place: two temporaries of
-            # length t keep the heap from trimming and regrowing (page
-            # faults) between the calls of a sweep
+            denom = np.multiply(tail[1:], tail[:-1], out=work.row("denom", t - 1))
+            # then tail's row holds sum_{s=k}^t eta_s^2 G_s^2, and then eta_k times that over denom
             q_tail = np.subtract(Q[t], Q[: t - 1], out=tail[:-1])
             np.multiply(eta[: t - 1], q_tail, out=q_tail)
             total += 0.5 * np.sum(np.divide(q_tail, denom, out=q_tail))
@@ -284,7 +351,7 @@ def _horizon(eta, q, prefix, t: int, cross_terms: bool, buf) -> tuple[float, flo
     S_t = np.sum(eta[:t])
     if not cross_terms:
         return float(S_t), float(np.sum(q[:t]) / (2.0 * S_t))
-    tail = np.cumsum(eta[1:t][::-1], out=buf[: t - 1])  # S_t - S_k for k = t-1, ..., 1
+    tail = np.cumsum(eta[1:t][::-1], out=work.row("tail", t - 1))  # S_t - S_k for k = t-1, ..., 1
     ratio = np.divide(q[: t - 1][::-1], tail, out=tail)
     return float(S_t), float(0.5 * (q[t - 1] / eta[t - 1] + np.sum(ratio)))
 
@@ -298,12 +365,13 @@ def _resolve_t(schedule: Schedule, t: int | None) -> int:
     return t
 
 
-def _sum_and_noise(schedule, grad_norms, t, cross_terms) -> tuple[float, float]:
-    """(S_t, noise_term) at horizon t."""
+def _sum_and_noise(schedule, grad_norms, t, cross_terms, work=None) -> tuple[float, float]:
+    """(S_t, noise_term) at horizon t, in work or, without one, in fresh arrays."""
     t = _resolve_t(schedule, t)
+    work = Workspace() if work is None else work
     eta = schedule.values[:t]
-    q, prefix = _accumulators(eta, grad_norms.values(t))
-    return _horizon(eta, q, prefix, t, cross_terms, np.empty(t) if prefix is None else None)
+    q, prefix = _accumulators(eta, work.gvals(grad_norms, t), work)
+    return _horizon(eta, q, prefix, t, cross_terms, work)
 
 
 def _in_range(dist, noise, D="initial distance D", G="gradient norm scale") -> tuple[float, float]:
@@ -313,9 +381,9 @@ def _in_range(dist, noise, D="initial distance D", G="gradient norm scale") -> t
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a term out of range fails _in_range
-def _terms(schedule, grad_norms, D, t, cross_terms):
+def _terms(schedule, grad_norms, D, t, cross_terms, work=None):
     D = positive(D, "initial distance D")
-    S_t, noise = _sum_and_noise(schedule, grad_norms, t, cross_terms)
+    S_t, noise = _sum_and_noise(schedule, grad_norms, t, cross_terms, work)
     return _in_range(D * D / (2.0 * S_t), noise)  # D * D, not D ** 2: mirror_bound relies on it
 
 
@@ -324,13 +392,16 @@ def bound_terms(
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
     t: int | None = None,
+    work: Workspace | None = None,
 ) -> tuple[float, float]:
     """(dist_term, noise_term) of the last-iterate bound at horizon t.
 
     The bound for base learning rate gamma is
-    dist_term / gamma + gamma * noise_term.
+    dist_term / gamma + gamma * noise_term.  A caller that evaluates many
+    schedules passes one Workspace to every call; the terms are the same
+    bit for bit, with or without one.
     """
-    return _terms(schedule, grad_norms, D, t, cross_terms=True)
+    return _terms(schedule, grad_norms, D, t, cross_terms=True, work=work)
 
 
 def bound_value(spec: BoundSpec, t: int | None = None) -> float:
@@ -344,9 +415,10 @@ def optimal_gamma(
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
     t: int | None = None,
+    work: Workspace | None = None,
 ) -> float:
-    """gamma minimizing the last-iterate bound at horizon t."""
-    dist, noise = bound_terms(schedule, grad_norms, D, t)
+    """gamma minimizing the last-iterate bound at horizon t; work as in bound_terms."""
+    dist, noise = bound_terms(schedule, grad_norms, D, t, work=work)
     return math.sqrt(dist / noise)
 
 
@@ -429,7 +501,10 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     stride = default_stride(T) if stride is None else integer(stride, "stride")
     ts = _grid(T, stride)
     eta = spec.schedule.values
-    q, prefix = _accumulators(eta, spec.grad_norms.values(T))
+    # rows are made on first use, so the tail row of the direct kernels comes
+    # after the exp-sum kernel has freed its working arrays
+    work = Workspace(T + 1)
+    q, prefix = _accumulators(eta, spec.grad_norms.values(T), work)
     n = ts.size - 1  # rows before the last
     kernel = _noise_kernel(T)
     if prefix is None and not cross_terms:
@@ -448,12 +523,10 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     elif kernel == EXP_SUM:
         S[:n] = _running_sums(blocks)[:n]
         noise[:n] = expsum.curve_noise(eta, q, stride, a, w)
-    # made after the exp-sum kernel has freed its working arrays
-    buf = np.empty(T) if prefix is None and cross_terms else None
     if kernel in (SUFFIX_SUM, PREFIX_DIFFERENCE):
         for i in range(n):
-            S[i], noise[i] = _horizon(eta, q, prefix, int(ts[i]), cross_terms, buf)
-    S[n], noise[n] = _horizon(eta, q, prefix, T, cross_terms, buf)
+            S[i], noise[i] = _horizon(eta, q, prefix, int(ts[i]), cross_terms, work)
+    S[n], noise[n] = _horizon(eta, q, prefix, T, cross_terms, work)
     D = float(spec.D)
     dist = D * D / (2.0 * S)
     _in_range(dist[n], noise[n])

@@ -82,7 +82,7 @@ def cooldown_sweep() -> tuple[dict, list]:
     tables = []
     for T in (400, 4000):
         tuned = tuning.sweep_cooldown(T)
-        g_fix = 0.5 * bounds.optimal_gamma(schedules.wsd(T, 1.0))
+        g_fix = 0.5 * float(tuned.gamma[-1])  # the default grid ends at c = 1: wsd(T, 1.0)
         fixed = tuned.at_gamma(g_fix)
         rows = zip(tuned.grid, tuned.objective, tuned.gamma, fixed.objective)
         tables.append((f"cooldown_sweep_T{T}", ["c", "omega_tuned", "gamma_tuned", "omega_fixed_gamma"], rows))
@@ -180,13 +180,12 @@ def schedule_comparison() -> tuple[dict, list]:
 def cosine_cycles() -> tuple[dict, list]:
     """Cosine warm restarts: shorter cycles only hurt the bound."""
     T, final = 400, 0.1
-    g_full = bounds.optimal_gamma(schedules.cosine(T, final, 1.0))
-    rows = []
-    for cycle in (0.125, 0.25, 0.5, 1.0):
-        sched = schedules.cosine(T, final, cycle)
-        tuned = bounds.tuned_bound(sched)
-        fixed = bounds.bound_value(bounds.BoundSpec(sched, gamma=g_full))
-        rows.append((cycle, tuned, fixed))
+    cycles = (0.125, 0.25, 0.5, 1.0)
+    terms = [bounds.bound_terms(schedules.cosine(T, final, cycle)) for cycle in cycles]
+    dist, noise = terms[-1]  # the full cycle
+    g_full = math.sqrt(dist / noise)
+    # the tuned bound 2 sqrt(dist * noise), and the bound at g_full
+    rows = [(c, 2.0 * math.sqrt(dist * noise), dist / g_full + g_full * noise) for c, (dist, noise) in zip(cycles, terms)]
     headlines = {
         "T": T,
         "final_fraction": final,

@@ -142,10 +142,16 @@ def _cooldown_family(T: int, shape: CooldownShape, base: str):
     raise ValueError(f"unknown base schedule family {base!r} (use constant or inv-sqrt)")
 
 
-def _family_terms(build, grid: np.ndarray, grad_norms: GradNormModel, D: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dist, noise) arrays: the bound terms of build(x) at each grid point x; every tuning grid is evaluated here."""
-    terms = np.array([bounds.bound_terms(build(float(x)), grad_norms, D) for x in grid], dtype=np.float64)
-    return tuple(terms.reshape(-1, 2).T)
+def _family_terms(build, grid, what: str, grad_norms: GradNormModel, D: float, work: bounds.Workspace):
+    """(grid, dist, noise) arrays: the bound terms of build(x) at each point x of the named grid, in work.
+
+    Every tuning grid is evaluated here.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError(f"{what} grid must be a non-empty 1-d array, got shape {grid.shape}")
+    terms = np.array([bounds.bound_terms(build(float(x)), grad_norms, D, work=work) for x in grid])
+    return grid, *terms.T
 
 
 def sweep_cooldown(
@@ -162,8 +168,9 @@ def sweep_cooldown(
     evaluates every fraction at one fixed gamma instead, which is how a
     single already-tuned run responds to cooldown changes.
     """
-    grid = np.asarray(DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid, dtype=np.float64)
-    dist, noise = _family_terms(_cooldown_family(T, shape, base), grid, grad_norms, D)
+    grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
+    work = bounds.Workspace()
+    grid, dist, noise = _family_terms(_cooldown_family(T, shape, base), grid, "cooldown", grad_norms, D, work)
     return SweepResult(grid, dist, noise, np.sqrt(dist / noise))
 
 
@@ -198,15 +205,15 @@ def _match_gamma(g, grid: np.ndarray, vals: np.ndarray) -> tuple[float, bool]:
     return float(_refine(g, float(grid[i]), float(grid[i + 1]), float(vals[i]))), True
 
 
-def _transfer(reference: Schedule, family, grid, grad_norms: GradNormModel, D: float) -> TransferResult:
-    """Match optimal_gamma(family(x)) over grid to the optimal gamma of reference."""
-    target = bounds.optimal_gamma(reference, grad_norms, D)
+def _transfer(reference: Schedule, family, grid, what: str, grad_norms: GradNormModel, D: float) -> TransferResult:
+    """Match optimal_gamma(family(x)) over the named grid to the optimal gamma of reference."""
+    work = bounds.Workspace()  # for the reference, the grid, every bisection step and the achieved gamma
+    target = bounds.optimal_gamma(reference, grad_norms, D, work=work)
 
     def gamma_at(x: float) -> float:
-        return bounds.optimal_gamma(family(float(x)), grad_norms, D)
+        return bounds.optimal_gamma(family(float(x)), grad_norms, D, work=work)
 
-    grid = np.asarray(grid, dtype=np.float64)
-    dist, noise = _family_terms(family, grid, grad_norms, D)
+    grid, dist, noise = _family_terms(family, grid, what, grad_norms, D, work)
     mismatch = np.sqrt(dist / noise) - target
     value, feasible = _match_gamma(lambda x: gamma_at(x) - target, grid, mismatch)
     return TransferResult(value, feasible, target, gamma_at(value), grid, mismatch)
@@ -232,9 +239,9 @@ def transfer_horizon_rho(
     """
     reference = wsd(T_short, c, shape)
     if T_long == T_short:
-        return _transfer(reference, lambda rho: reference, [1.0], grad_norms, D)
+        return _transfer(reference, lambda rho: reference, [1.0], "rho", grad_norms, D)
     grid = np.linspace(0.02, 1.0, 50) if rho_grid is None else rho_grid
-    return _transfer(reference, lambda rho: extended(T_short, c, T_long, rho, c, shape), grid, grad_norms, D)
+    return _transfer(reference, lambda rho: extended(T_short, c, T_long, rho, c, shape), grid, "rho", grad_norms, D)
 
 
 def transfer_horizon_cooldown(
@@ -264,7 +271,7 @@ def transfer_horizon_cooldown(
         grid = [fraction(c_short, "cooldown fraction")]
     else:
         grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
-    return _transfer(build_short(c_short), build_long, grid, grad_norms, D)
+    return _transfer(build_short(c_short), build_long, grid, "cooldown", grad_norms, D)
 
 
 def lr_transfer_curve(
@@ -281,9 +288,11 @@ def lr_transfer_curve(
     of the same shape family.  The ratio is scale-free: it does not
     depend on D or the gradient-norm scale.
     """
-    reference = bounds.optimal_gamma(_cooldown_family(T, shape, "constant")(1.0), grad_norms, D)
-    sweep = sweep_cooldown(T, c_grid, shape, grad_norms, D)
-    return [(float(c), math.log(reference / g)) for c, g in zip(sweep.grid, sweep.gamma)]
+    build, work = _cooldown_family(T, shape, "constant"), bounds.Workspace()
+    reference = bounds.optimal_gamma(build(1.0), grad_norms, D, work=work)
+    grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
+    grid, dist, noise = _family_terms(build, grid, "cooldown", grad_norms, D, work)
+    return [(float(c), math.log(reference / g)) for c, g in zip(grid, np.sqrt(dist / noise))]
 
 
 # --- parametric fits ------------------------------------------------------

@@ -41,7 +41,9 @@ from schedbound.schedules import (
     extended,
     inv_sqrt,
     linear_decay,
+    one_minus_sqrt,
     polynomial_decay,
+    with_cooldown,
     wsd,
 )
 
@@ -471,6 +473,109 @@ class TestClosedForms:
         )
         with pytest.raises(ValueError):
             polynomial_bound_approx(100, 0.0)
+
+
+# every schedule family at horizon T >= 12 (extended needs room for its continuation)
+FAMILIES = {
+    "constant": constant,
+    "wsd-linear": lambda T: wsd(T, 0.3),
+    "wsd-1-sqrt": lambda T: wsd(T, 0.3, CooldownShape.ONE_MINUS_SQRT),
+    "linear-decay": linear_decay,
+    "one-minus-sqrt": one_minus_sqrt,
+    "cosine-restarts": lambda T: cosine(T, 0.1, 0.3),
+    "inv-sqrt": inv_sqrt,
+    "inv-sqrt-cooldown": lambda T: with_cooldown(inv_sqrt(T), 0.2),
+    "polynomial": lambda T: polynomial_decay(T, 2.0),
+    "extended": lambda T: extended(T // 2, 0.2, T, 0.5),
+    "random": lambda T: Schedule(np.random.default_rng(T).uniform(0.1, 1.0, size=T)),
+}
+
+
+class TestWorkspace:
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(FAMILIES)),
+                st.integers(12, 300),  # T
+                st.floats(0.0, 1.0),  # t / T
+                st.sampled_from([0.0, -0.5]),  # gradient norm exponent
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        long_horizon=st.integers(1, 301),
+        size=st.sampled_from([0, 150, 301]),
+    )
+    def test_reused_workspace_equals_fresh_arrays_bit_for_bit(self, calls, long_horizon, size):
+        # LONG_HORIZON in 1..301 sends the horizons to the suffix-sum kernel,
+        # to prefix differences, or to both with one workspace; the calls run
+        # forth and back, so the rows are reused for longer and shorter
+        # horizons, and each follows a call that raised after filling them.
+        # The fresh calls come last: freed arrays of theirs could otherwise
+        # hand the workspace the right values by chance
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "LONG_HORIZON", long_horizon)
+            work = bounds.Workspace(size)
+            cases, got = [], []
+            for name, T, u, alpha in calls + calls[::-1]:
+                sched, grad = FAMILIES[name](T), GradNormModel(1.3, alpha)
+                t = max(1, round(u * T))
+                with pytest.raises(ValueError, match="initial distance D"):
+                    bound_terms(sched, grad, 1e200, t, work=work)
+                cases.append((sched, grad, 0.7, t))
+                got.append(bound_terms(*cases[-1], work=work))
+            assert got == [bound_terms(*case) for case in cases]
+
+    def test_rows_grow_and_are_kept(self):
+        work = bounds.Workspace()
+        got = [bound_terms(wsd(400, 0.2), work=work)]
+        q = work.row("q", 400)
+        got.append(bound_terms(wsd(200, 0.2), work=work))
+        assert np.shares_memory(work.row("q", 200), q)
+        # the grown rows hold nothing yet of the 160 steps wsd(800) shares with wsd(200)
+        got.append(bound_terms(wsd(800, 0.2), work=work))
+        assert work.row("q", 800).size == 800 and not np.shares_memory(work.row("q", 800), q)
+        assert got == [bound_terms(wsd(T, 0.2)) for T in (400, 200, 800)]
+
+    def test_prefix_sums_are_not_taken_from_a_suffix_sum_call(self, monkeypatch):
+        # wsd(400, 0.2) takes the suffix-sum kernel, which leaves S and Q as
+        # wsd(250, 0.5) made them (right for 125 steps); wsd(250, 0.2) takes
+        # prefix differences and shares 200 steps with wsd(400, 0.2)
+        monkeypatch.setattr(bounds, "LONG_HORIZON", 300)
+        work = bounds.Workspace(401)
+        cases = [(250, 0.5), (400, 0.2), (250, 0.2)]
+        got = [bound_terms(wsd(T, c), work=work) for T, c in cases]
+        assert got == [bound_terms(wsd(T, c)) for T, c in cases]
+
+    def test_grown_prefix_sum_rows_hold_nothing(self, monkeypatch):
+        # wsd(400) (suffix-sum) sizes the G row and q for 400 steps; the second
+        # wsd(200) call leaves S and Q holding its steps, and wsd(250), which
+        # shares 160 of them, grows S and Q alone
+        monkeypatch.setattr(bounds, "LONG_HORIZON", 300)
+        work = bounds.Workspace()
+        cases = [400, 200, 200, 250]
+        got = [bound_terms(wsd(T, 0.2), work=work) for T in cases]
+        assert got == [bound_terms(wsd(T, 0.2)) for T in cases]
+
+    def test_next_schedule_recomputes_only_past_the_shared_steps(self):
+        # wsd(400, 0.2) and wsd(400, 0.5) are both 1.0 up to step 200
+        work = bounds.Workspace()
+        bound_terms(wsd(400, 0.2), work=work)
+        bound_terms(wsd(400, 0.2), t=300, work=work)
+        assert work.held(wsd(400, 0.5).values, True) == 200
+        assert work.held(wsd(400, 0.5).values, True) == 0  # a call to held forgets what was held
+        grid = (0.2, 0.5, 0.3, 1.0, 0.3)
+        got = [bound_terms(wsd(400, c), work=work) for c in grid]
+        gammas = [optimal_gamma(wsd(400, c), work=work) for c in grid]
+        assert got == [bound_terms(wsd(400, c)) for c in grid]
+        assert gammas == [optimal_gamma(wsd(400, c)) for c in grid]
+
+    def test_g_row_follows_the_gradient_norms(self):
+        work = bounds.Workspace()
+        sched = wsd(50, 0.2)
+        grads = (GradNormModel(), GradNormModel(2.0), GradNormModel(2.0, -0.5), GradNormModel())
+        got = [bound_terms(sched, grad, work=work) for grad in grads]
+        assert got == [bound_terms(sched, grad) for grad in grads]
 
 
 class TestLongHorizon:

@@ -23,7 +23,14 @@ from schedbound.bounds import (
 from schedbound.scaling import ScalingLaw, loss, params_for_delta, tokens_for_delta
 from schedbound.schedules import Schedule, constant, wsd
 from schedbound.toy import generate_problem
-from schedbound.tuning import default_gamma_grid, fit_polynomial, sweep_cooldown, transfer_horizon_cooldown
+from schedbound.tuning import (
+    default_gamma_grid,
+    fit_polynomial,
+    lr_transfer_curve,
+    sweep_cooldown,
+    transfer_horizon_cooldown,
+    transfer_horizon_rho,
+)
 
 _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
 
@@ -80,6 +87,13 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
             id="mirror_bound bregman_init=1e300",
         ),
         pytest.param("base learning rate gamma", lambda: sweep_cooldown(100, [0.5]).at_gamma(-1.0), id="sweep_cooldown at_gamma(-1)"),
+        # tuning grids that are empty or not 1-d
+        pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=[]), id="sweep_cooldown c_grid=[]"),
+        pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=0.5), id="sweep_cooldown c_grid=0.5"),
+        pytest.param("rho grid", lambda: transfer_horizon_rho(400, 800, rho_grid=[[0.5, 0.6]]), id="transfer_horizon_rho 2-d grid"),
+        pytest.param("rho grid", lambda: transfer_horizon_rho(400, 800, rho_grid=[]), id="transfer_horizon_rho rho_grid=[]"),
+        pytest.param("cooldown grid", lambda: transfer_horizon_cooldown(400, 800, c_grid=[[0.2]]), id="transfer_horizon_cooldown 2-d grid"),
+        pytest.param("cooldown grid", lambda: lr_transfer_curve(400, c_grid=[]), id="lr_transfer_curve c_grid=[]"),
         pytest.param("gradient norm scale", lambda: best_iterate_curve(BoundSpec(wsd(10, 0.2), GradNormModel(G=1e-200))), id="best_iterate_curve G=1e-200"),
         pytest.param("exponent alpha", lambda: loss(ScalingLaw(alpha=1e200), 1e8, 1e9), id="loss alpha=1e200"),
         pytest.param("exponent beta", lambda: tokens_for_delta(ScalingLaw(beta=1e-200), 1e8, 1e9, 0.01), id="tokens_for_delta beta=1e-200"),

@@ -56,15 +56,20 @@ def test_targets_compute_without_writing(tmp_path, monkeypatch):
 
 
 def test_cooldown_sweep_evaluates_each_schedule_once(bound_terms_calls):
-    # 2 horizons x (50 fractions + the c = 1 schedule that sets the fixed gamma)
+    # 2 horizons x 50 fractions; the fixed gamma comes from the grid's c = 1 point
     repro.cooldown_sweep()
-    assert len(bound_terms_calls) == 102
+    assert len(bound_terms_calls) == 100
+
+
+def test_cosine_cycles_evaluates_each_cycle_once(bound_terms_calls):
+    repro.cosine_cycles()
+    assert len(bound_terms_calls) == 4
 
 
 def test_repro_all_bound_terms_calls(bound_terms_calls):
     for run in repro.run_target("all").values():
         run()
-    assert len(bound_terms_calls) == 480
+    assert len(bound_terms_calls) == 473
 
 
 def test_rho_transfer_headline_numbers(tmp_path):

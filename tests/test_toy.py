@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedbound import serialize
+from schedbound.bounds import BoundSpec, GradNormModel, bound_curve
 from schedbound.schedules import constant, wsd
 from schedbound.toy import (
     RunRecord,
@@ -222,3 +223,18 @@ def test_gradient_norms_stay_bounded_away_from_zero():
     norms = [np.linalg.norm(linf_subgradient(p, rec.iterates[t])) for t in range(200, 400)]
     row_norms = np.linalg.norm(p.A, axis=1)
     assert min(norms) > 0.1 * float(np.median(row_norms))
+
+
+@pytest.mark.parametrize("name", ["wsd", "constant", "cosine"])
+def test_comparison_runs_stay_below_their_bound_curve(name):
+    # the last-iterate bound at horizon t sums eta_1..eta_t and bounds f(x_t),
+    # which is losses[t - 1]; G bounds every subgradient (a signed row of A),
+    # and D is the distance from each run's own start to the minimizer
+    problem = generate_problem(seed=0)
+    run = comparison_runs(seed=0, T=400)[name]
+    start = np.full(problem.d, 1e-3) if name == "constant" else problem.x_start
+    D = float(np.linalg.norm(start - problem.x_oracle))
+    G = float(np.max(np.linalg.norm(problem.A, axis=1)))
+    curve = bound_curve(BoundSpec(run.schedule_used, GradNormModel(G), D, run.gamma), stride=1)
+    assert np.array_equal(curve.t, np.arange(1, run.losses.size + 1))
+    assert np.all(run.losses < 0.49 * curve.values)

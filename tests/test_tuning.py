@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -103,6 +104,28 @@ class TestSweepCooldown:
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError):
             sweep_cooldown(100, base="quadratic")
+
+    def test_default_grid_ends_at_full_decay(self):
+        # repro cooldown-sweep takes its fixed gamma from this point
+        assert DEFAULT_COOLDOWN_GRID[-1] == 1.0
+
+    def test_sweep_reuses_one_workspace_without_page_faults(self):
+        # with fresh arrays at every grid point, a warm sweep_cooldown(16000)
+        # took 4,650 minor page faults: each point's temporaries of about
+        # 128 KB made the heap trim and regrow.  It runs in a fresh process,
+        # since an allocator that has freed larger blocks (as this test run's
+        # has) raises its trim threshold and would hide the faults
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "from schedbound.tuning import sweep_cooldown\n"
+            "sweep_cooldown(16000)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "sweep_cooldown(16000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert int(done.stdout) < 465
 
 
 class TestTransferHorizon:
