@@ -25,7 +25,8 @@ equivalent single sum
 
 with q_k = eta_k^2 G_k^2 and S_t = sum_{s<=t} eta_s.  Three float64
 kernels evaluate the noise term.  The accumulator length n (t for a
-single horizon, T for a curve) chooses between the first two:
+single horizon, T for a curve) chooses between the two direct ones,
+which serve bound_terms and the rows of a curve that exp-sum does not:
 
 * prefix-difference (n < LONG_HORIZON): the definition above, with every
   tail sum a difference of prefix sums.  The differences cancel, so it
@@ -40,18 +41,18 @@ single horizon, T for a curve) chooses between the first two:
   linear and 1-sqrt) and 1.0e-15 on cosine(12800); the tests hold it to
   1e-13 on every schedule family.  A curve that calls it at every
   horizon costs O(T^2 / s).
-* exp-sum, for a curve with T >= EXP_SUM_HORIZON whose direct pair
-  count (the sum of t over its horizons) exceeds EXP_SUM_MARGIN * J * T:
-  the far part of each horizon's single sum comes from J exponentials
-  whose sums are carried across horizons (module expsum, which states its
-  error), so the curve costs O(T * J) at any stride; J is about 190 to
-  250 at T = 100000.  Only the 30 to 50 nodes that are neither smooth nor
-  dead over a group form an exponential per step: the smooth ones take
-  Taylor moments of the group, the dead ones nothing.  Its last row comes
-  from the per-horizon kernel.
-  EXP_SUM_MARGIN = 0.25 is where the two kernels' times cross: about
-  7 ns per direct pair against 1.6 to 2.0 ns per unit of J * T on wsd
-  at T = 100000 and 1000000, strides 800 to 14000 (2 vCPUs).
+* exp-sum, for a last-iterate curve of any T whose direct pair count (the
+  sum of t over its horizons) exceeds EXP_SUM_MARGIN * J * T: the far
+  part of each horizon's single sum comes from J exponentials whose sums
+  are carried across horizons (module expsum, which states its error), so
+  the curve costs O(T * J) at any stride; J is about 190 to 250 at
+  T = 100000.  Only the 30 to 50 nodes that are neither smooth nor dead
+  over a group form an exponential per step: the smooth ones take Taylor
+  moments of the group, the dead ones nothing.
+  EXP_SUM_MARGIN = 0.25 is where its time crosses the suffix-sum kernel's:
+  about 7 ns per direct pair against 1.6 to 2.0 ns per unit of J * T on
+  wsd at T = 100000 and 1000000, strides 800 to 14000 (2 vCPUs).  Below
+  LONG_HORIZON direct pairs cost less, so exp-sum is slower near there.
 
 The two direct kernels work in the rows of a Workspace: q, the prefix
 sums S and Q, the tail sums and the denominators.  bound_terms makes a
@@ -61,15 +62,14 @@ allocate nothing and the heap does not trim and regrow between them.
 The rows keep q, S and Q of the last schedule, and the next one
 recomputes them only past the steps the two share: a prefix sum carried
 on from S_k adds in the order np.cumsum does, so the terms are the same
-bit for bit.  A curve makes its own workspace of length T + 1, whose
-rows are made on first use.
+bit for bit.  A last-iterate curve makes its own workspace of length
+T + 1, whose rows are made on first use.
 
-Best-iterate curves with T >= LONG_HORIZON (running-sum) take S_t and
-Q_t from pairwise block sums and a compensated running sum, so they cost
-O(T); exp-sum curves take S_t the same way.  All curves evaluate their
-last row as the *_terms functions do, so it equals them bit for bit.
-The shorter horizons keep the prefix-difference kernel so that the
-pinned repro outputs stay byte-identical.
+Best-iterate curves (running-sum) take S_t and Q_t from pairwise block
+sums and a compensated running sum, so they cost O(T) at any T;
+best_iterate_terms takes them as pairwise sums.  Exp-sum curves take
+S_t the same way.  Every curve evaluates its last row as the *_terms
+functions do, so it equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -90,9 +90,8 @@ SUFFIX_SUM = "suffix-sum"
 PREFIX_DIFFERENCE = "prefix-difference"
 EXP_SUM = "exp-sum"
 RUNNING_SUM = "running-sum"
-# a curve from EXP_SUM_HORIZON on takes the exp-sum kernel when the direct
-# kernel's pair count sum(t) exceeds EXP_SUM_MARGIN * J * T (J nodes), see above
-EXP_SUM_HORIZON = 100_000
+# a last-iterate curve takes the exp-sum kernel when the direct kernel's
+# pair count sum(t) exceeds EXP_SUM_MARGIN * J * T (J nodes), see above
 EXP_SUM_MARGIN = 0.25
 
 
@@ -143,11 +142,11 @@ def harmonic(n: int) -> float:
 
 
 def harmonic_numbers(n: int) -> np.ndarray:
-    """Array [H_0, H_1, ..., H_n] via cumulative summation."""
+    """Array [H_0, H_1, ..., H_n], each within one ulp: compensated prefix sums of the terms 1/k."""
     n = integer(n, "n for the harmonic numbers H_0..H_n", 0)
     out = np.zeros(n + 1)
     if n:
-        out[1:] = np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64))
+        out[1:] = _running_sums(1.0 / np.arange(1, n + 1, dtype=np.float64))
     return out
 
 
@@ -334,12 +333,12 @@ def _accumulators(eta: np.ndarray, gvals: np.ndarray, work: Workspace):
     return q, (S, Q) if sums else None
 
 
-def _horizon(eta, q, prefix, t: int, cross_terms: bool, work: Workspace) -> tuple[float, float]:
+def _horizon(eta, q, prefix, t: int, work: Workspace) -> tuple[float, float]:
     """(S_t, noise_term) at horizon t from _accumulators; the cross terms are formed in rows of work."""
     if prefix is not None:
         S, Q = prefix
         total = Q[t] / (2.0 * S[t])
-        if cross_terms and t >= 2:
+        if t >= 2:
             tail = np.subtract(S[t], S[:t], out=work.row("tail", t))  # sum_{s=k}^t eta_s for k = 1..t
             # sum_{s=k+1}^t eta_s * sum_{s=k}^t eta_s for k = 1..t-1
             denom = np.multiply(tail[1:], tail[:-1], out=work.row("denom", t - 1))
@@ -348,12 +347,9 @@ def _horizon(eta, q, prefix, t: int, cross_terms: bool, work: Workspace) -> tupl
             np.multiply(eta[: t - 1], q_tail, out=q_tail)
             total += 0.5 * np.sum(np.divide(q_tail, denom, out=q_tail))
         return float(S[t]), float(total)
-    S_t = np.sum(eta[:t])
-    if not cross_terms:
-        return float(S_t), float(np.sum(q[:t]) / (2.0 * S_t))
     tail = np.cumsum(eta[1:t][::-1], out=work.row("tail", t - 1))  # S_t - S_k for k = t-1, ..., 1
     ratio = np.divide(q[: t - 1][::-1], tail, out=tail)
-    return float(S_t), float(0.5 * (q[t - 1] / eta[t - 1] + np.sum(ratio)))
+    return float(np.sum(eta[:t])), float(0.5 * (q[t - 1] / eta[t - 1] + np.sum(ratio)))
 
 
 def _resolve_t(schedule: Schedule, t: int | None) -> int:
@@ -365,13 +361,13 @@ def _resolve_t(schedule: Schedule, t: int | None) -> int:
     return t
 
 
-def _sum_and_noise(schedule, grad_norms, t, cross_terms, work=None) -> tuple[float, float]:
+def _sum_and_noise(schedule, grad_norms, t, work=None) -> tuple[float, float]:
     """(S_t, noise_term) at horizon t, in work or, without one, in fresh arrays."""
     t = _resolve_t(schedule, t)
     work = Workspace() if work is None else work
     eta = schedule.values[:t]
     q, prefix = _accumulators(eta, work.gvals(grad_norms, t), work)
-    return _horizon(eta, q, prefix, t, cross_terms, work)
+    return _horizon(eta, q, prefix, t, work)
 
 
 def _in_range(dist, noise, D="initial distance D", G="gradient norm scale") -> tuple[float, float]:
@@ -381,12 +377,6 @@ def _in_range(dist, noise, D="initial distance D", G="gradient norm scale") -> t
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a term out of range fails _in_range
-def _terms(schedule, grad_norms, D, t, cross_terms, work=None):
-    D = positive(D, "initial distance D")
-    S_t, noise = _sum_and_noise(schedule, grad_norms, t, cross_terms, work)
-    return _in_range(D * D / (2.0 * S_t), noise)  # D * D, not D ** 2: mirror_bound relies on it
-
-
 def bound_terms(
     schedule: Schedule,
     grad_norms: GradNormModel = GradNormModel(),
@@ -401,7 +391,9 @@ def bound_terms(
     schedules passes one Workspace to every call; the terms are the same
     bit for bit, with or without one.
     """
-    return _terms(schedule, grad_norms, D, t, cross_terms=True, work=work)
+    D = positive(D, "initial distance D")
+    S_t, noise = _sum_and_noise(schedule, grad_norms, t, work)
+    return _in_range(D * D / (2.0 * S_t), noise)  # D * D, not D ** 2: mirror_bound relies on it
 
 
 def bound_value(spec: BoundSpec, t: int | None = None) -> float:
@@ -433,6 +425,13 @@ def tuned_bound(
     return 2.0 * math.sqrt(dist * noise)
 
 
+def _plain_sums(eta: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """(S_t, best-iterate noise_term) over all of eta, from pairwise sums of eta and q."""
+    S_t = np.sum(eta)
+    return float(S_t), float(np.sum(q) / (2.0 * S_t))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a term out of range fails _in_range
 def best_iterate_terms(
     schedule: Schedule,
     grad_norms: GradNormModel = GradNormModel(),
@@ -446,7 +445,11 @@ def best_iterate_terms(
     (sum eta_s^2 G_s^2) / (2 sum eta_s).  Used as the ablation baseline
     that shows no benefit from a cooldown.
     """
-    return _terms(schedule, grad_norms, D, t, cross_terms=False)
+    D = positive(D, "initial distance D")
+    t = _resolve_t(schedule, t)
+    eta, g = schedule.values[:t], grad_norms.values(t)
+    S_t, noise = _plain_sums(eta, eta * eta * g * g)
+    return _in_range(D * D / (2.0 * S_t), noise)
 
 
 def best_iterate_bound(spec: BoundSpec, t: int | None = None) -> float:
@@ -500,33 +503,29 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     T = spec.schedule.horizon
     stride = default_stride(T) if stride is None else integer(stride, "stride")
     ts = _grid(T, stride)
-    eta = spec.schedule.values
-    # rows are made on first use, so the tail row of the direct kernels comes
-    # after the exp-sum kernel has freed its working arrays
-    work = Workspace(T + 1)
-    q, prefix = _accumulators(eta, spec.grad_norms.values(T), work)
+    eta, gvals = spec.schedule.values, spec.grad_norms.values(T)
     n = ts.size - 1  # rows before the last
-    kernel = _noise_kernel(T)
-    if prefix is None and not cross_terms:
-        kernel = RUNNING_SUM
-    elif cross_terms and T >= EXP_SUM_HORIZON:
-        blocks = _block_sums(eta, stride)
+    blocks = _block_sums(eta, stride)
+    S, noise = np.empty(ts.size), np.empty(ts.size)
+    S[:n] = _running_sums(blocks)[:n]  # rows that the direct kernels overwrite
+    if not cross_terms:
+        kernel, q = RUNNING_SUM, eta * eta * gvals * gvals
+        noise[:n] = _running_sums(_block_sums(q, stride))[:n] / (2.0 * S[:n])
+        S[n], noise[n] = _plain_sums(eta, q)
+    else:
+        # rows are made on first use, so the tail row of the direct kernels comes
+        # after the exp-sum kernel has freed its working arrays
+        work = Workspace(T + 1)
+        q, prefix = _accumulators(eta, gvals, work)
         S_T = np.sum(eta)
         a, w = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
         if int(ts.sum()) > EXP_SUM_MARGIN * a.size * T:
-            kernel = EXP_SUM
-    S = np.empty(ts.size)
-    noise = np.empty(ts.size)
-    if kernel == RUNNING_SUM:
-        S[:n] = _running_sums(_block_sums(eta, stride))[:n]
-        noise[:n] = _running_sums(_block_sums(q, stride))[:n] / (2.0 * S[:n])
-    elif kernel == EXP_SUM:
-        S[:n] = _running_sums(blocks)[:n]
-        noise[:n] = expsum.curve_noise(eta, q, stride, a, w)
-    if kernel in (SUFFIX_SUM, PREFIX_DIFFERENCE):
-        for i in range(n):
-            S[i], noise[i] = _horizon(eta, q, prefix, int(ts[i]), cross_terms, work)
-    S[n], noise[n] = _horizon(eta, q, prefix, T, cross_terms, work)
+            kernel, noise[:n] = EXP_SUM, expsum.curve_noise(eta, q, stride, a, w)
+        else:
+            kernel = _noise_kernel(T)
+            for i in range(n):
+                S[i], noise[i] = _horizon(eta, q, prefix, int(ts[i]), work)
+        S[n], noise[n] = _horizon(eta, q, prefix, T, work)
     D = float(spec.D)
     dist = D * D / (2.0 * S)
     _in_range(dist[n], noise[n])
@@ -569,7 +568,7 @@ def mirror_bound(
     """
     positive(gamma, "base learning rate gamma")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a term out of range fails _in_range
-        S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms, t, cross_terms=True)
+        S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms, t)
     dist, noise = _in_range(mirror.bregman_init / S_t, noise, "initial Bregman divergence", "dual gradient norm scale")
     return dist / gamma + gamma * noise / mirror.mu
 

@@ -124,11 +124,9 @@ def sweep_gamma(
     optimal gamma, so the sweep minimum lands within one grid step of it.
     """
     dist, noise = bounds.bound_terms(schedule, grad_norms, D, t)
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid(math.sqrt(dist / noise))
-    grid = np.asarray(gamma_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 1 or not np.all(grid > 0.0):
-        raise ValueError("gamma grid must be a non-empty 1-d array of positive values")
+    grid = _grid_array(default_gamma_grid(math.sqrt(dist / noise)) if gamma_grid is None else gamma_grid, "gamma")
+    for gamma in grid:
+        positive(gamma, "gamma grid value")
     return SweepResult(grid, np.full_like(grid, dist), np.full_like(grid, noise), grid)
 
 
@@ -142,14 +140,23 @@ def _cooldown_family(T: int, shape: CooldownShape, base: str):
     raise ValueError(f"unknown base schedule family {base!r} (use constant or inv-sqrt)")
 
 
+def _grid_array(grid, what: str) -> np.ndarray:
+    """grid as a float64 array, or a ValueError naming the grid unless it is a non-empty 1-d array of numbers."""
+    try:
+        values = np.asarray(grid)
+    except ValueError:  # a ragged grid
+        values = None
+    if values is None or values.dtype.kind not in "iuf" or values.ndim != 1 or values.size < 1:
+        raise ValueError(f"{what} grid must be a non-empty 1-d array of numbers, got {grid!r:.80}")
+    return values.astype(np.float64, copy=False)
+
+
 def _family_terms(build, grid, what: str, grad_norms: GradNormModel, D: float, work: bounds.Workspace):
     """(grid, dist, noise) arrays: the bound terms of build(x) at each point x of the named grid, in work.
 
     Every tuning grid is evaluated here.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError(f"{what} grid must be a non-empty 1-d array, got shape {grid.shape}")
+    grid = _grid_array(grid, what)
     terms = np.array([bounds.bound_terms(build(float(x)), grad_norms, D, work=work) for x in grid])
     return grid, *terms.T
 

@@ -162,6 +162,14 @@ class TestHarmonic:
         for n in (1, 7, 50):
             assert hs[n] == pytest.approx(harmonic(n), rel=1e-14)
 
+    def test_array_within_one_ulp_of_exact(self):
+        # compensated prefix sums; a plain cumsum is up to 5.1e-14 off at n = 10**6
+        hs = harmonic_numbers(10**6)
+        sampled = np.random.default_rng(41).integers(1, 10**6, size=30)
+        for n in [1, 2, 3, bounds.HARMONIC_BLOCK, 10**5, 10**6, *sampled]:
+            exact = harmonic(int(n))
+            assert abs(hs[n] - exact) <= math.ulp(exact), n
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             harmonic(-1)
@@ -380,6 +388,13 @@ class TestCurves:
         assert default_stride(4000) == 2
         assert default_stride(100000) == 50
 
+    def test_direct_rows_equal_bound_terms(self):
+        sched, grad = wsd(400, 0.2), GradNormModel(1.3, -0.5)
+        curve = bound_curve(BoundSpec(sched, grad, 0.7), stride=20)
+        assert curve.noise_kernel == bounds.PREFIX_DIFFERENCE
+        for t, dist, noise in zip(curve.t, curve.dist_terms, curve.noise_terms):
+            assert (dist, noise) == bound_terms(sched, grad, 0.7, int(t)), t
+
     def test_optimal_gamma_property(self):
         sched = wsd(30, 0.5)
         spec = BoundSpec(sched, GradNormModel(), 1.0, 0.1)
@@ -590,9 +605,9 @@ class TestLongHorizon:
         # the same schedules through the prefix-difference and the suffix-sum kernel
         scheds = [constant(400), wsd(400, 0.3)]
         short = [bound_terms(s) for s in scheds]
-        assert bound_curve(BoundSpec(scheds[0])).noise_kernel == bounds.PREFIX_DIFFERENCE
+        assert bounds._noise_kernel(400) == bounds.PREFIX_DIFFERENCE
         monkeypatch.setattr(bounds, "LONG_HORIZON", 1)
-        assert bound_curve(BoundSpec(scheds[0])).noise_kernel == bounds.SUFFIX_SUM
+        assert bounds._noise_kernel(400) == bounds.SUFFIX_SUM
         for (dist64, noise64), sched in zip(short, scheds):
             dist, noise = bound_terms(sched)
             assert dist == pytest.approx(dist64, rel=1e-12)
@@ -644,6 +659,55 @@ def exact_prefix_sums(pairs, rows):
     return [Fraction(running[t - 1], scale) for t in rows]
 
 
+def exact_curve_noise(eta, gvals, rows):
+    """Exact noise terms at the horizons rows, as Fractions, from the single sum of the bounds module.
+
+    With one power-of-two scale for every eta_k and one for every q_k, each
+    tail S_t - S_k is an exact integer and each term q_k / (S_t - S_k) an
+    integer ratio; a horizon's terms are added over a common denominator
+    and reduced once, which is what keeps a whole curve cheap.
+    """
+    e = [Fraction(float(x)) for x in eta]
+    q = [x * x * Fraction(float(g)) ** 2 for x, g in zip(e, gvals)]
+    E, F = max(x.denominator for x in e), max(x.denominator for x in q)
+    n = [x.numerator * (E // x.denominator) for x in e]
+    m = [x.numerator * (F // x.denominator) for x in q]
+    out = []
+    for t in rows:
+        num, den, tail = m[t - 1], n[t - 1], 0  # q_t / eta_t
+        for k in range(t - 1, 0, -1):  # q_k = m[k - 1] over S_t - S_k = sum of n[k:t]
+            tail += n[k]
+            num, den = num * tail + m[k - 1] * den, den * tail
+        out.append(Fraction(num * E, 2 * den * F))
+    return out
+
+
+def assert_best_iterate_rows_exact(sched, grad, stride, tol):
+    """Every row of the best-iterate curve within tol of exact prefix sums; the last row equals best_iterate_terms."""
+    curve = best_iterate_curve(BoundSpec(sched, grad, 0.7), stride=stride)
+    assert curve.noise_kernel == bounds.RUNNING_SUM
+    rows = [int(t) for t in curve.t]
+    eta = [float(x).as_integer_ratio() for x in sched.values]
+    g = [float(x).as_integer_ratio() for x in grad.values(sched.horizon)]
+    q = [((en * gn) ** 2, (ed * gd) ** 2) for (en, ed), (gn, gd) in zip(eta, g)]
+    S = exact_prefix_sums(eta, rows)
+    Q = exact_prefix_sums(q, rows)
+    for i in range(len(rows)):
+        assert rel_err(curve.dist_terms[i], Fraction(0.7) ** 2 / (2 * S[i])) <= tol, rows[i]
+        assert rel_err(curve.noise_terms[i], Q[i] / (2 * S[i])) <= tol, rows[i]
+    assert (curve.dist_final, curve.noise_final) == best_iterate_terms(sched, grad, 0.7)
+
+
+@pytest.fixture
+def no_horizon(monkeypatch):
+    """Fail any call of the direct kernels' per-horizon evaluation."""
+
+    def fail(*args):
+        raise AssertionError("_horizon called")
+
+    monkeypatch.setattr(bounds, "_horizon", fail)
+
+
 def exact_noise(eta, t):
     """Noise term at horizon t for G = 1, to about 1e-50 relative.
 
@@ -667,7 +731,6 @@ def exact_noise(eta, t):
 def exp_sum_kernel(monkeypatch):
     """Send every curve with more than two horizons through the exp-sum kernel."""
     monkeypatch.setattr(bounds, "LONG_HORIZON", 1)
-    monkeypatch.setattr(bounds, "EXP_SUM_HORIZON", 1)
     monkeypatch.setattr(bounds, "EXP_SUM_MARGIN", 0)
 
 
@@ -735,10 +798,19 @@ class TestExpSum:
         assert np.array_equal(curve.dist_terms, 0.5 / curve.t)
         assert (curve.dist_final, curve.noise_final) == bound_terms(sched)
 
-    @pytest.mark.parametrize("stride, kernel", [(700, bounds.EXP_SUM), (1500, bounds.SUFFIX_SUM)])
-    def test_kernel_follows_pair_count(self, stride, kernel):
-        # sum(t) is 0.38 * J * T at stride 700 and 0.19 * J * T at stride 1500
-        assert bound_curve(BoundSpec(wsd(bounds.LONG_HORIZON, 0.2)), stride=stride).noise_kernel == kernel
+    @pytest.mark.parametrize(
+        "T, stride, kernel",
+        [
+            pytest.param(bounds.LONG_HORIZON, 700, bounds.EXP_SUM, id="700-exp-sum"),
+            pytest.param(bounds.LONG_HORIZON, 1500, bounds.SUFFIX_SUM, id="1500-suffix-sum"),
+            pytest.param(400, 1, bounds.EXP_SUM, id="T400-1-exp-sum"),
+            pytest.param(400, 20, bounds.PREFIX_DIFFERENCE, id="T400-20-prefix-difference"),
+        ],
+    )
+    def test_kernel_follows_pair_count(self, T, stride, kernel):
+        # sum(t) is 0.38 * J * T at stride 700 and 0.19 * J * T at stride 1500 (T = 100000),
+        # 1.02 * J * T at stride 1 and 0.061 * J * T at stride 20 (T = 400)
+        assert bound_curve(BoundSpec(wsd(T, 0.2)), stride=stride).noise_kernel == kernel
 
     @pytest.mark.parametrize(
         "sched",
@@ -808,22 +880,35 @@ class TestExpSum:
             tracemalloc.stop()
         assert peak <= 4.5 * T * 8
 
-    def test_best_iterate_curve_on_suffix_sum_path(self):
+    def test_best_iterate_curve_on_suffix_sum_path(self, no_horizon):
         T = bounds.LONG_HORIZON
         sched = wsd(T, 0.3, CooldownShape.ONE_MINUS_SQRT)
-        grad = GradNormModel(G=1.3, alpha=-0.5)
-        curve = best_iterate_curve(BoundSpec(sched, grad, 0.7))
-        assert curve.noise_kernel == bounds.RUNNING_SUM
-        rows = [int(t) for t in curve.t]
-        eta = [float(x).as_integer_ratio() for x in sched.values]
-        g = [float(x).as_integer_ratio() for x in grad.values(T)]
-        q = [((en * gn) ** 2, (ed * gd) ** 2) for (en, ed), (gn, gd) in zip(eta, g)]
-        S = exact_prefix_sums(eta, rows)
-        Q = exact_prefix_sums(q, rows)
-        for i in range(len(rows)):
-            assert rel_err(curve.dist_terms[i], Fraction(0.7) ** 2 / (2 * S[i])) <= 1e-15, rows[i]
-            assert rel_err(curve.noise_terms[i], Q[i] / (2 * S[i])) <= 1e-15, rows[i]
-        assert (curve.dist_final, curve.noise_final) == best_iterate_terms(sched, grad, 0.7)
+        assert_best_iterate_rows_exact(sched, GradNormModel(G=1.3, alpha=-0.5), None, 1e-15)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEDULES))
+    def test_best_iterate_curve_rows_match_exact_sums(self, no_horizon, name, alpha, stride):
+        # measured at most 2.7e-16; prefix sums from np.cumsum were up to 5.8e-15 off
+        assert_best_iterate_rows_exact(ORACLE_SCHEDULES[name], GradNormModel(G=1.3, alpha=alpha), stride, 1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0])
+    def test_repro_curve_rows_match_fraction_oracle(self, alpha):
+        # the curves of repro gradnorm-shapes and min-ablation: wsd(400, 0.2) at stride 1
+        sched, grad = wsd(400, 0.2), GradNormModel(alpha=alpha)
+        curve = bound_curve(BoundSpec(sched, grad), stride=1)
+        assert curve.noise_kernel == bounds.EXP_SUM
+        S = list(accumulate(Fraction(float(x)) for x in sched.values))
+        exact = exact_curve_noise(sched.values, grad.values(400), range(1, 401))
+        for t, dist, noise in zip(curve.t[:-1], curve.dist_terms, curve.noise_terms):
+            assert rel_err(dist, 1 / (2 * S[t - 1])) <= 5e-16, t  # measured 1.4e-16
+            assert rel_err(noise, exact[t - 1]) <= 2e-15, t  # measured 4.5e-16, 6.6e-16, 1.0e-15
+        # the last row is bound_terms' own, from prefix differences (8.6e-13 off at alpha 0)
+        assert (curve.dist_final, curve.noise_final) == bound_terms(sched, grad)
+        assert rel_err(curve.noise_final, exact[-1]) <= 2e-12
+
+    def test_repro_best_iterate_curve_matches_exact_sums(self, no_horizon):
+        assert_best_iterate_rows_exact(wsd(400, 0.2), GradNormModel(), 1, 1e-15)
 
 
 class TestMirror:

@@ -28,6 +28,7 @@ from schedbound.tuning import (
     fit_polynomial,
     lr_transfer_curve,
     sweep_cooldown,
+    sweep_gamma,
     transfer_horizon_cooldown,
     transfer_horizon_rho,
 )
@@ -94,6 +95,22 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         pytest.param("rho grid", lambda: transfer_horizon_rho(400, 800, rho_grid=[]), id="transfer_horizon_rho rho_grid=[]"),
         pytest.param("cooldown grid", lambda: transfer_horizon_cooldown(400, 800, c_grid=[[0.2]]), id="transfer_horizon_cooldown 2-d grid"),
         pytest.param("cooldown grid", lambda: lr_transfer_curve(400, c_grid=[]), id="lr_transfer_curve c_grid=[]"),
+        # tuning grids that are ragged or hold something other than numbers
+        pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=[[0.1], [0.2, 0.3]]), id="sweep_cooldown ragged grid"),
+        pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=["a"]), id="sweep_cooldown c_grid=['a']"),
+        pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=["0.5"]), id="sweep_cooldown c_grid=['0.5']"),
+        pytest.param("cooldown grid", lambda: lr_transfer_curve(400, c_grid=[True]), id="lr_transfer_curve c_grid=[True]"),
+        pytest.param("rho grid", lambda: transfer_horizon_rho(400, 800, rho_grid=[0.5, None]), id="transfer_horizon_rho None in grid"),
+        # gamma grids: the same checks, and every value positive and finite
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[]), id="sweep_gamma gamma_grid=[]"),
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=0.1), id="sweep_gamma gamma_grid=0.1"),
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[[0.1, 0.2]]), id="sweep_gamma 2-d grid"),
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[[0.1], [0.2, 0.3]]), id="sweep_gamma ragged grid"),
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=["a"]), id="sweep_gamma gamma_grid=['a']"),
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[0.1, math.inf]), id="sweep_gamma inf in grid"),
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[0.1, math.nan]), id="sweep_gamma nan in grid"),
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[0.1, -1.0]), id="sweep_gamma -1 in grid"),
+        pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[0.0]), id="sweep_gamma 0 in grid"),
         pytest.param("gradient norm scale", lambda: best_iterate_curve(BoundSpec(wsd(10, 0.2), GradNormModel(G=1e-200))), id="best_iterate_curve G=1e-200"),
         pytest.param("exponent alpha", lambda: loss(ScalingLaw(alpha=1e200), 1e8, 1e9), id="loss alpha=1e200"),
         pytest.param("exponent beta", lambda: tokens_for_delta(ScalingLaw(beta=1e-200), 1e8, 1e9, 0.01), id="tokens_for_delta beta=1e-200"),
