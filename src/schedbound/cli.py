@@ -15,6 +15,9 @@ import math
 import os
 import sys
 
+# OpenBLAS spins a worker per core from numpy's import on; no call here is big enough to use one
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 # only what `bound`, `schedule` and the parser need; the other handlers

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -98,3 +99,45 @@ def test_tracer_wraps_the_lazily_imported_layers(argv, spans, tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = {span["name"] for span in json.loads(out.read_text())["spans"]}
     assert spans <= names
+
+
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def _fresh(code, **env) -> list:
+    """The JSON that CODE prints, run in a fresh interpreter whose environment lacks OPENBLAS_NUM_THREADS unless ENV sets it.
+
+    In-process CLI tests set the variable in this process, and a child would inherit it.
+    """
+    base = {k: v for k, v in os.environ.items() if k != BLAS_THREADS}
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_runs_blas_on_one_thread():
+    code = f"""
+import json, os
+import schedbound.cli
+task = "/proc/self/task"
+print(json.dumps([os.environ.get("{BLAS_THREADS}"), len(os.listdir(task)) if os.path.isdir(task) else None]))
+"""
+    value, threads = _fresh(code)
+    assert value == "1"
+    if threads is not None:  # Linux: numpy's import started no BLAS worker
+        assert threads == 1
+
+
+def test_cli_keeps_an_exported_blas_thread_count():
+    code = f"import json, os, schedbound.cli; print(json.dumps([os.environ.get('{BLAS_THREADS}')]))"
+    assert _fresh(code, **{BLAS_THREADS: "2"}) == ["2"]
+
+
+def test_library_leaves_blas_thread_count_unset():
+    code = f"""
+import json, os
+import schedbound
+schedbound.bound_terms(schedbound.parse_spec("wsd:T=100,c=0.2"))
+print(json.dumps([os.environ.get("{BLAS_THREADS}")]))
+"""
+    assert _fresh(code) == [None]
