@@ -62,8 +62,8 @@ allocate nothing and the heap does not trim and regrow between them.
 The rows keep q, S and Q of the last schedule, and the next one
 recomputes them only past the steps the two share: a prefix sum carried
 on from S_k adds in the order np.cumsum does, so the terms are the same
-bit for bit.  A last-iterate curve makes its own workspace of length
-T + 1, whose rows are made on first use.
+bit for bit.  A last-iterate curve makes its own workspace; its rows
+are made on first use, at the schedule's length.
 
 Best-iterate curves (running-sum) take S_t and Q_t from pairwise block
 sums and a compensated running sum, so they cost O(T) at any T;
@@ -260,16 +260,16 @@ class Workspace:
     calls, so that evaluating a grid allocates nothing per call.  Fresh
     temporaries of about 128 KB a call (t >= 16000) instead make the heap
     trim and regrow between calls, about 93 minor page faults a call.
-    Each row grows to the longest horizon asked of it, or to n if larger,
-    and lives as long as the workspace; the G_t row is kept for the last
-    gradient-norm model.  The rows also keep the accumulators of the last
-    schedule, so that the next one recomputes them only past the steps the
-    two share (the flat part of a cooldown grid).  A workspace is for one
-    thread; a call that raised leaves it usable.
+    Each row grows to the longest horizon asked of it (a curve asks for
+    the schedule's length) and lives as long as the workspace; the G_t
+    row is kept for the last gradient-norm model.  The rows also keep the
+    accumulators of the last schedule, so that the next one recomputes
+    them only past the steps the two share (the flat part of a cooldown
+    grid).  A workspace is for one thread; a call that raised leaves it
+    usable.
     """
 
-    def __init__(self, n: int = 0):
-        self._n = integer(n, "workspace length n", 0)
+    def __init__(self):
         self._rows: dict[str, np.ndarray] = {}
         self._grad_norms = None
         self._gvals = np.empty(0)
@@ -279,14 +279,14 @@ class Workspace:
         """The first n entries of the named row."""
         row = self._rows.get(name)
         if row is None or row.size < n:
-            row = self._rows[name] = np.empty(max(n, self._n), dtype)
+            row = self._rows[name] = np.empty(n, dtype)
             self.hold(np.empty(0), False)
         return row[:n]
 
     def gvals(self, grad_norms: GradNormModel, n: int) -> np.ndarray:
         """G_1..G_n of grad_norms (a longer row of the same model holds them bit for bit)."""
         if grad_norms != self._grad_norms or self._gvals.size < n:
-            self._grad_norms, self._gvals = grad_norms, grad_norms.values(max(n, self._n))
+            self._grad_norms, self._gvals = grad_norms, grad_norms.values(n)
             self.hold(np.empty(0), False)
         return self._gvals[:n]
 
@@ -339,15 +339,15 @@ def _horizon(eta, q, prefix, t: int, work: Workspace) -> tuple[float, float]:
         S, Q = prefix
         total = Q[t] / (2.0 * S[t])
         if t >= 2:
-            tail = np.subtract(S[t], S[:t], out=work.row("tail", t))  # sum_{s=k}^t eta_s for k = 1..t
+            tail = np.subtract(S[t], S[:t], out=work.row("tail", eta.size)[:t])  # sum_{s=k}^t eta_s for k = 1..t
             # sum_{s=k+1}^t eta_s * sum_{s=k}^t eta_s for k = 1..t-1
-            denom = np.multiply(tail[1:], tail[:-1], out=work.row("denom", t - 1))
+            denom = np.multiply(tail[1:], tail[:-1], out=work.row("denom", eta.size)[: t - 1])
             # then tail's row holds sum_{s=k}^t eta_s^2 G_s^2, and then eta_k times that over denom
             q_tail = np.subtract(Q[t], Q[: t - 1], out=tail[:-1])
             np.multiply(eta[: t - 1], q_tail, out=q_tail)
             total += 0.5 * np.sum(np.divide(q_tail, denom, out=q_tail))
         return float(S[t]), float(total)
-    tail = np.cumsum(eta[1:t][::-1], out=work.row("tail", t - 1))  # S_t - S_k for k = t-1, ..., 1
+    tail = np.cumsum(eta[1:t][::-1], out=work.row("tail", eta.size)[: t - 1])  # S_t - S_k for k = t-1, ..., 1
     ratio = np.divide(q[: t - 1][::-1], tail, out=tail)
     return float(np.sum(eta[:t])), float(0.5 * (q[t - 1] / eta[t - 1] + np.sum(ratio)))
 
@@ -515,7 +515,7 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     else:
         # rows are made on first use, so the tail row of the direct kernels comes
         # after the exp-sum kernel has freed its working arrays
-        work = Workspace(T + 1)
+        work = Workspace()
         q, prefix = _accumulators(eta, gvals, work)
         S_T = np.sum(eta)
         a, w = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees

@@ -28,16 +28,18 @@ formed one degree at a time, in place) and O(J) per group.  The
 default-stride rows of wsd, 1-sqrt, cosine and constant at T = 100000
 differ by at most 4.4e-16 relative from taking every node live.
 
-Against the exact oracle the tests hold every row to 1e-13 relative on
-every schedule family (measured: at most 1.1e-15 at T = 240, stride 1 and
-7), and every row of constant(100000) at stride 1.  At sampled rows of
+Against the exact oracle the tests hold every row at T = 240, stride 1
+and 7, on every schedule family to 5e-16 relative on the distance term
+and 4e-15 on the noise term (measured: at most 1.7e-16 and 1.2e-15), and
+every row of constant(100000) at the default stride and stride 1 to
+4e-15 (measured: at most 8.9e-16).  At sampled rows of
 constant, wsd, 1-sqrt and cosine curves at T = 100000 (alpha 0 and -0.5)
 the kernel is within 3.1e-15 of the exact oracle, where the direct
 suffix-sum kernel is up to 1.5e-14 off on cosines.  The state's rounding
 errors add up with the number of groups it crosses: at T = 1000000 the
 sampled wsd rows are within 5.1e-15 at the default stride, but a wsd curve at
 stride 1 (15,600 groups) is 1.1e-14 off near T, against 5e-17 for the
-direct kernel.  The 1e-13 is not measured beyond that.
+direct kernel.  The error is not measured beyond that.
 """
 
 from __future__ import annotations

@@ -63,6 +63,21 @@ def loss(law: ScalingLaw, N: float, D: float) -> float:
     return law.loss_scale * (law.E + law.A / _power(N, law.alpha, "alpha") + law.B / _power(D, law.beta, "beta"))
 
 
+def _invert(loss_scale, prefactor, exponent, name, count, delta, added) -> float:
+    """count2 with prefactor / count2**exponent = prefactor / count**exponent - delta / loss_scale.
+
+    The InfeasibleTargetError names what is added.
+    """
+    delta = non_negative(delta, "loss delta")
+    if delta == 0.0:
+        return count
+    gap = delta / loss_scale
+    inverse = 1.0 / _power(count, exponent, name)
+    if prefactor == 0.0 or inverse <= gap / prefactor:
+        raise InfeasibleTargetError(f"a loss drop of {delta} is unreachable by adding {added}")
+    return _power(inverse - gap / prefactor, -1.0 / exponent, name)
+
+
 def tokens_for_delta(law: ScalingLaw, N: float, D1: float, delta: float) -> float:
     """Token count D2 with loss(N, D2) = loss(N, D1) - delta.
 
@@ -74,16 +89,7 @@ def tokens_for_delta(law: ScalingLaw, N: float, D1: float, delta: float) -> floa
     remaining data-limited loss B / D1**beta.
     """
     N, D1 = positive(N, "N"), positive(D1, "D1")
-    delta = non_negative(delta, "loss delta")
-    if delta == 0.0:
-        return D1
-    gap = delta / law.loss_scale
-    inverse = 1.0 / _power(D1, law.beta, "beta")
-    if law.B == 0.0 or inverse <= gap / law.B:
-        raise InfeasibleTargetError(
-            f"a loss drop of {delta} is unreachable by adding tokens from D1={D1}"
-        )
-    return _power(inverse - gap / law.B, -1.0 / law.beta, "beta")
+    return _invert(law.loss_scale, law.B, law.beta, "beta", D1, delta, f"tokens from D1={D1}")
 
 
 def params_for_delta(law: ScalingLaw, N1: float, D: float, delta: float) -> float:
@@ -94,13 +100,4 @@ def params_for_delta(law: ScalingLaw, N1: float, D: float, delta: float) -> floa
     model-limited loss A / N1**alpha.
     """
     N1, D = positive(N1, "N1"), positive(D, "D")
-    delta = non_negative(delta, "loss delta")
-    if delta == 0.0:
-        return N1
-    gap = delta / law.loss_scale
-    inverse = 1.0 / _power(N1, law.alpha, "alpha")
-    if law.A == 0.0 or inverse <= gap / law.A:
-        raise InfeasibleTargetError(
-            f"a loss drop of {delta} is unreachable by adding parameters from N1={N1}"
-        )
-    return _power(inverse - gap / law.A, -1.0 / law.alpha, "alpha")
+    return _invert(law.loss_scale, law.A, law.alpha, "alpha", N1, delta, f"parameters from N1={N1}")

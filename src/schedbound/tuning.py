@@ -306,10 +306,10 @@ def lr_transfer_curve(
 
 
 def _lstsq_columns(columns: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least squares via scaled normal equations.
+    """Least squares by numpy's SVD solver on L2-normalized columns.
 
-    Columns are L2-normalized before forming the Gram matrix, which
-    keeps the degree-6 polynomial fits well conditioned on [0, 1] grids.
+    The scaling evens out the column norms, which keeps the minimizer of
+    an inv-gamma-linear fit at rounding level of the exact one.
     """
     X = np.asarray(columns, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -318,12 +318,9 @@ def _lstsq_columns(columns: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, floa
     scale = np.sqrt(np.sum(X * X, axis=0))
     if np.any(scale == 0.0):
         raise ValueError("fit is degenerate: a model column is identically zero")
-    Xs = X / scale
-    gram = Xs.T @ Xs
-    try:
-        w = np.linalg.solve(gram, Xs.T @ y)
-    except np.linalg.LinAlgError:
-        raise ValueError("fit is degenerate: model columns are collinear") from None
+    w, _, rank, _ = np.linalg.lstsq(X / scale, y, rcond=None)
+    if rank < X.shape[1]:
+        raise ValueError("fit is degenerate: model columns are collinear")
     coef = w / scale
     return coef, float(np.linalg.norm(X @ coef - y))
 

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,17 @@ def bound_terms_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(bounds, "bound_terms", counted)
     return calls
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, the benchmark's workloads and output checks, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 # node id -> outcome, filled for the acceptance module only

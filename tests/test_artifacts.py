@@ -81,3 +81,19 @@ def test_reproduce_all_script_matches_cli(repro_all_csv, tmp_path):
     assert summary["config"] == {"command": "repro", "target": "all"}
     assert set(summary) == {"config", *repro.TARGET_NAMES}
     assert json.loads(proc.stdout)["summary_file"] == str(tmp_path / "repro_all_summary.json")
+
+
+def test_benchmark_output_checks_pass(repro_all_csv, perfbench_workloads, tmp_path, monkeypatch):
+    # the checks the benchmark runs on each workload's files: the repro-all
+    # headlines against perfbench's reference, and bound rows against a
+    # long-double recomputation, each command run as the benchmark runs it
+    workloads = perfbench_workloads
+    workloads.check(workloads.generate(1)["repro-all"], str(repro_all_csv))
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    for seed in (1, 2, 3):
+        bound = workloads.generate(seed)["bound-wsd-1e5"]
+        outdir = tmp_path / f"bound_{seed}"
+        outdir.mkdir()
+        monkeypatch.chdir(outdir)
+        assert cli.main(bound.argv) == 0
+        assert workloads.check(bound, str(outdir)) <= workloads.BOUND_REL_TOL

@@ -1,13 +1,12 @@
-import importlib.util
 import math
 import subprocess
 import sys
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from schedbound import bounds, tuning
+from schedbound import bounds, repro, tuning
 from schedbound.bounds import GradNormModel, optimal_gamma
 from schedbound.schedules import CooldownShape, constant, inv_sqrt, with_cooldown, wsd
 from schedbound.tuning import (
@@ -193,14 +192,9 @@ class TestTransferHorizon:
             assert res.achieved_gamma == res.target_gamma
 
 
-def test_perfbench_mirrors_the_transfer_tolerance(monkeypatch):
+def test_perfbench_mirrors_the_transfer_tolerance(perfbench_workloads):
     # perfbench checks rho_* and c_long_* headlines at its own copy of the tolerance
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    assert workloads.BISECTION_REL_TOL == tuning.TRANSFER_REL_TOL
+    assert perfbench_workloads.BISECTION_REL_TOL == tuning.TRANSFER_REL_TOL
 
 
 class TestLrTransferCurve:
@@ -230,10 +224,10 @@ class TestFits:
         pts = [(float(x), A / x + B * x + C) for x in xs]
         fit = fit_inv_gamma_linear(pts)
         assert fit.model_kind == "inv-gamma-linear"
-        assert np.allclose(fit.coefficients, [A, B, C], rtol=1e-9)
-        assert fit.residual_norm == pytest.approx(0.0, abs=1e-8)
-        assert minimizer(fit) == pytest.approx(math.sqrt(A / B), rel=1e-9)
-        assert np.allclose(fit.predict(xs), [p[1] for p in pts], rtol=1e-9)
+        assert np.allclose(fit.coefficients, [A, B, C], rtol=2e-15, atol=0.0)
+        assert fit.residual_norm == pytest.approx(0.0, abs=1e-13)
+        assert minimizer(fit) == pytest.approx(math.sqrt(A / B), rel=1e-15)
+        assert np.allclose(fit.predict(xs), [p[1] for p in pts], rtol=2e-15, atol=0.0)
 
     def test_minimizer_none_when_curvature_missing(self):
         xs = np.linspace(1.0, 5.0, 8)
@@ -254,8 +248,8 @@ class TestFits:
         fit = fit_inv_sqrt(pts)
         assert fit.model_kind == "inv-sqrt"
         assert fit.coefficients[0] == pytest.approx(3.0, rel=1e-12)
-        assert fit.free_prefactor == pytest.approx(3.0, rel=1e-9)
-        assert fit.free_exponent == pytest.approx(-0.5, abs=1e-9)
+        assert fit.free_prefactor == pytest.approx(3.0, rel=1e-15)
+        assert fit.free_exponent == pytest.approx(-0.5, abs=1e-15)
         assert fit.predict(np.array([9.0]))[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_polynomial_exact_recovery(self):
@@ -264,13 +258,23 @@ class TestFits:
         ys = np.polynomial.polynomial.polyval(xs, coeffs)
         fit = fit_polynomial(list(zip(xs, ys)), degree=3)
         assert fit.model_kind == "polynomial-degree-3"
-        assert np.allclose(fit.coefficients, coeffs, atol=1e-9)
-        assert np.allclose(fit.predict(xs), ys, atol=1e-9)
+        assert np.allclose(fit.coefficients, coeffs, rtol=0.0, atol=1e-14)
+        assert np.allclose(fit.predict(xs), ys, rtol=0.0, atol=1e-14)
 
     def test_degenerate_points_rejected(self):
         pts = [(2.0, 1.0)] * 6
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(ValueError, match="degenerate: model columns are collinear"):
             fit_inv_gamma_linear(pts)
+
+    def test_zero_column_rejected(self):
+        with pytest.raises(ValueError, match="identically zero"):
+            fit_polynomial([(0.0, 1.0)] * 8, degree=3)
+
+    def test_numerically_rank_deficient_fit_rejected(self):
+        # powers of x within 1e-8 of 1 are collinear to rounding
+        xs = 1.0 + np.arange(8) * 1e-9
+        with pytest.raises(ValueError, match="degenerate: model columns are collinear"):
+            fit_polynomial(list(zip(xs, xs)), degree=3)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -295,3 +299,83 @@ def test_gamma_star_scaling_fit_behaviour():
     predicted = float(fit.predict(np.array([float(probe)]))[0])
     actual = optimal_gamma(wsd(probe, 0.2))
     assert predicted == pytest.approx(actual, rel=0.05)
+
+
+def _exact_lstsq(X: np.ndarray, y: np.ndarray) -> list[Fraction]:
+    """Least-squares coefficients of the float columns X for y, exactly: the normal equations in Fraction."""
+    X = [[Fraction(v) for v in row] for row in X.tolist()]
+    y = [Fraction(v) for v in y.tolist()]
+    n = len(X[0])
+    A = [[sum(r[i] * r[j] for r in X) for j in range(n)] + [sum(r[i] * v for r, v in zip(X, y))] for i in range(n)]
+    for k in range(n):  # Gauss-Jordan; the Gram matrix of independent columns is positive definite
+        for i in range(n):
+            if i != k:
+                f = A[i][k] / A[k][k]
+                A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+    return [A[i][n] / A[i][i] for i in range(n)]
+
+
+def _assert_fitted(X, y, coef, rel: float) -> list[Fraction]:
+    """The exact least-squares coefficients, once X @ coef is within rel of the largest exact fitted value."""
+    exact = _exact_lstsq(X, y)
+    fitted = [sum(Fraction(x) * e for x, e in zip(row, exact)) for row in X.tolist()]
+    top = max(abs(f) for f in fitted)
+    assert max(abs(Fraction(f) - g) for f, g in zip((X @ coef).tolist(), fitted)) <= rel * top
+    return exact
+
+
+def _assert_coefficients(coef, exact, rel: float):
+    """Each coefficient within rel of the exact one, but for one below 1e-12 of the largest.
+
+    Such a coefficient moves the fitted values by less than rounding.
+    """
+    big = max(abs(e) for e in exact)
+    for c, e in zip(coef.tolist(), exact):
+        if abs(e) >= big * Fraction(1e-12):
+            assert abs((Fraction(c) - e) / e) <= rel, (c, float(e))
+
+
+class TestReportedFitsAgainstExactOracle:
+    """Every fit that repro and the CLI report, against exact rational least squares.
+
+    The tolerances are the measured errors rounded up.
+    """
+
+    def test_lr_transfer_poly6_both_shapes(self):
+        headlines, [(_, _, rows)] = repro.lr_transfer()
+        c, linear, one_minus_sqrt = np.array(rows).T
+        X = np.vander(c, 7, increasing=True)
+        # measured 8.0e-14 (linear) and 6.7e-14 (1-sqrt) on the coefficients, 5.7e-15 on the fitted values
+        for y, coef in (
+            (linear, np.array(headlines["poly6_coefficients_linear"])),
+            (one_minus_sqrt, fit_polynomial(list(zip(c, one_minus_sqrt))).coefficients),
+        ):
+            _assert_coefficients(coef, _assert_fitted(X, y, coef, 1e-14), 1e-13)
+
+    def test_gamma_star_scaling_constrained_and_free_fits(self):
+        headlines, [(_, _, rows)] = repro.gamma_star_scaling()
+        T, wsd_gamma, cosine_gamma = np.array(rows, dtype=np.float64).T
+        for name, y in (("wsd", wsd_gamma), ("cosine", cosine_gamma)):
+            fit = fit_inv_sqrt(list(zip(T, y)))
+            assert fit.coefficients[0] == headlines[f"a_{name}"]
+            assert fit.free_exponent == headlines[f"free_exponent_{name}"]
+            # measured 1.7e-16 and 2e-16
+            X = (1.0 / np.sqrt(T))[:, None]
+            _assert_coefficients(fit.coefficients, _assert_fitted(X, y, fit.coefficients, 1e-15), 1e-15)
+            logs = np.log(T)
+            free = np.array([math.log(fit.free_prefactor), fit.free_exponent])
+            X = np.column_stack([np.ones_like(logs), logs])
+            intercept, slope = _assert_fitted(X, np.log(y), free, 1e-15)
+            _assert_coefficients(free[1:], [slope], 1e-15)  # measured 8.2e-16
+            # the prefactor's relative error is the intercept's absolute error, about
+            # an ulp of the slope * ln T it cancels: measured 2.7e-15
+            assert fit.free_prefactor == pytest.approx(math.exp(intercept), rel=4e-15)
+
+    def test_hgamma_fit_of_a_gamma_sweep(self):
+        sweep = sweep_gamma(wsd(4000, 0.2))
+        fit = fit_inv_gamma_linear(list(zip(sweep.grid, sweep.objective)))
+        X = np.column_stack([1.0 / sweep.grid, sweep.grid, np.ones_like(sweep.grid)])
+        # measured 5.6e-16 on A and B (C is 2e-18 of B), 6.2e-16 on the fitted values
+        A, B, C = _assert_fitted(X, sweep.objective, fit.coefficients, 1e-15)
+        _assert_coefficients(fit.coefficients, [A, B, C], 1e-15)
+        assert minimizer(fit) == pytest.approx(math.sqrt(A / B), rel=1e-15)  # measured 6.7e-16
