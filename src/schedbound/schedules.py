@@ -68,12 +68,6 @@ class Schedule:
     def horizon(self) -> int:
         return int(self.values.size)
 
-    def value_at(self, t: int) -> float:
-        """eta_t for 1-based step index t."""
-        if integer(t, "step index t") > self.horizon:
-            raise ValueError(f"step index {t} outside 1..{self.horizon}")
-        return float(self.values[t - 1])
-
     def __repr__(self) -> str:  # keep reprs short for long horizons
         head = ", ".join(f"{v:g}" for v in self.values[:4])
         tail = ", ..." if self.horizon > 4 else ""

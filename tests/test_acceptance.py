@@ -93,7 +93,7 @@ def test_criterion_05_lr_transfer_log_ratio():
     base = tuning.lr_transfer_curve(10**3, wide)
     rescaled = tuning.lr_transfer_curve(10**3, wide, grad_norms=GradNormModel(G=0.3), D=5.0)
     for (_, v1), (_, v2) in zip(base, rescaled):
-        assert abs(v1 - v2) <= 1e-6
+        assert abs(v1 - v2) <= 5e-11  # measured 1.4e-11
 
 
 def test_criterion_06_harmonic_headline_constants():
@@ -113,7 +113,7 @@ def test_criterion_07_closed_forms_match_numeric():
         T = int(rng.integers(1, 2001))
         closed = constant_bound_exact(T)
         numeric = tuned_bound(constant(T))
-        assert closed == pytest.approx(numeric, rel=1e-12)
+        assert closed == pytest.approx(numeric, rel=1e-15)  # measured 2.6e-16 over 500 draws
     # flat phase required (T0 >= 2): on the T0 = 1 boundary the closed
     # form undershoots the numeric value, see test_bounds
     for _ in range(100):
@@ -124,7 +124,7 @@ def test_criterion_07_closed_forms_match_numeric():
         vals[T0 - 1 :] = 1.0 - (tail - T0) / (T + 1.0 - T0)
         closed = wsd_bound_exact(T, T0)
         numeric = tuned_bound(Schedule(vals))
-        assert closed >= numeric * (1.0 - 1e-12), (T, T0)
+        assert closed >= numeric, (T, T0)  # at least 1.0e-3 above, relative, over 1000 draws
 
 
 def test_criterion_08_summation_identity_oracles():
@@ -178,7 +178,7 @@ def test_criterion_09_gamma_grid_argmin_and_joint_rescaling():
         gamma = float(rng.uniform(0.05, 2.0))
         a = bound_value(BoundSpec(Schedule(vals), GradNormModel(), 1.0, gamma))
         b = bound_value(BoundSpec(Schedule(s * vals), GradNormModel(), 1.0, gamma / s))
-        assert b == pytest.approx(a, rel=1e-12)
+        assert b == pytest.approx(a, rel=6.5e-13)  # measured 1.6e-13 over 200 draws
 
 
 def test_criterion_10_cooldown_drop_needs_last_iterate_analysis():
@@ -243,10 +243,10 @@ def test_criterion_13_scaling_law_pricing():
         assert got == pytest.approx(want, rel=5e-3)
     d2 = scaling.tokens_for_delta(law, 124e6, 10.24e9, 0.01)
     achieved = scaling.loss(law, 124e6, 10.24e9) - scaling.loss(law, 124e6, d2)
-    assert achieved == pytest.approx(0.01, rel=1e-9)
+    assert achieved == pytest.approx(0.01, rel=1e-13)  # measured 2.3e-14
     n2 = scaling.params_for_delta(law, 124e6, 10.24e9, 0.01)
     achieved = scaling.loss(law, 124e6, 10.24e9) - scaling.loss(law, n2, 10.24e9)
-    assert achieved == pytest.approx(0.01, rel=1e-9)
+    assert achieved == pytest.approx(0.01, rel=1e-13)  # measured 2.1e-14
 
 
 def test_criterion_14_polynomial_decay_approximation():
@@ -270,4 +270,4 @@ def test_criterion_15_mirror_bound_euclidean_specialization():
         mirror = MirrorSpec(bregman_init=D * D / 2.0, mu=1.0, dual_grad_norms=grad)
         lhs = mirror_bound(mirror, sched, gamma=gamma)
         rhs = bound_value(BoundSpec(sched, grad, D, gamma))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == rhs  # bit-identical by construction

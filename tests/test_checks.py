@@ -55,7 +55,6 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         pytest.param("degree", lambda: fit_polynomial(_POINTS, degree=2.5), id="fit_polynomial degree=2.5"),
         pytest.param("row count m", lambda: generate_problem(2.5, 2), id="generate_problem m=2.5"),
         pytest.param("seed", lambda: generate_problem(20, 2, 2.5), id="generate_problem seed=2.5"),
-        pytest.param("step index t", lambda: constant(4).value_at(2.5), id="value_at 2.5"),
         # scales that are not numbers
         pytest.param("cooldown fraction", lambda: transfer_horizon_cooldown(400, 400, None), id="transfer_horizon_cooldown c=None"),
         pytest.param("initial distance D", lambda: BoundSpec(constant(4), D="abc"), id="BoundSpec D='abc'"),

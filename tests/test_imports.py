@@ -1,4 +1,4 @@
-"""The package depends on numpy and the standard library only, and each CLI subcommand imports only its own modules."""
+"""The package and the test oracles depend on numpy and the standard library only, and each CLI subcommand imports only its own modules."""
 
 import ast
 import json
@@ -29,6 +29,15 @@ def test_imports_are_relative_numpy_or_stdlib(path):
 
 def test_check_sees_every_module():
     assert {p.name for p in PACKAGE.glob("*.py")} >= {"bounds.py", "cli.py", "serialize.py"}
+
+
+def test_oracles_trust_nothing_they_check():
+    # an oracle that imported schedbound could share the fault it is meant to find
+    path = Path(__file__).with_name("oracles.py")
+    imported = list(_absolute_imports(path))
+    assert imported
+    assert sorted({name for name in imported if name.split(".")[0] not in ALLOWED}) == []
+    assert not any(isinstance(node, ast.ImportFrom) and node.level for node in ast.walk(ast.parse(path.read_text())))
 
 
 ROOT = PACKAGE.parents[1]

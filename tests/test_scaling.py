@@ -33,14 +33,16 @@ def test_loss_hand_computation():
 
 def test_tokens_for_delta_oracles():
     law = ScalingLaw()
-    assert tokens_for_delta(law, 124e6, 10.24e9, 0.01) == pytest.approx(10882286390.623322, rel=1e-12)
-    assert tokens_for_delta(law, 124e6, 20.48e9, 0.01) == pytest.approx(22155702486.471443, rel=1e-12)
+    # measured 0 on both
+    assert tokens_for_delta(law, 124e6, 10.24e9, 0.01) == pytest.approx(10882286390.623322, rel=1e-15)
+    assert tokens_for_delta(law, 124e6, 20.48e9, 0.01) == pytest.approx(22155702486.471443, rel=1e-15)
 
 
 def test_params_for_delta_oracles():
     law = ScalingLaw()
-    assert params_for_delta(law, 124e6, 10.24e9, 0.01) == pytest.approx(128959409.98558573, rel=1e-12)
-    assert params_for_delta(law, 210e6, 10.24e9, 0.01) == pytest.approx(220142415.20856225, rel=1e-12)
+    # measured 0 on both
+    assert params_for_delta(law, 124e6, 10.24e9, 0.01) == pytest.approx(128959409.98558573, rel=1e-15)
+    assert params_for_delta(law, 210e6, 10.24e9, 0.01) == pytest.approx(220142415.20856225, rel=1e-15)
 
 
 def test_zero_delta_is_identity():
@@ -58,7 +60,7 @@ def test_tokens_round_trip(delta, D1):
     D2 = tokens_for_delta(law, 124e6, D1, delta)
     assert D2 > D1
     achieved = loss(law, 124e6, D1) - loss(law, 124e6, D2)
-    assert achieved == pytest.approx(delta, rel=1e-9)
+    assert achieved == pytest.approx(delta, rel=2.7e-11)  # measured 6.6e-12 over 300 draws
 
 
 @given(
@@ -70,7 +72,7 @@ def test_params_round_trip(delta, N1):
     N2 = params_for_delta(law, N1, 10.24e9, delta)
     assert N2 > N1
     achieved = loss(law, N1, 10.24e9) - loss(law, N2, 10.24e9)
-    assert achieved == pytest.approx(delta, rel=1e-9)
+    assert achieved == pytest.approx(delta, rel=2.7e-11)  # measured 6.8e-12 over 300 draws
 
 
 def test_loss_scale_divides_the_delta():
@@ -78,7 +80,7 @@ def test_loss_scale_divides_the_delta():
     rescaled = ScalingLaw(loss_scale=VOCAB_RESCALE_50K_TO_32K)
     d_plain = tokens_for_delta(plain, 124e6, 10.24e9, 0.01 / VOCAB_RESCALE_50K_TO_32K)
     d_rescaled = tokens_for_delta(rescaled, 124e6, 10.24e9, 0.01)
-    assert d_rescaled == pytest.approx(d_plain, rel=1e-12)
+    assert d_rescaled == pytest.approx(d_plain, rel=1e-15)  # measured 0
 
 
 def test_vocab_rescale_constant():
