@@ -196,7 +196,8 @@ def _cmd_bound(args) -> dict:
     gamma = _gamma_arg(args.gamma)
     # the terms do not depend on gamma, and the curve's last row gives gamma_star
     spec = bounds.BoundSpec(sched, grad, args.D, 1.0 if gamma is None else gamma)
-    curve = bounds.bound_curve(spec, stride=args.stride)
+    stride = bounds.default_stride(sched.horizon) if args.stride is None else args.stride
+    curve = bounds.bound_curve(spec, stride=stride)
     gamma_star = curve.optimal_gamma
     if gamma is None:
         curve = curve.at_gamma(gamma_star)
@@ -211,6 +212,8 @@ def _cmd_bound(args) -> dict:
         "T2_final": curve.noise_final,
         "tuned_bound_final": 2.0 * math.sqrt(curve.dist_final * curve.noise_final),
         "noise_kernel": curve.noise_kernel,
+        "stride": stride,
+        "horizons": curve.t.size,
     }
     return _write(args, headlines, [(args.name, ["t", "omega", "T1", "T2"], rows)])
 

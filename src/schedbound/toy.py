@@ -7,11 +7,20 @@ Gradient norms do not vanish as the loss shrinks (the subgradient is
 always a signed row of A), which is exactly the regime the last-iterate
 bound is built for.
 
-Reproducibility: problems are drawn from numpy's Philox counter-based
-generator (4x64, 10 rounds), seeded with SeedSequence(seed).  Draw
-order is fixed: first the m*d entries of A row-major, then the d
-entries of the oracle point, all uniform on [-1, 1].  Same seed, same
-problem, bit for bit.
+Reproducibility: problems are drawn from the Philox4x64-10
+counter-based generator (Salmon et al., SC 2011), computed here:
+
+- key: the two 64-bit words of numpy's SeedSequence(seed).generate_state
+  (its 4-word pool, entropy = seed in 32-bit little-endian words);
+- block c (c = 1, 2, ...): ten Philox rounds on the counter (c, 0, 0, 0),
+  giving four 64-bit words; the words of blocks 1, 2, ... form the stream;
+- draw x: low + (high - low) * ((x >> 11) * 2**-53), uniform on [-1, 1).
+
+Draw order is fixed: first the m*d entries of A row-major, then the d
+entries of the oracle point.  The stream equals that of
+np.random.Generator(np.random.Philox(seed)).uniform bit for bit (the
+tests hold it to that), but it is defined here, so it stays fixed
+whatever numpy's generators do.  Same seed, same problem, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,12 +90,78 @@ class RunRecord:
         return ["t", "eta", "loss"], zip(steps, self.schedule_used.values, self.losses)
 
 
+_MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: a 32-bit hash whose constant advances at every call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _philox_key(seed: int) -> tuple[int, int]:
+    """SeedSequence(seed).generate_state(2, np.uint64), in Python ints (numpy scalars warn on overflow)."""
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (entropy + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    w0, w1, w2, w3 = (out(w) for w in pool)
+    return w0 | w1 << 32, w2 | w3 << 32
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 64-bit halves of a * m, the high one from 32-bit limbs."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    m_lo, m_hi = m & _MASK32, m >> 32
+    lh, hl = a_lo * m_hi, a_hi * m_lo
+    mid = (a_lo * m_lo >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    return a * np.uint64(m), a_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+
+
+def _uniforms(seed: int, n: int) -> np.ndarray:
+    """The first n draws on [-1, 1) of the Philox4x64-10 stream keyed by seed (module docstring)."""
+    k0, k1 = _philox_key(seed)
+    blocks = -(-n // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(blocks, dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        lo0, hi0 = _mulhilo(c0, _PHILOX_M[0])
+        lo1, hi1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    words = np.stack([c0, c1, c2, c3], axis=1).ravel()[:n]
+    return -1.0 + 2.0 * ((words >> 11) * 2.0**-53)
+
+
 def generate_problem(m: int = 20, d: int = 2, seed: int = 0) -> ToyProblem:
     """Random instance: A uniform on [-1,1]^(m x d), b = A @ x_oracle, x_start = 0."""
     m, d, seed = integer(m, "row count m"), integer(d, "dimension d"), integer(seed, "seed", 0)
-    rng = np.random.Generator(np.random.Philox(seed))
-    A = rng.uniform(-1.0, 1.0, size=(m, d))
-    x_oracle = rng.uniform(-1.0, 1.0, size=d)
+    draws = _uniforms(seed, m * d + d)
+    # x_oracle gets its own aligned buffer, as from numpy's generator: BLAS kernels may sum by alignment
+    A, x_oracle = draws[: m * d].reshape(m, d), draws[m * d :].copy()
     return ToyProblem(A=A, b=A @ x_oracle, x_start=np.zeros(d), x_oracle=x_oracle, seed=seed)
 
 

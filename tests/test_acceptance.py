@@ -144,7 +144,7 @@ def test_criterion_08_summation_identity_oracles():
             correction += (w[k - 1] / tail_after) * ((wq[k - 1 :].sum() - w[k - 1 :].sum() * q[k - 1]) / tail_incl)
         rhs = avg + correction
         scale = max(float(np.max(np.abs(q))), 1.0)
-        assert abs(q[-1] - rhs) <= 1e-9 * scale
+        assert abs(q[-1] - rhs) <= 1.5e-13 * scale  # measured 1.3e-14 here, 3.7e-14 over 1000 draws
     # arithmetic-series closed forms, exact in integer arithmetic
     T = 10**4
     ls = sorted(set(np.linspace(1, T + 1, 60, dtype=int)) | {1, 2, T, T + 1})
@@ -220,7 +220,7 @@ def test_criterion_12_toy_simulator_goldens():
         x = rng.uniform(-2.0, 2.0, size=2)
         y = rng.uniform(-2.0, 2.0, size=2)
         g = toy.linf_subgradient(problem, x)
-        assert toy.loss(problem, y) >= toy.loss(problem, x) + g @ (y - x) - 1e-9
+        assert toy.loss(problem, y) >= toy.loss(problem, x) + g @ (y - x) - 3.6e-15  # measured 4.4e-16 here, 8.9e-16 over 1e5 pairs
     # golden trajectory is byte-stable across independent runs
     again = toy.comparison_runs(seed=0, T=T)
     header = ["t", "eta", "loss"]

@@ -82,6 +82,25 @@ def test_bound_takes_gamma_star_from_the_curve(tmp_path, capsys, monkeypatch, sp
     assert [float(ln.split(",")[1]) for ln in rows] == curve.values.tolist()
 
 
+@pytest.mark.parametrize(
+    "spec, flags",
+    [("wsd:T=100000,c=0.2", []), ("constant:T=5000", []), ("cosine:T=400", ["--stride", "7"]), ("wsd:T=50,c=0.3", ["--stride", "100"])],
+)
+def test_bound_summary_says_which_horizons_ran(tmp_path, capsys, spec, flags):
+    from schedbound.schedules import parse_spec
+
+    T = parse_spec(spec).horizon
+    code, out, _ = run_cli(["bound", "--schedule", spec, *flags, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    summary = json.loads(out)
+    stride = int(flags[1]) if flags else bounds.default_stride(T)
+    assert summary["stride"] == stride
+    assert summary["config"]["stride"] == (stride if flags else None)
+    curve = bounds.bound_curve(bounds.BoundSpec(parse_spec(spec)), stride=stride)
+    rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
+    assert summary["horizons"] == len(curve.t) == len(rows)
+
+
 def test_sweep_gamma(tmp_path, capsys):
     code, out, _ = run_cli(
         [

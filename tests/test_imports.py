@@ -27,6 +27,35 @@ def test_imports_are_relative_numpy_or_stdlib(path):
     assert not outside, f"{path.name} imports {outside}"
 
 
+def _numpy_random_references(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}:
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            yield from (node.lineno for alias in node.names if alias.name.startswith("numpy.random"))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+            ):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_never_references_numpy_random(path):
+    # the toy problem's Philox draws are computed in toy.py; numpy.random is a 6 MiB import
+    assert list(_numpy_random_references(path)) == [], f"{path.name} references numpy.random"
+
+
+def test_numpy_random_rule_sees_every_spelling(tmp_path):
+    path = tmp_path / "spellings.py"
+    path.write_text(
+        "import numpy as np\nimport numpy.random\nfrom numpy import random\nfrom numpy.random import Philox\n"
+        "np.random.Generator\nnumpy.random.Philox\nrandom.random()\n"
+    )
+    assert list(_numpy_random_references(path)) == [2, 3, 4, 5, 6]
+
+
 def test_check_sees_every_module():
     assert {p.name for p in PACKAGE.glob("*.py")} >= {"bounds.py", "cli.py", "serialize.py"}
 
@@ -65,6 +94,21 @@ def test_subcommand_imports_only_what_it_runs(argv, tmp_path):
     imported = _imported(argv, tmp_path)
     assert {"schedbound.bounds", "schedbound.serialize"} <= imported
     assert not imported & UNUSED_BY_BOUND
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repro", "all"],
+        ["toy-run", "--schedule", "wsd:T=100,c=0.2", "--gamma", "0.02", "--m", "50", "--d", "5", "--record-iterates"],
+        ["toy-compare"],
+    ],
+    ids=["repro all", "toy-run", "toy-compare"],
+)
+def test_toy_commands_never_load_numpy_random(argv, tmp_path):
+    imported = _imported(argv, tmp_path)
+    assert "schedbound.toy" in imported
+    assert not {name for name in imported if name.split(".")[:2] == ["numpy", "random"]}
 
 
 def test_package_exports_resolve_lazily():

@@ -51,6 +51,15 @@ class TestGenerateProblem:
         c = generate_problem(10, 3, 43)
         assert not np.array_equal(a.A, c.A)
 
+    # m*d + d words: 2, 15, 42 and 2114 leave a part-used Philox block, 24 does not
+    @pytest.mark.parametrize("m, d", [(1, 1), (2, 5), (20, 2), (7, 3), (301, 7)])
+    def test_draws_equal_numpy_philox_bit_for_bit(self, m, d):
+        for seed in [*range(200), 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 7, 2**200 + 3]:  # 1 to 7 entropy words
+            p = generate_problem(m, d, seed)
+            rng = np.random.Generator(np.random.Philox(seed))
+            assert np.array_equal(p.A, rng.uniform(-1.0, 1.0, size=(m, d))), seed
+            assert np.array_equal(p.x_oracle, rng.uniform(-1.0, 1.0, size=d)), seed
+
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_problem(0, 2, 0)
@@ -98,7 +107,7 @@ class TestLossAndSubgradient:
         x = rng.uniform(-2.0, 2.0, size=3)
         y = rng.uniform(-2.0, 2.0, size=3)
         g = linf_subgradient(p, x)
-        assert loss(p, y) >= loss(p, x) + g @ (y - x) - 1e-9
+        assert loss(p, y) >= loss(p, x) + g @ (y - x) - 6e-15  # measured 1.6e-15 over 170,000 draws
 
 
 class TestRunSgd:
