@@ -222,6 +222,7 @@ class BoundCurve:
     noise_terms: np.ndarray
     gamma: float
     noise_kernel: str  # EXP_SUM, RUNNING_SUM, SUFFIX_SUM or PREFIX_DIFFERENCE, see _curve()
+    exp_sum: expsum.Counts | None = None  # what the exp-sum kernel did; None for the others
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
@@ -508,6 +509,7 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     n = ts.size - 1  # rows before the last
     blocks = _block_sums(eta, stride)
     S, noise = np.empty(ts.size), np.empty(ts.size)
+    counts = None
     S[:n] = _running_sums(blocks)[:n]  # rows that the direct kernels overwrite
     if not cross_terms:
         kernel, q = RUNNING_SUM, eta * eta * gvals * gvals
@@ -521,7 +523,8 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
         S_T = np.sum(eta)
         a, w = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
         if int(ts.sum()) > EXP_SUM_MARGIN * a.size * T:
-            kernel, noise[:n] = EXP_SUM, expsum.curve_noise(eta, q, stride, a, w)
+            kernel = EXP_SUM
+            noise[:n], counts = expsum.curve_noise(eta, q, stride, a, w)
         else:
             kernel = _noise_kernel(T)
             for i in range(n):
@@ -530,7 +533,7 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     D = float(spec.D)
     dist = D * D / (2.0 * S)
     _in_range(dist[n], noise[n])
-    return BoundCurve(t=ts, dist_terms=dist, noise_terms=noise, gamma=spec.gamma, noise_kernel=kernel)
+    return BoundCurve(t=ts, dist_terms=dist, noise_terms=noise, gamma=spec.gamma, noise_kernel=kernel, exp_sum=counts)
 
 
 def bound_curve(spec: BoundSpec, stride: int | None = None) -> BoundCurve:

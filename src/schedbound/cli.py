@@ -22,7 +22,7 @@ import numpy as np
 
 # only what `bound`, `schedule` and the parser need; the other handlers
 # import tuning, toy and repro themselves
-from . import bounds, scaling, schedules, serialize
+from . import bounds, expsum, schedules, serialize
 from ._checks import integer, positive
 
 OUTDIR_ENV = "SCHEDBOUND_OUTDIR"
@@ -116,13 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=float, required=True, help="parameter count")
     p.add_argument("--D", type=float, required=True, help="token count")
     p.add_argument("--solve", choices=("tokens", "params"), required=True)
-    law = scaling.ScalingLaw()
-    p.add_argument("--E", type=float, default=law.E)
-    p.add_argument("--A", type=float, default=law.A)
-    p.add_argument("--B", type=float, default=law.B)
-    p.add_argument("--alpha", type=float, default=law.alpha)
-    p.add_argument("--beta", type=float, default=law.beta)
-    p.add_argument("--loss-scale", type=float, default=law.loss_scale)
+    # the handler fills in ScalingLaw's defaults, so the parser need not import scaling
+    for flag in ("--E", "--A", "--B", "--alpha", "--beta", "--loss-scale"):
+        p.add_argument(flag, type=float)
     _add_common(p, "scaling_law")
 
     p = sub.add_parser("fit", help="fit a parametric model to (x, y) CSV data")
@@ -204,6 +200,7 @@ def _cmd_bound(args) -> dict:
     if not np.isfinite(curve.values).all():  # bound_curve leaves an overflow as inf
         raise ValueError(f"--gamma {args.gamma} overflows the bound")
     rows = zip(curve.t, curve.values, curve.dist_terms, curve.noise_terms)
+    counts = curve.exp_sum or expsum.Counts(None, None, None)
     headlines = {
         "gamma_used": curve.gamma,
         "gamma_star": gamma_star,
@@ -214,6 +211,9 @@ def _cmd_bound(args) -> dict:
         "noise_kernel": curve.noise_kernel,
         "stride": stride,
         "horizons": curve.t.size,
+        "exp_sum_nodes": counts.nodes,
+        "exp_sum_groups": counts.groups,
+        "exp_sum_shared_groups": counts.shared,
     }
     return _write(args, headlines, [(args.name, ["t", "omega", "T1", "T2"], rows)])
 
@@ -337,7 +337,11 @@ def _cmd_toy_compare(args) -> dict:
 
 
 def _cmd_scaling_law(args) -> dict:
-    law = scaling.ScalingLaw(args.E, args.A, args.B, args.alpha, args.beta, args.loss_scale)
+    from . import scaling
+
+    given = {k: getattr(args, k) for k in ("E", "A", "B", "alpha", "beta", "loss_scale")}
+    law = scaling.ScalingLaw(**{k: v for k, v in given.items() if v is not None})
+    vars(args).update(vars(law))  # the config echo shows the constants used
     if args.solve == "tokens":
         result = scaling.tokens_for_delta(law, args.N, args.D, args.delta)
     else:

@@ -28,6 +28,20 @@ formed one degree at a time, in place) and O(J) per group.  The
 default-stride rows of wsd, 1-sqrt, cosine and constant at T = 100000
 differ by at most 4.4e-16 relative from taking every node live.
 
+Groups share their exponentials where the schedule is flat.  When every
+group of a chunk has the same steps eta_k, bit for bit, they have the same
+gaps, so the live nodes' exponentials, the decay rows exp(-a (S_t - S_{t_0}))
+and the expm1 rows of the state update are formed for one group and serve
+all of them: the inflow's matmul takes the one row as a stride-0 batch
+operand, which makes the same per-group BLAS calls, and the decay rows are
+copied.  The products and sums are those of the per-group arrays, so the
+curve is the same bit for bit.  Constant schedules, the flat phase of wsd
+and both levels of extended gain (1,562 of the 1,999 default-stride groups
+of wsd at T = 100000, c = 0.2, take shared exponentials); cosine, inv-sqrt
+and cooldowns have no two groups with equal steps and share nothing, and
+a chunk of one group, as on every T <= 400 curve of repro, has nothing to
+share.  curve_noise returns these counts with the noise (Counts).
+
 Against the exact oracle the tests hold every row at T = 240, stride 1
 and 7, on every schedule family to 5e-16 relative on the distance term
 and 4e-15 on the noise term (measured: at most 1.7e-16 and 1.2e-15), and
@@ -35,7 +49,9 @@ every row of constant(100000) at the default stride and stride 1 to
 4e-15 (measured: at most 8.9e-16).  At sampled rows of
 constant, wsd, 1-sqrt and cosine curves at T = 100000 (alpha 0 and -0.5)
 the kernel is within 3.1e-15 of the exact oracle, where the direct
-suffix-sum kernel is up to 1.5e-14 off on cosines.  The state's rounding
+suffix-sum kernel is up to 1.5e-14 off on cosines, and next to the level
+changes of extended(40000, 0.2, 100000, 0.5), in chunks that share and
+chunks that straddle a change, within 3.7e-15 (the tests hold 8e-15).  The state's rounding
 errors add up with the number of groups it crosses: at T = 1000000 the
 sampled wsd rows are within 5.1e-15 at the default stride, but a wsd curve at
 stride 1 (15,600 groups) is 1.1e-14 off near T, against 5e-17 for the
@@ -45,6 +61,7 @@ direct kernel.  The error is not measured beyond that.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +118,18 @@ def _moment_inflow(q, g, a) -> np.ndarray:
     return (moments @ np.cumprod(coef, axis=0, out=coef)) * np.exp(np.multiply.outer(-0.5 * span, a))
 
 
-def curve_noise(eta, q, stride: int, a, w) -> np.ndarray:
-    """Noise term at the horizons 1, 1 + stride, ... < T, from nodes (a, w).
+class Counts(NamedTuple):
+    """What curve_noise did: its node count J, the groups of horizons the
+    state stepped over, and how many of them took their exponentials from
+    another group's row."""
+
+    nodes: int
+    groups: int
+    shared: int
+
+
+def curve_noise(eta, q, stride: int, a, w) -> tuple[np.ndarray, Counts]:
+    """Noise term at the horizons 1, 1 + stride, ... < T, from nodes (a, w), and its Counts.
 
     The horizons go in groups of `rows`, so that a group spans about
     GROUP steps.  At horizon t in the group that starts at t_0, the single
@@ -116,7 +143,9 @@ def curve_noise(eta, q, stride: int, a, w) -> np.ndarray:
     Exponents are clamped at CLAMP, where the terms are far below
     rounding, so nothing goes subnormal.  Each group's inflow takes the
     three node classes of the module docstring.  The groups go in chunks
-    whose working arrays hold at most about 3 T floats in all.
+    whose working arrays hold at most about 3 T floats in all.  When every
+    group of a chunk has the same steps, the chunk's exponentials come from
+    u = 1 row of gaps, else from u = nc rows (module docstring).
     """
     T = eta.size
     n = (T - 2) // stride  # horizons after the first and before T
@@ -127,10 +156,12 @@ def curve_noise(eta, q, stride: int, a, w) -> np.ndarray:
     rows = max(1, GROUP // stride)
     # a node is neither smooth nor dead in any group, of at most rows * stride
     # steps, only if SMOOTH / (rows * stride * max eta) < a_j < CLAMP / min eta
-    live = np.searchsorted(a, CLAMP / eta.min()) - np.searchsorted(a, SMOOTH / (rows * stride * eta.max()), "right")
+    # (an int, so that the chunk sizes below are Python ints)
+    live = int(np.searchsorted(a, CLAMP / eta.min()) - np.searchsorted(a, SMOOTH / (rows * stride * eta.max()), "right"))
     r = np.zeros(J)
     tmp = np.empty(J)
     i = 0  # horizons done, after the first
+    groups = shared = 0
     while i < n:
         m = min(rows, n - i)
         L = m * stride
@@ -138,34 +169,43 @@ def curve_noise(eta, q, stride: int, a, w) -> np.ndarray:
         nc = min((n - i) // m, max(1, 3 * T // (L * (m + TAYLOR + live) + (m + 5) * J)))  # groups in this chunk
         lo, hi = i * stride, (i + nc * m) * stride
         qs = q[lo:hi].reshape(nc, 1, L)
+        steps = eta[1 + lo : 1 + hi].reshape(nc, 1, L)
         own = np.arange(L) < stride * np.arange(1, m + 1)[:, None]  # k < t, per horizon of a group
-        gaps = np.cumsum((eta[1 + lo : 1 + hi].reshape(nc, 1, L) * own)[..., ::-1], axis=2)[..., ::-1]
+        gaps = np.cumsum((steps * own)[..., ::-1], axis=2)[..., ::-1]
         out = noise[1 + i : 1 + i + nc * m]
         out += np.divide(qs, gaps, out=np.zeros(gaps.shape), where=own).sum(axis=2).ravel()
+        # groups with equal steps have equal gaps, bit for bit: their exponentials
+        # then come from u = 1 row of gaps, and group b takes row b % u (the
+        # first test is a cheap necessary one, false on a decaying schedule)
+        u = 1 if nc > 1 and steps[-1, 0, 0] == steps[0, 0, 0] and (steps == steps[0]).all() else nc
         g = gaps[:, -1]  # S_{t_1} - S_k
         span = g[:, 0]
         smooth = np.searchsorted(a, SMOOTH / span.max(), side="right")
         dead = np.searchsorted(a, CLAMP / g.min())
         inflow = np.zeros((nc, J))
-        inflow[:, smooth:dead] = np.matmul(qs, _clamped_exp(np.multiply.outer(g, neg_a[smooth:dead])))[:, 0]
+        inflow[:, smooth:dead] = np.matmul(qs, _clamped_exp(np.multiply.outer(g[:u], neg_a[smooth:dead])))[:, 0]
         if smooth:
             inflow[:, :smooth] = _moment_inflow(qs[:, 0], g, a[:smooth])
-        decay = _clamped_exp(np.multiply.outer(gaps[:, :, 0], neg_a))  # exp(-a (S_t - S_{t_0}))
+        decay = np.empty((nc, m, J))  # exp(-a (S_t - S_{t_0}))
+        _clamped_exp(np.multiply.outer(gaps[:u, :, 0], neg_a, out=decay[:u]))
+        decay[u:] = decay[0]
         # r * exp(-a x) with a rounded exp(-a x) near 1 repeats one relative
         # error at every group, which compounds; there the product is taken
         # as r + r * expm1(-a x), whose rounding does not repeat
-        last = decay[:, -1]
+        last = decay[:u, -1]
         near_one = last >= 0.5
         keep = np.where(near_one, 1.0, last)
-        lost = np.where(near_one, np.expm1(np.multiply.outer(gaps[:, -1, 0], neg_a)), 0.0)
+        lost = np.where(near_one, np.expm1(np.multiply.outer(gaps[:u, -1, 0], neg_a)), 0.0)
         start = np.empty((nc, J))
         for b in range(nc):
             start[b] = r
-            np.multiply(r, lost[b], out=tmp)
-            r *= keep[b]
+            np.multiply(r, lost[b % u], out=tmp)
+            r *= keep[b % u]
             r += tmp
             r += inflow[b]
         decay *= start[:, None, :]
         out += (decay @ w).ravel()
         i += nc * m
-    return 0.5 * noise
+        groups += nc
+        shared += nc - u
+    return 0.5 * noise, Counts(J, groups, shared)

@@ -94,6 +94,8 @@ _MASK32 = 2**32 - 1
 _MASK64 = 2**64 - 1
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox blocks (4 draws each) that _uniforms takes through the rounds at once
+_SLICE = 8192
 
 
 def _hasher(const: int, mult: int):
@@ -141,19 +143,29 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uniforms(seed: int, n: int) -> np.ndarray:
-    """The first n draws on [-1, 1) of the Philox4x64-10 stream keyed by seed (module docstring)."""
-    k0, k1 = _philox_key(seed)
+    """The first n draws on [-1, 1) of the Philox4x64-10 stream keyed by seed (module docstring).
+
+    The rounds run on slices of _SLICE blocks, so their temporaries stay a
+    fixed size whatever n is; each draw depends only on its own block.
+    """
+    key = _philox_key(seed)
     blocks = -(-n // 4)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros(blocks, dtype=np.uint64)
-    for r in range(10):
-        if r:
-            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-        lo0, hi0 = _mulhilo(c0, _PHILOX_M[0])
-        lo1, hi1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    words = np.stack([c0, c1, c2, c3], axis=1).ravel()[:n]
-    return -1.0 + 2.0 * ((words >> 11) * 2.0**-53)
+    out = np.empty(4 * blocks)
+    for first in range(0, blocks, _SLICE):
+        c0 = np.arange(1 + first, 1 + min(first + _SLICE, blocks), dtype=np.uint64)
+        c1 = c2 = c3 = np.zeros(c0.size, dtype=np.uint64)
+        k0, k1 = key
+        for r in range(10):
+            if r:
+                k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+            lo0, hi0 = _mulhilo(c0, _PHILOX_M[0])
+            lo1, hi1 = _mulhilo(c2, _PHILOX_M[1])
+            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        draws = out[4 * first : 4 * (first + c0.size)]
+        np.multiply(np.stack([c0, c1, c2, c3], axis=1).ravel() >> 11, 2.0**-53, out=draws)
+        draws *= 2.0
+        draws -= 1.0
+    return out[:n]
 
 
 def generate_problem(m: int = 20, d: int = 2, seed: int = 0) -> ToyProblem:

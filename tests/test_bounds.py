@@ -656,6 +656,24 @@ def _cumprod_moment_inflow(q, g, a):
     return (moments @ np.cumprod(coef, axis=0, out=coef)) * np.exp(np.multiply.outer(-0.5 * span, a))
 
 
+def _chunk_exponentials(qs, steps, m, neg_a, start, w):
+    """What curve_noise takes from exponentials for a chunk of len(qs) groups, from u rows of steps.
+
+    The live inflow sum_k q_k exp(-a g_k), the far field w . (exp(-a (S_t - S_{t_0})) start) and
+    the expm1 rows of each group, formed as the kernel forms them from u rows of gaps.
+    """
+    (nc, _, L), u = qs.shape, len(steps)
+    own = np.arange(L) < L // m * np.arange(1, m + 1)[:, None]
+    gaps = np.cumsum((steps * own)[..., ::-1], axis=2)[..., ::-1]
+    inflow = np.matmul(qs, expsum._clamped_exp(np.multiply.outer(gaps[:, -1], neg_a)))
+    decay = np.empty((nc, m, neg_a.size))
+    expsum._clamped_exp(np.multiply.outer(gaps[:, :, 0], neg_a, out=decay[:u]))
+    decay[u:] = decay[0]
+    decay *= start[:, None, :]
+    lost = np.expm1(np.multiply.outer(gaps[:, -1, 0], neg_a))
+    return inflow, decay @ w, lost[np.arange(nc) % u]
+
+
 class TestExpSum:
     @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("alpha", [0.0, -0.5])
@@ -777,6 +795,76 @@ class TestExpSum:
         for row in (2, 1600, 1999):  # 1999 is the last row from the exp-sum kernel
             exact = single_sum_noise(sched.values, np.ones(sched.horizon), [int(curve.t[row])], digits=60)
             assert rel_err(curve.noise_terms[row], exact[0]) <= 8e-15, row  # measured 2.2e-15
+
+    @given(
+        nc=st.integers(2, 8),
+        m=st.integers(1, 4),
+        stride=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_exponentials_equal_per_group_ones(self, nc, m, stride, seed):
+        # groups with equal steps take their exponentials from one row; broadcast
+        # over the chunk they must be the per-group ones bit for bit
+        rng = np.random.default_rng(seed)
+        L, J = m * stride, int(rng.integers(1, 260))
+        steps = rng.uniform(0.01, 1.0, size=(nc, 1, L)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        qs = rng.uniform(0.0, 1.0, size=(nc, 1, L)) * (rng.uniform(size=(nc, 1, L)) < 0.9)  # q >= 0, some 0
+        neg_a = -np.sort(10.0 ** rng.uniform(-4.0, 3.0, size=J)) / L
+        start, w = rng.uniform(0.0, 1.0, size=(nc, J)), rng.uniform(0.0, 1.0, size=J)
+        same = np.repeat(steps[:1], nc, axis=0)
+        shared = _chunk_exponentials(qs, steps[:1], m, neg_a, start, w)
+        for got, want in zip(shared, _chunk_exponentials(qs, same, m, neg_a, start, w)):
+            assert np.array_equal(got, want)
+        # control, distinct steps: a group's own row gives its row of the chunk, and row 0 does not
+        chunk = _chunk_exponentials(qs, steps, m, neg_a, start, w)
+        for b in range(nc):
+            alone = _chunk_exponentials(qs[b : b + 1], steps[b : b + 1], m, neg_a, start[b : b + 1], w)
+            for got, want in zip(alone, chunk):
+                assert np.array_equal(got[0], want[b])
+        assert not np.array_equal(_chunk_exponentials(qs, steps[:1], m, neg_a, start, w)[1], chunk[1])
+
+    @pytest.mark.parametrize(
+        "sched, stride",
+        [
+            (constant(bounds.LONG_HORIZON), None),
+            (constant(bounds.LONG_HORIZON), 1),
+            (cosine(bounds.LONG_HORIZON), None),
+            (wsd(bounds.LONG_HORIZON, 0.2), None),
+        ],
+        ids=["constant", "constant-stride-1", "cosine", "wsd"],
+    )
+    def test_counts_say_what_ran(self, monkeypatch, sched, stride):
+        shapes = []  # of every array curve_noise exponentiates
+        clamped = expsum._clamped_exp
+        monkeypatch.setattr(expsum, "_clamped_exp", lambda x: shapes.append(x.shape) or clamped(x))
+        curve = bound_curve(BoundSpec(sched), stride=stride)
+        counts, T = curve.exp_sum, sched.horizon
+        stride = stride or default_stride(T)
+        assert curve.noise_kernel == bounds.EXP_SUM
+        # the state's horizons are those after the first and before T, in groups of GROUP // stride
+        assert counts.groups == -(-(len(curve.t) - 2) // max(1, expsum.GROUP // stride))
+        decay_rows = [shape[0] for shape in shapes if shape[-1] == counts.nodes]  # (u, m, J) per chunk
+        assert sum(decay_rows) == counts.groups - counts.shared
+        if sched.values.min() == sched.values.max():
+            # every block of stride ones sums to stride, and each chunk computes one set of exponentials
+            assert counts.nodes == expsum.nodes(stride, T)[0].size
+            assert set(shape[0] for shape in shapes) == {1}
+        elif sched.values[0] > sched.values[1]:  # cosine: no two groups have the same steps
+            assert counts.shared == 0
+        else:
+            assert 0 < counts.shared < counts.groups
+
+    def test_extended_rows_match_exact_oracle(self):
+        # rho sets in at step 32000 and the cooldown at 80001; at the default stride (50)
+        # rows 640-710 and 1563-1633 are chunks that straddle them, and the chunks on
+        # either side share one set of exponentials
+        sched = extended(40000, 0.2, bounds.LONG_HORIZON, 0.5)
+        curve = bound_curve(BoundSpec(sched))
+        assert curve.noise_kernel == bounds.EXP_SUM and 0 < curve.exp_sum.shared < curve.exp_sum.groups
+        rows = (639, 640, 641, 710, 711, 1562, 1563, 1600, 1601, 1633, 1634)
+        exact = single_sum_noise(sched.values, np.ones(sched.horizon), [int(curve.t[row]) for row in rows], digits=60)
+        for row, value in zip(rows, exact):
+            assert rel_err(curve.noise_terms[row], value) <= 8e-15, row  # measured 3.7e-15 (3.4e-16 around step 32000)
 
     def test_curve_memory(self):
         T = bounds.LONG_HORIZON

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from schedbound import bounds, cli
+from schedbound import bounds, cli, expsum
 from schedbound.schedules import wsd
 
 
@@ -99,6 +99,13 @@ def test_bound_summary_says_which_horizons_ran(tmp_path, capsys, spec, flags):
     curve = bounds.bound_curve(bounds.BoundSpec(parse_spec(spec)), stride=stride)
     rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
     assert summary["horizons"] == len(curve.t) == len(rows)
+    # the exp-sum counts are the curve's own, and null for the direct kernels
+    said = (summary["exp_sum_nodes"], summary["exp_sum_groups"], summary["exp_sum_shared_groups"])
+    if curve.noise_kernel == bounds.EXP_SUM:
+        assert said == tuple(curve.exp_sum)
+        assert summary["exp_sum_groups"] == -(-(len(curve.t) - 2) // max(1, expsum.GROUP // stride))
+    else:
+        assert said == (None, None, None)
 
 
 def test_sweep_gamma(tmp_path, capsys):
@@ -268,6 +275,16 @@ def test_scaling_law_tokens(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["result"] == pytest.approx(10.88e9, rel=5e-3)
     assert summary["config"]["alpha"] == 0.3478
+
+
+def test_scaling_law_config_echoes_the_constants_used(tmp_path, capsys):
+    from schedbound.scaling import ScalingLaw
+
+    argv = ["scaling-law", "--delta", "0.01", "--N", "124e6", "--D", "10.24e9", "--solve", "params"]
+    code, out, _ = run_cli([*argv, "--E", "2", "--loss-scale", "0.959", "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert {k: config[k] for k in vars(ScalingLaw())} == {**vars(ScalingLaw()), "E": 2.0, "loss_scale": 0.959}
 
 
 def test_scaling_law_infeasible_is_validation_error(tmp_path, capsys):

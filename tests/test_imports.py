@@ -71,7 +71,7 @@ def test_oracles_trust_nothing_they_check():
 
 ROOT = PACKAGE.parents[1]
 # what `bound` and `schedule` never run
-UNUSED_BY_BOUND = {"schedbound.tuning", "schedbound.toy", "schedbound.repro"}
+UNUSED_BY_BOUND = {"schedbound.tuning", "schedbound.toy", "schedbound.repro", "schedbound.scaling"}
 
 
 def _imported(argv, tmp_path) -> set[str]:

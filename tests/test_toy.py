@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedbound import serialize
+from schedbound import serialize, toy
 from schedbound.bounds import BoundSpec, GradNormModel, bound_curve
 from schedbound.schedules import constant, wsd
 from schedbound.toy import (
@@ -51,14 +53,33 @@ class TestGenerateProblem:
         c = generate_problem(10, 3, 43)
         assert not np.array_equal(a.A, c.A)
 
-    # m*d + d words: 2, 15, 42 and 2114 leave a part-used Philox block, 24 does not
-    @pytest.mark.parametrize("m, d", [(1, 1), (2, 5), (20, 2), (7, 3), (301, 7)])
-    def test_draws_equal_numpy_philox_bit_for_bit(self, m, d):
-        for seed in [*range(200), 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 7, 2**200 + 3]:  # 1 to 7 entropy words
+    SEEDS = [*range(200), 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 7, 2**200 + 3]  # 1 to 7 entropy words
+
+    # m*d + d words: 2, 15, 42, 2114 and 100,110 leave a part-used Philox block, 24 does not;
+    # 100,110 words span more than 3 slices of the rounds, and take 4 of the seeds
+    @pytest.mark.parametrize(
+        "m, d, seeds",
+        [(1, 1, SEEDS), (2, 5, SEEDS), (20, 2, SEEDS), (7, 3, SEEDS), (301, 7, SEEDS), (10010, 10, [0, 1, 2**64 - 1, 2**200 + 3])],
+        ids=["1-1", "2-5", "20-2", "7-3", "301-7", "10010-10"],
+    )
+    def test_draws_equal_numpy_philox_bit_for_bit(self, m, d, seeds):
+        assert m < 10010 or m * d + d > 3 * 4 * toy._SLICE  # the long case spans more than 3 slices
+        for seed in seeds:
             p = generate_problem(m, d, seed)
             rng = np.random.Generator(np.random.Philox(seed))
             assert np.array_equal(p.A, rng.uniform(-1.0, 1.0, size=(m, d))), seed
             assert np.array_equal(p.x_oracle, rng.uniform(-1.0, 1.0, size=d)), seed
+
+    def test_draws_hold_one_slice_of_working_memory(self):
+        n = 4_000_000
+        tracemalloc.start()
+        try:
+            toy._uniforms(0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 33.1 MB, the 32 MB of draws and 16 words per block of one slice (144 MB unsliced)
+        assert peak <= 1.5 * 8 * n + 16 * 8 * toy._SLICE
 
     def test_validation(self):
         with pytest.raises(ValueError):
