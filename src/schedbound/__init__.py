@@ -28,7 +28,6 @@ _EXPORTS = {
         "bound_value",
         "constant_bound_exact",
         "harmonic",
-        "harmonic_numbers",
         "linear_decay_bound_exact",
         "mirror_bound",
         "optimal_gamma",

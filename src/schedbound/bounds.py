@@ -142,15 +142,6 @@ def harmonic(n: int) -> float:
     return numerator / (1 << (_CHUNK_BITS * K))
 
 
-def harmonic_numbers(n: int) -> np.ndarray:
-    """Array [H_0, H_1, ..., H_n], each within one ulp: compensated prefix sums of the terms 1/k."""
-    n = integer(n, "n for the harmonic numbers H_0..H_n", 0)
-    out = np.zeros(n + 1)
-    if n:
-        out[1:] = _running_sums(1.0 / np.arange(1, n + 1, dtype=np.float64))
-    return out
-
-
 @dataclass(frozen=True)
 class GradNormModel:
     """Per-step bound on E ||g_t||^2 via G_t = G * t ** alpha.
@@ -165,9 +156,8 @@ class GradNormModel:
 
     def __post_init__(self):
         positive(self.G, "gradient norm scale")
-        if self.alpha > 0.0:
+        if finite(self.alpha, "gradient norm exponent") > 0.0:
             raise ValueError(f"gradient norm exponent must be <= 0, got {self.alpha}")
-        finite(self.alpha, "gradient norm exponent")
 
     def values(self, T: int) -> np.ndarray:
         """G_t for t = 1..T."""
@@ -524,7 +514,7 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
         a, w = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
         if int(ts.sum()) > EXP_SUM_MARGIN * a.size * T:
             kernel = EXP_SUM
-            noise[:n], counts = expsum.curve_noise(eta, q, stride, a, w)
+            noise[:n], counts = expsum.curve_noise(eta, q, ts[:n], stride, a, w)
         else:
             kernel = _noise_kernel(T)
             for i in range(n):

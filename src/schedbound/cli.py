@@ -331,9 +331,8 @@ def _cmd_toy_compare(args) -> dict:
     from . import toy
 
     runs = toy.comparison_runs(seed=args.seed, T=args.T)
-    names = ("wsd", "constant", "cosine")
-    headlines = {f"final_loss_{name}": float(runs[name].losses[-1]) for name in names}
-    return _write(args, headlines, [(f"{args.name}_{name}", *runs[name].table()) for name in names])
+    headlines = {f"final_loss_{name}": float(run.losses[-1]) for name, run in runs.items()}
+    return _write(args, headlines, [(f"{args.name}_{name}", *run.table()) for name, run in runs.items()])
 
 
 def _cmd_scaling_law(args) -> dict:

@@ -128,8 +128,8 @@ class Counts(NamedTuple):
     shared: int
 
 
-def curve_noise(eta, q, stride: int, a, w) -> tuple[np.ndarray, Counts]:
-    """Noise term at the horizons 1, 1 + stride, ... < T, from nodes (a, w), and its Counts.
+def curve_noise(eta, q, t, stride: int, a, w) -> tuple[np.ndarray, Counts]:
+    """Noise term at the horizons t = 1, 1 + stride, ... < T, from nodes (a, w), and its Counts.
 
     The horizons go in groups of `rows`, so that a group spans about
     GROUP steps.  At horizon t in the group that starts at t_0, the single
@@ -148,8 +148,7 @@ def curve_noise(eta, q, stride: int, a, w) -> tuple[np.ndarray, Counts]:
     u = 1 row of gaps, else from u = nc rows (module docstring).
     """
     T = eta.size
-    n = (T - 2) // stride  # horizons after the first and before T
-    t = np.arange(1, 2 + n * stride, stride)
+    n = t.size - 1  # horizons after the first
     noise = q[t - 1] / eta[t - 1]
     neg_a = -a
     J = a.size

@@ -140,9 +140,9 @@ def toy_runs() -> tuple[dict, list]:
     T0 = schedules.cooldown_start(T, 0.2)
     out: dict = {"seed": seed, "T": T, "T0": T0}
     tables = []
-    for name in ("wsd", "constant", "cosine"):
-        tables.append((f"toy_{name}", *runs[name].table()))
-        out[f"final_loss_{name}"] = float(runs[name].losses[-1])
+    for name, run in runs.items():
+        tables.append((f"toy_{name}", *run.table()))
+        out[f"final_loss_{name}"] = float(run.losses[-1])
     w = runs["wsd"].losses
     out["wsd_cooldown_drop_ratio"] = float(w[T0 - 1] / w[T - 1])
     out["wsd_pre_window_ratio"] = float(w[2 * T0 - T - 1] / w[T0 - 1])
@@ -165,14 +165,10 @@ def schedule_comparison() -> tuple[dict, list]:
         ("poly_alpha_1", schedules.polynomial_decay(T, 1.0)),
     ]
     rows = []
-    best_name, best_val = None, math.inf
     for name, sched in zoo:
         dist, noise = bounds.bound_terms(sched)
-        gs = math.sqrt(dist / noise)
-        val = 2.0 * math.sqrt(dist * noise)
-        rows.append((name, gs, val))
-        if val < best_val:
-            best_name, best_val = name, val
+        rows.append((name, math.sqrt(dist / noise), 2.0 * math.sqrt(dist * noise)))
+    best_name, _, best_val = min(rows, key=lambda r: r[2])
     headlines = {"T": T, "best_schedule": best_name, "best_tuned_bound": best_val}
     return headlines, [("schedule_comparison", ["schedule", "gamma_star", "tuned_bound"], rows)]
 
@@ -228,12 +224,11 @@ def scaling_law_cases() -> tuple[dict, list]:
     for mode, N, D in cases:
         if mode == "tokens":
             result = scaling.tokens_for_delta(law, N, D, delta)
-            rows.append((mode, N, D, delta, result))
             out[f"tokens_from_{D / 1e9:.2f}B"] = result
         else:
             result = scaling.params_for_delta(law, N, D, delta)
-            rows.append((mode, N, D, delta, result))
             out[f"params_from_{N / 1e6:.0f}M"] = result
+        rows.append((mode, N, D, delta, result))
     return out, [("scaling_law_cases", ["mode", "N", "D", "delta", "result"], rows)]
 
 

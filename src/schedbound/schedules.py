@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import fraction, integer, positive
+from ._checks import finite, fraction, integer, positive
 
 
 class CooldownShape(enum.Enum):
@@ -215,7 +215,7 @@ def cosine(T: int, final_fraction: float = 0.0, cycle_length: float = 1.0) -> Sc
         cycle_length: cycle length as a fraction of T, in (0, 1].
     """
     T = _allocatable_horizon(T)
-    f = float(final_fraction)
+    f = finite(final_fraction, "final fraction")
     if not 0.0 <= f < 1.0:
         raise ValueError(f"final fraction must be in [0, 1), got {f}")
     ell = fraction(cycle_length, "cycle length")

@@ -75,26 +75,16 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def json_text(obj) -> str:
     """Deterministic JSON: sorted keys, floats via repr (shortest round-trip).
 
-    Non-finite floats are rejected; the output must stay parseable by any
-    JSON reader.
+    numpy scalars and arrays go in as their Python values.  Non-finite
+    floats are rejected; the output must stay parseable by any JSON reader.
     """
-    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_numpy_value) + "\n"
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _numpy_value(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_text(path: str, text: str) -> str:

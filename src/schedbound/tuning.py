@@ -245,7 +245,7 @@ def transfer_horizon_rho(
     TRANSFER_REL_TOL; equal horizons give rho = 1.
     """
     reference = wsd(T_short, c, shape)
-    if T_long == T_short:
+    if integer(T_long, "extended horizon") == T_short:
         return _transfer(reference, lambda rho: reference, [1.0], "rho", grad_norms, D)
     grid = np.linspace(0.02, 1.0, 50) if rho_grid is None else rho_grid
     return _transfer(reference, lambda rho: extended(T_short, c, T_long, rho, c, shape), grid, "rho", grad_norms, D)
@@ -270,7 +270,7 @@ def transfer_horizon_cooldown(
     horizons give c_short.  feasible is False when even c_long = 1
     cannot reach the target.
     """
-    if T_long < T_short:
+    if integer(T_long, "extended horizon") < integer(T_short, "base horizon"):
         raise ValueError(f"extended horizon {T_long} must be >= base horizon {T_short}")
     build_short = _cooldown_family(T_short, shape, base)
     build_long = _cooldown_family(T_long, shape, base)

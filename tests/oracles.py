@@ -137,3 +137,22 @@ def coef_err(coef, exact) -> float:
     """
     big = max(abs(e) for e in exact)
     return max(rel_err(c, e) for c, e in zip(np.asarray(coef).tolist(), exact) if abs(e) >= big * Fraction(1e-12))
+
+
+def harmonic_numbers(n: int) -> np.ndarray:
+    """[H_0, H_1, ..., H_n] from TwoSum-compensated prefix sums of the float64 terms 1/k.
+
+    Not exact, unlike the rest of this module: each H_k is within one ulp of
+    the exactly rounded bounds.harmonic(k) (tests/test_bounds.py holds this),
+    far closer than the sandwich and curve tolerances it serves.
+    """
+    out = np.zeros(n + 1)
+    if n:
+        terms = 1.0 / np.arange(1, n + 1, dtype=np.float64)
+        total = np.cumsum(terms)
+        prev, new = total[:-1], total[1:]
+        added = new - prev
+        err = (prev - (new - added)) + (terms[1:] - added)  # the rounding error of each step
+        total[1:] += np.cumsum(err)
+        out[1:] = total
+    return out

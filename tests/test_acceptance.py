@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import harmonic_numbers
 
 from schedbound import bounds, scaling, serialize, toy, tuning
 from schedbound.bounds import (
@@ -21,7 +22,6 @@ from schedbound.bounds import (
     best_iterate_curve,
     constant_bound_exact,
     harmonic,
-    harmonic_numbers,
     linear_decay_bound_exact,
     mirror_bound,
     optimal_gamma,

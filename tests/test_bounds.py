@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import double_sum_terms, exponential_sums, prefix_sum_terms, rel_err, single_sum_noise, single_sum_terms
+from oracles import (
+    double_sum_terms,
+    exponential_sums,
+    harmonic_numbers,
+    prefix_sum_terms,
+    rel_err,
+    single_sum_noise,
+    single_sum_terms,
+)
 
 from schedbound import bounds, expsum
 from schedbound.bounds import (
@@ -22,7 +30,6 @@ from schedbound.bounds import (
     constant_bound_exact,
     default_stride,
     harmonic,
-    harmonic_numbers,
     linear_decay_bound_exact,
     mirror_bound,
     optimal_gamma,
@@ -135,12 +142,9 @@ class TestHarmonic:
     def test_non_integer_rejected(self, n):
         with pytest.raises(ValueError, match="integer n"):
             harmonic(n)
-        with pytest.raises(ValueError, match="integer n"):
-            harmonic_numbers(n)
 
     def test_numpy_integer_accepted(self):
         assert harmonic(np.int64(5)) == harmonic(5)
-        assert np.array_equal(harmonic_numbers(np.int32(5)), harmonic_numbers(5))
 
 
 class TestGradNormModel:
@@ -165,7 +169,7 @@ class TestGradNormModel:
         [
             ({"G": math.inf}, "gradient norm scale must be finite"),
             ({"G": math.nan}, "gradient norm scale must be positive"),
-            ({"alpha": math.inf}, "gradient norm exponent must be <= 0"),
+            ({"alpha": math.inf}, "gradient norm exponent must be finite"),
             ({"alpha": -math.inf}, "gradient norm exponent must be finite"),
             ({"alpha": math.nan}, "gradient norm exponent must be finite"),
         ],
@@ -821,7 +825,8 @@ class TestExpSum:
             alone = _chunk_exponentials(qs[b : b + 1], steps[b : b + 1], m, neg_a, start[b : b + 1], w)
             for got, want in zip(alone, chunk):
                 assert np.array_equal(got[0], want[b])
-        assert not np.array_equal(_chunk_exponentials(qs, steps[:1], m, neg_a, start, w)[1], chunk[1])
+        if -neg_a[0] * steps.sum(axis=2).max() < expsum.CLAMP:  # else every far-field exponential is clamped, equal in all groups
+            assert not np.array_equal(_chunk_exponentials(qs, steps[:1], m, neg_a, start, w)[1], chunk[1])
 
     @pytest.mark.parametrize(
         "sched, stride",

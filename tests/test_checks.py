@@ -21,7 +21,7 @@ from schedbound.bounds import (
     wsd_bound_exact,
 )
 from schedbound.scaling import ScalingLaw, loss, params_for_delta, tokens_for_delta
-from schedbound.schedules import Schedule, constant, wsd
+from schedbound.schedules import Schedule, constant, cosine, wsd
 from schedbound.toy import generate_problem
 from schedbound.tuning import (
     default_gamma_grid,
@@ -60,6 +60,16 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         pytest.param("initial distance D", lambda: BoundSpec(constant(4), D="abc"), id="BoundSpec D='abc'"),
         pytest.param("gradient norm scale", lambda: GradNormModel(G="2", alpha=-0.5), id="GradNormModel G='2'"),
         pytest.param("gradient norm scale", lambda: GradNormModel(G=[1.0, 2.0]), id="GradNormModel G=list"),
+        pytest.param("gradient norm exponent", lambda: GradNormModel(alpha="x"), id="GradNormModel alpha='x'"),
+        pytest.param("gradient norm exponent", lambda: GradNormModel(alpha=None), id="GradNormModel alpha=None"),
+        pytest.param("gradient norm exponent", lambda: GradNormModel(alpha=[0.0]), id="GradNormModel alpha=list"),
+        pytest.param("final fraction", lambda: cosine(100, None), id="cosine final_fraction=None"),
+        pytest.param("final fraction", lambda: cosine(100, "0.1"), id="cosine final_fraction='0.1'"),
+        # horizons checked before they are compared
+        pytest.param("extended horizon", lambda: transfer_horizon_cooldown(400, "800"), id="transfer_horizon_cooldown T_long='800'"),
+        pytest.param("extended horizon", lambda: transfer_horizon_cooldown(400, None), id="transfer_horizon_cooldown T_long=None"),
+        pytest.param("base horizon", lambda: transfer_horizon_cooldown("400", 800), id="transfer_horizon_cooldown T_short='400'"),
+        pytest.param("extended horizon", lambda: transfer_horizon_rho(400, 400.0), id="transfer_horizon_rho T_long=400.0"),
         # terms that leave the float range, without a numpy warning
         pytest.param("initial distance D", lambda: bound_terms(wsd(10, 0.2), D=1e200), id="bound_terms D=1e200"),
         pytest.param("initial distance D", lambda: bound_terms(wsd(10, 0.2), D=1e-200), id="bound_terms D=1e-200"),

@@ -118,6 +118,69 @@ def test_json_rejects_nan():
         json_text({"x": math.nan})
 
 
+def _plain(obj):
+    """The object tree as Python values, walked in full: the encoder json_text replaced."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    return obj
+
+
+def _plain_json_text(obj) -> str:
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.text(max_size=3), *_CELLS.values())
+_JSON_ARRAYS = st.one_of(
+    st.lists(_FLOATS, max_size=4).map(np.array),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), min_size=2, max_size=6).map(lambda v: np.array(v[: len(v) // 2 * 2]).reshape(2, -1)),
+    st.lists(_FLOATS, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(3, 2)),
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS | _JSON_ARRAYS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(_JSON_TREES)
+def test_json_text_equals_plain_walk(obj):
+    try:
+        expected = _plain_json_text(obj)
+    except ValueError:  # a NaN or an infinity somewhere in the tree
+        with pytest.raises(ValueError, match="Out of range float values"):
+            json_text(obj)
+        return
+    assert json_text(obj) == expected
+
+
+def test_json_text_zero_d_array_is_its_scalar():
+    # the plain walk raised TypeError on a 0-d array
+    assert json_text({"x": np.array(0.5)}) == json_text({"x": 0.5})
+    with pytest.raises(TypeError):
+        _plain_json_text({"x": np.array(0.5)})
+
+
+def test_json_text_rejects_other_objects():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_text({"x": object()})
+
+
 def test_write_text_creates_parents(tmp_path):
     target = tmp_path / "deep" / "dir" / "f.csv"
     out = write_text(str(target), "a,b\n1,2\n")
