@@ -20,9 +20,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-# only what `bound`, `schedule` and the parser need; the other handlers
-# import tuning, toy and repro themselves
-from . import bounds, expsum, schedules, serialize
+# only what the parser, main and the writer need; each handler imports the
+# library modules it runs, so `repro list` and `--help` load none of them
+from . import serialize
 from ._checks import integer, positive
 
 OUTDIR_ENV = "SCHEDBOUND_OUTDIR"
@@ -154,7 +154,9 @@ def _gamma_arg(raw: str) -> float | None:
     return positive(value, "--gamma")
 
 
-def _grad_norms(args) -> bounds.GradNormModel:
+def _grad_norms(args):
+    from . import bounds
+
     return bounds.GradNormModel(G=args.G, alpha=args.grad_alpha)
 
 
@@ -181,12 +183,16 @@ def _write(args, headlines: dict, tables=(), name: str | None = None) -> dict:
 
 
 def _cmd_schedule(args) -> dict:
+    from . import schedules
+
     sched = schedules.parse_spec(args.schedule)
     rows = zip(range(1, sched.horizon + 1), sched.values)
     return _write(args, {"horizon": sched.horizon}, [(args.name, ["t", "eta"], rows)])
 
 
 def _cmd_bound(args) -> dict:
+    from . import bounds, expsum, schedules
+
     sched = schedules.parse_spec(args.schedule)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
@@ -219,7 +225,7 @@ def _cmd_bound(args) -> dict:
 
 
 def _cmd_sweep_gamma(args) -> dict:
-    from . import tuning
+    from . import schedules, tuning
 
     sched = schedules.parse_spec(args.schedule)
     points_given = args.points is not None
@@ -253,7 +259,7 @@ def _cmd_sweep_gamma(args) -> dict:
 
 
 def _cmd_sweep_cooldown(args) -> dict:
-    from . import tuning
+    from . import schedules, tuning
 
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
@@ -273,7 +279,7 @@ def _cmd_sweep_cooldown(args) -> dict:
 
 
 def _cmd_transfer_horizon(args) -> dict:
-    from . import tuning
+    from . import schedules, tuning
 
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
@@ -293,7 +299,7 @@ def _cmd_transfer_horizon(args) -> dict:
 
 
 def _cmd_transfer_lr(args) -> dict:
-    from . import tuning
+    from . import schedules, tuning
 
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
@@ -307,7 +313,7 @@ def _cmd_transfer_lr(args) -> dict:
 
 
 def _cmd_toy_run(args) -> dict:
-    from . import toy
+    from . import schedules, toy
 
     sched = schedules.parse_spec(args.schedule)
     problem = toy.generate_problem(args.m, args.d, args.seed)

@@ -34,8 +34,12 @@ gaps, so the live nodes' exponentials, the decay rows exp(-a (S_t - S_{t_0}))
 and the expm1 rows of the state update are formed for one group and serve
 all of them: the inflow's matmul takes the one row as a stride-0 batch
 operand, which makes the same per-group BLAS calls, and the decay rows are
-copied.  The products and sums are those of the per-group arrays, so the
-curve is the same bit for bit.  Constant schedules, the flat phase of wsd
+copied.  When q is equal as well (a flat stretch at alpha = 0), so are
+the groups' near field, live inflow and TAYLOR moments, which are then
+formed for one group too; only the moments' gemm with the coefficients
+runs over every group's row, since a gemm over fewer rows may round
+differently.  The products and sums are those of the per-group arrays, so
+the curve is the same bit for bit.  Constant schedules, the flat phase of wsd
 and both levels of extended gain (1,562 of the 1,999 default-stride groups
 of wsd at T = 100000, c = 0.2, take shared exponentials); cosine, inv-sqrt
 and cooldowns have no two groups with equal steps and share nothing, and
@@ -96,26 +100,58 @@ def _clamped_exp(x: np.ndarray) -> np.ndarray:
     return np.exp(x, out=x)
 
 
-def _moment_inflow(q, g, a) -> np.ndarray:
-    """sum_k q_k exp(-a_j g_k) for each row of q >= 0 and 0 < g <= g[:, :1].
+def _moment_inflow(q, g, a, n: int) -> np.ndarray:
+    """sum_k q_k exp(-a_j g_k) for n groups, from rows of q >= 0 and 0 < g <= g[:, :1].
 
     From TAYLOR moments of q about each row's midpoint c = g[:, 0] / 2:
     exp(-a_j c) sum_p (-a_j)^p / p! sum_k q_k (g_k - c)^p.  The powers are
     taken in units of h = max g / 2, so that they and (-a_j h)^p stay in
-    [-1, 1] and nothing over- or underflows.
+    [-1, 1] and nothing over- or underflows.  One row of g, or of q and g,
+    serves all n groups; the moments of one row of q are repeated n times
+    before the gemm with the coefficients, which gives the per-group bits
+    only over all n rows.
     """
     span = g[:, 0]
     h = 0.5 * span.max()
     x = (g - 0.5 * span[:, None]) / h
     term = q.copy()  # q_k x_k^p, from p = 0 up
-    moments = np.empty((g.shape[0], TAYLOR))
+    moments = np.empty((q.shape[0], TAYLOR))
     moments[:, 0] = term.sum(axis=1)
     for p in range(1, TAYLOR):
         term *= x
         moments[:, p] = term.sum(axis=1)
+    if len(moments) < n:
+        moments = np.repeat(moments, n, axis=0)
     coef = np.ones((TAYLOR, a.size))
     coef[1:] = np.multiply.outer(-1.0 / np.arange(1, TAYLOR), a * h)
     return (moments @ np.cumprod(coef, axis=0, out=coef)) * np.exp(np.multiply.outer(-0.5 * span, a))
+
+
+def _shared_rows(x) -> int:
+    """1 if every group (row along axis 0) of x is the same, bit for bit, else len(x).
+
+    The first test is a cheap necessary one, false on a decaying schedule.
+    """
+    return 1 if len(x) > 1 and x[-1, 0, 0] == x[0, 0, 0] and (x == x[0]).all() else len(x)
+
+
+def _own_sums(qs, gaps, own, a, inflow) -> np.ndarray:
+    """The sums over the own steps of a chunk's groups: the inflow, into inflow (n, J), and the near field.
+
+    qs (v, 1, L) holds the groups' sources q_k and gaps (u, m, L) their
+    S_t - S_k at each horizon of a group (0 where k >= t, as own says),
+    v >= u, and a single row serves every group.  The near field comes
+    back with v rows; both are the per-group values bit for bit.
+    """
+    g = gaps[:, -1]  # S_{t_1} - S_k
+    span = g[:, 0]
+    smooth = np.searchsorted(a, SMOOTH / span.max(), side="right")
+    dead = np.searchsorted(a, CLAMP / g.min())
+    # one exponential row serves all groups as a stride-0 batch operand, the same per-group BLAS calls
+    inflow[:, smooth:dead] = np.matmul(qs, _clamped_exp(np.multiply.outer(g, -a[smooth:dead])))[:, 0]
+    if smooth:
+        inflow[:, :smooth] = _moment_inflow(qs[:, 0], g, a[:smooth], len(inflow))
+    return np.divide(qs, gaps, out=np.zeros((len(qs), *gaps.shape[1:])), where=own).sum(axis=2)
 
 
 class Counts(NamedTuple):
@@ -145,7 +181,8 @@ def curve_noise(eta, q, t, stride: int, a, w) -> tuple[np.ndarray, Counts]:
     three node classes of the module docstring.  The groups go in chunks
     whose working arrays hold at most about 3 T floats in all.  When every
     group of a chunk has the same steps, the chunk's exponentials come from
-    u = 1 row of gaps, else from u = nc rows (module docstring).
+    u = 1 row of gaps, else from u = nc rows, and its own-step sums from
+    v = 1 row when q is equal too (module docstring).
     """
     T = eta.size
     n = t.size - 1  # horizons after the first
@@ -170,23 +207,17 @@ def curve_noise(eta, q, t, stride: int, a, w) -> tuple[np.ndarray, Counts]:
         qs = q[lo:hi].reshape(nc, 1, L)
         steps = eta[1 + lo : 1 + hi].reshape(nc, 1, L)
         own = np.arange(L) < stride * np.arange(1, m + 1)[:, None]  # k < t, per horizon of a group
-        gaps = np.cumsum((steps * own)[..., ::-1], axis=2)[..., ::-1]
-        out = noise[1 + i : 1 + i + nc * m]
-        out += np.divide(qs, gaps, out=np.zeros(gaps.shape), where=own).sum(axis=2).ravel()
-        # groups with equal steps have equal gaps, bit for bit: their exponentials
-        # then come from u = 1 row of gaps, and group b takes row b % u (the
-        # first test is a cheap necessary one, false on a decaying schedule)
-        u = 1 if nc > 1 and steps[-1, 0, 0] == steps[0, 0, 0] and (steps == steps[0]).all() else nc
-        g = gaps[:, -1]  # S_{t_1} - S_k
-        span = g[:, 0]
-        smooth = np.searchsorted(a, SMOOTH / span.max(), side="right")
-        dead = np.searchsorted(a, CLAMP / g.min())
+        # groups with equal steps have equal gaps, bit for bit: they then come
+        # from u = 1 row of steps, and group b takes row b % u; when q is equal
+        # too (a flat stretch at alpha = 0), so are their near field and inflow
+        u = _shared_rows(steps)
+        v = _shared_rows(qs) if u == 1 else nc
+        gaps = np.cumsum((steps[:u] * own)[..., ::-1], axis=2)[..., ::-1]
         inflow = np.zeros((nc, J))
-        inflow[:, smooth:dead] = np.matmul(qs, _clamped_exp(np.multiply.outer(g[:u], neg_a[smooth:dead])))[:, 0]
-        if smooth:
-            inflow[:, :smooth] = _moment_inflow(qs[:, 0], g, a[:smooth])
+        out = noise[1 + i : 1 + i + nc * m].reshape(nc, m)
+        out += _own_sums(qs[:v], gaps, own, a, inflow)
         decay = np.empty((nc, m, J))  # exp(-a (S_t - S_{t_0}))
-        _clamped_exp(np.multiply.outer(gaps[:u, :, 0], neg_a, out=decay[:u]))
+        _clamped_exp(np.multiply.outer(gaps[:, :, 0], neg_a, out=decay[:u]))
         decay[u:] = decay[0]
         # r * exp(-a x) with a rounded exp(-a x) near 1 repeats one relative
         # error at every group, which compounds; there the product is taken
@@ -194,7 +225,7 @@ def curve_noise(eta, q, t, stride: int, a, w) -> tuple[np.ndarray, Counts]:
         last = decay[:u, -1]
         near_one = last >= 0.5
         keep = np.where(near_one, 1.0, last)
-        lost = np.where(near_one, np.expm1(np.multiply.outer(gaps[:u, -1, 0], neg_a)), 0.0)
+        lost = np.where(near_one, np.expm1(np.multiply.outer(gaps[:, -1, 0], neg_a)), 0.0)
         start = np.empty((nc, J))
         for b in range(nc):
             start[b] = r
@@ -203,7 +234,7 @@ def curve_noise(eta, q, t, stride: int, a, w) -> tuple[np.ndarray, Counts]:
             r += tmp
             r += inflow[b]
         decay *= start[:, None, :]
-        out += (decay @ w).ravel()
+        out += decay @ w
         i += nc * m
         groups += nc
         shared += nc - u

@@ -4,17 +4,19 @@ Each target takes no arguments and returns `(headlines, tables)`: a dict of
 its headline numbers and a list of `(name, header, rows)` data tables.  A
 target writes nothing; `schedbound repro` writes each table and the summary.
 Inputs are hard-wired; repeated invocations produce identical results.
+Each target imports the library modules it runs, so that `schedbound repro
+list` loads none of them.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import bounds, scaling, schedules, toy, tuning
-
 
 def gamma_star_scaling() -> tuple[dict, list]:
     """gamma* vs horizon for wsd(c=0.2) and cosine, with 1/sqrt(T) fits."""
+    from . import bounds, schedules, tuning
+
     Ts = [200 * 2**k for k in range(7)]
     wsd_pts = [(T, bounds.optimal_gamma(schedules.wsd(T, 0.2))) for T in Ts]
     cos_pts = [(T, bounds.optimal_gamma(schedules.cosine(T))) for T in Ts]
@@ -33,6 +35,8 @@ def gamma_star_scaling() -> tuple[dict, list]:
 
 def rho_transfer() -> tuple[dict, list]:
     """Continuation factor keeping gamma* fixed when doubling/quadrupling T."""
+    from . import tuning
+
     T1, c = 4000, 0.2
     out: dict = {"T1": T1, "c": c}
     tables = []
@@ -46,6 +50,8 @@ def rho_transfer() -> tuple[dict, list]:
 
 def cooldown_transfer() -> tuple[dict, list]:
     """Cooldown fraction keeping gamma* fixed on a doubled horizon."""
+    from . import tuning
+
     T1, c = 4000, 0.2
     out: dict = {"T1": T1, "c_short": c}
     tables = []
@@ -59,6 +65,8 @@ def cooldown_transfer() -> tuple[dict, list]:
 
 def lr_transfer() -> tuple[dict, list]:
     """ln(gamma*(1)/gamma*(c)) across cooldown fractions, both shapes."""
+    from . import bounds, schedules, tuning
+
     T = 10_000
     lin = tuning.lr_transfer_curve(T, shape=schedules.CooldownShape.LINEAR)
     sqr = tuning.lr_transfer_curve(T, shape=schedules.CooldownShape.ONE_MINUS_SQRT)
@@ -78,6 +86,8 @@ def lr_transfer() -> tuple[dict, list]:
 
 def cooldown_sweep() -> tuple[dict, list]:
     """Bound vs cooldown fraction, per-c-tuned and at a fixed gamma."""
+    from . import tuning
+
     out: dict = {}
     tables = []
     for T in (400, 4000):
@@ -96,6 +106,8 @@ def cooldown_sweep() -> tuple[dict, list]:
 
 def gradnorm_shapes() -> tuple[dict, list]:
     """Cooldown drop of the bound under shrinking gradient-norm models."""
+    from . import bounds, schedules
+
     T, c = 400, 0.2
     T0 = schedules.cooldown_start(T, c)
     sched = schedules.wsd(T, c)
@@ -115,6 +127,8 @@ def gradnorm_shapes() -> tuple[dict, list]:
 
 def min_ablation() -> tuple[dict, list]:
     """Last-iterate bound vs the best-iterate ablation along the run."""
+    from . import bounds, schedules
+
     T, c = 400, 0.2
     T0 = schedules.cooldown_start(T, c)
     sched = schedules.wsd(T, c)
@@ -135,6 +149,8 @@ def min_ablation() -> tuple[dict, list]:
 
 def toy_runs() -> tuple[dict, list]:
     """The three-schedule subgradient-descent comparison, seed 0."""
+    from . import schedules, toy
+
     T, seed = 400, 0
     runs = toy.comparison_runs(seed=seed, T=T)
     T0 = schedules.cooldown_start(T, 0.2)
@@ -151,6 +167,8 @@ def toy_runs() -> tuple[dict, list]:
 
 def schedule_comparison() -> tuple[dict, list]:
     """Tuned bound for the standard schedule zoo at one horizon."""
+    from . import bounds, schedules
+
     T = 400
     zoo = [
         ("constant", schedules.constant(T)),
@@ -175,6 +193,8 @@ def schedule_comparison() -> tuple[dict, list]:
 
 def cosine_cycles() -> tuple[dict, list]:
     """Cosine warm restarts: shorter cycles only hurt the bound."""
+    from . import bounds, schedules
+
     T, final = 400, 0.1
     cycles = (0.125, 0.25, 0.5, 1.0)
     terms = [bounds.bound_terms(schedules.cosine(T, final, cycle)) for cycle in cycles]
@@ -194,6 +214,8 @@ def cosine_cycles() -> tuple[dict, list]:
 
 def closed_form_constants() -> tuple[dict, list]:
     """Headline harmonic-number constants at T = 1e5."""
+    from . import bounds
+
     T = 10**5
     T0 = int(0.8 * T)
     h = bounds.harmonic(T - 1)
@@ -211,6 +233,8 @@ def closed_form_constants() -> tuple[dict, list]:
 
 def scaling_law_cases() -> tuple[dict, list]:
     """Loss-delta pricing for the four documented cases, delta = 0.01."""
+    from . import scaling
+
     law = scaling.ScalingLaw()
     delta = 0.01
     cases = [

@@ -775,7 +775,7 @@ class TestExpSum:
         q = rng.uniform(0.0, 1.0, size=(rows, L))
         # nodes up to 1000 times past the smooth class weight the high moments, so a changed bit shows
         a = np.sort(expsum.SMOOTH / g[:, 0].max() * np.array(fractions))
-        assert np.array_equal(expsum._moment_inflow(q, g, a), _cumprod_moment_inflow(q, g, a))
+        assert np.array_equal(expsum._moment_inflow(q, g, a, rows), _cumprod_moment_inflow(q, g, a))
 
     def test_moment_inflow_holds_its_truncation_bound(self):
         # a_j * span = SMOOTH at the first node, the edge of the smooth class
@@ -787,7 +787,7 @@ class TestExpSum:
             g = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
             q = rng.uniform(0.0, 1.0, size=(4, L))
             a = expsum.SMOOTH / g[:, 0].max() * np.array([1.0, 0.9, 0.5, 1e-2, 1e-8])
-            inflow, exact = expsum._moment_inflow(q, g, a), exponential_sums(q, g, a)
+            inflow, exact = expsum._moment_inflow(q, g, a, 4), exponential_sums(q, g, a)
             for b, j in np.ndindex(inflow.shape):
                 assert rel_err(inflow[b, j], exact[b][j]) <= truncation + 8 * 2.0**-52, (b, j)
 
@@ -827,6 +827,81 @@ class TestExpSum:
                 assert np.array_equal(got[0], want[b])
         if -neg_a[0] * steps.sum(axis=2).max() < expsum.CLAMP:  # else every far-field exponential is clamped, equal in all groups
             assert not np.array_equal(_chunk_exponentials(qs, steps[:1], m, neg_a, start, w)[1], chunk[1])
+
+    @given(
+        nc=st.integers(2, 8),
+        m=st.integers(1, 4),
+        stride=st.integers(1, 80),
+        J=st.integers(16, 260),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_sources_equal_per_group_ones(self, nc, m, stride, J, seed):
+        # groups with equal steps and equal q take their near field, live inflow and moment
+        # inflow from one row; broadcast over the chunk they must be the per-group ones bit for bit
+        rng = np.random.default_rng(seed)
+        L = m * stride
+        steps = rng.uniform(0.01, 1.0, size=(1, 1, L)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        qs = rng.uniform(0.0, 1.0, size=(nc, 1, L)) * (rng.uniform(size=(nc, 1, L)) < 0.9)  # q >= 0, some 0
+        own = np.arange(L) < stride * np.arange(1, m + 1)[:, None]
+        gaps = np.cumsum((steps * own)[..., ::-1], axis=2)[..., ::-1]
+        g = gaps[0, -1]
+        # nodes from deep in the smooth class to past the dead edge: every class has some
+        smooth_edge, dead_edge = expsum.SMOOTH / g[0], expsum.CLAMP / g.min()
+        a = np.geomspace(1e-3 * smooth_edge, 1e3 * dead_edge, J)
+        assert (a <= smooth_edge).any() and ((a > smooth_edge) & (a < dead_edge)).any() and (a >= dead_edge).any()
+
+        def sums(q, gaps):
+            inflow = np.zeros((nc, J))
+            return np.broadcast_to(expsum._own_sums(q, gaps, own, a, inflow), (nc, m)), inflow
+
+        per_group = np.repeat(gaps, nc, axis=0)
+        shared = sums(qs[:1], gaps)
+        for got, want in zip(shared, sums(np.repeat(qs[:1], nc, axis=0), per_group)):
+            assert np.array_equal(got, want)
+        # distinct q on shared gaps are the per-group sums too, and the first row's are not theirs
+        chunk = sums(qs, gaps)
+        for got, want in zip(chunk, sums(qs, per_group)):
+            assert np.array_equal(got, want)
+        if not (qs == qs[0]).all():
+            assert not np.array_equal(shared[0], chunk[0])
+
+    @pytest.mark.parametrize(
+        "sched, alpha",
+        [
+            (constant(bounds.LONG_HORIZON), 0.0),
+            (constant(bounds.LONG_HORIZON), -0.5),
+            (cosine(bounds.LONG_HORIZON), 0.0),
+            (wsd(bounds.LONG_HORIZON, 0.2), 0.0),
+        ],
+        ids=["constant", "constant-alpha", "cosine", "wsd"],
+    )
+    def test_groups_share_sources_only_when_steps_and_q_are_equal(self, monkeypatch, sched, alpha):
+        chunks = []  # (rows of q, rows of gaps, groups) of every chunk
+        own_sums = expsum._own_sums
+
+        def spy(qs, gaps, own, a, inflow):
+            chunks.append((len(qs), len(gaps), len(inflow)))
+            return own_sums(qs, gaps, own, a, inflow)
+
+        monkeypatch.setattr(expsum, "_own_sums", spy)
+        grad = GradNormModel(alpha=alpha)
+        curve = bound_curve(BoundSpec(sched, grad))
+        assert curve.noise_kernel == bounds.EXP_SUM
+        rows = (1000, 1999)  # 1999 is the last row from the exp-sum kernel
+        exact = single_sum_noise(sched.values, grad.values(sched.horizon), [int(curve.t[row]) for row in rows], digits=60)
+        for row, value in zip(rows, exact):
+            assert rel_err(curve.noise_terms[row], value) <= 8e-15, row  # measured at most 1.4e-15
+        q = sched.values**2 * grad.values(sched.horizon) ** 2
+        shared = [n for v, u, n in chunks if v == 1 < n]
+        assert all(u == 1 for v, u, n in chunks if v == 1)
+        if q.min() == q.max():  # constant at alpha 0: every chunk of more than one group shares
+            assert len(shared) == sum(n > 1 for _, _, n in chunks) > 0
+        elif sched.values.min() == sched.values.max():  # equal steps, but q = eta^2 G_t^2 is not
+            assert shared == [] and all(u == 1 for _, u, n in chunks if n > 1)
+        elif sched.values[0] > sched.values[1]:  # cosine: no two groups have equal steps
+            assert shared == []
+        else:  # wsd: the flat phase shares, the cooldown does not
+            assert 0 < len(shared) < len(chunks)
 
     @pytest.mark.parametrize(
         "sched, stride",

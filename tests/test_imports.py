@@ -70,30 +70,70 @@ def test_oracles_trust_nothing_they_check():
 
 
 ROOT = PACKAGE.parents[1]
-# what `bound` and `schedule` never run
-UNUSED_BY_BOUND = {"schedbound.tuning", "schedbound.toy", "schedbound.repro", "schedbound.scaling"}
+# what the parser, main and the writer import: every command loads these
+FRONT = {"schedbound", "schedbound._checks", "schedbound.serialize"}
 
 
-def _imported(argv, tmp_path) -> set[str]:
+def _imported(argv, tmp_path, returncode=0) -> set[str]:
     """The modules `python -m schedbound.cli ARGV` imports, from its -X importtime log."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "schedbound.cli", *argv, "--outdir", str(tmp_path)],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return {ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["bound", "--schedule", "wsd:T=100000,c=0.2"], ["schedule", "--schedule", "cosine:T=100"]],
-    ids=["bound", "schedule"],
+    "argv, returncode, runs",
+    [
+        (["repro", "list"], 0, {"repro"}),
+        (["--help"], 0, set()),
+        (["bound"], 2, set()),  # --schedule is required
+        (["schedule", "--schedule", "cosine:T=100"], 0, {"schedules"}),
+        (["bound", "--schedule", "wsd:T=100000,c=0.2"], 0, {"bounds", "expsum", "schedules"}),
+    ],
+    ids=["repro list", "help", "parse error", "schedule", "bound"],
 )
-def test_subcommand_imports_only_what_it_runs(argv, tmp_path):
-    imported = _imported(argv, tmp_path)
-    assert {"schedbound.bounds", "schedbound.serialize"} <= imported
-    assert not imported & UNUSED_BY_BOUND
+def test_subcommand_imports_only_what_it_runs(argv, returncode, runs, tmp_path):
+    imported = {name for name in _imported(argv, tmp_path, returncode) if name.split(".")[0] == "schedbound"}
+    assert imported == FRONT | {f"schedbound.{name}" for name in runs}
+
+
+def _package_imports_at_module_level(path: Path):
+    """The package modules (or package names) that PATH imports outside its functions and classes."""
+    stack = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from the package, and `from <package> import x` names x
+            module = ".".join(filter(None, ["schedbound" if node.level else None, node.module]))
+            modules = [f"{module}.{alias.name}" for alias in node.names] if module == "schedbound" else [module]
+        else:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.extend(ast.iter_child_nodes(node))
+            continue
+        yield from (name.split(".")[1] for name in modules if name.startswith("schedbound."))
+
+
+@pytest.mark.parametrize("name", ["cli.py", "repro.py"])
+def test_front_end_imports_no_library_module_at_module_level(name):
+    # each handler and repro target imports what it runs, so commands that do no work load none of it
+    assert set(_package_imports_at_module_level(PACKAGE / name)) <= {"serialize", "_checks"}
+
+
+def test_module_level_import_rule_sees_every_spelling(tmp_path):
+    path = tmp_path / "spellings.py"
+    path.write_text(
+        "from . import bounds, serialize\nfrom .tuning import sweep_gamma\nfrom ._checks import integer\n"
+        "import schedbound.toy\nfrom schedbound.scaling import loss\nfrom schedbound import parse_spec\nimport numpy\n"
+        "if True:\n    from . import expsum\ndef f():\n    from . import schedules\nclass C:\n    from . import repro\n"
+    )
+    found = sorted(_package_imports_at_module_level(path))
+    assert found == ["_checks", "bounds", "expsum", "parse_spec", "scaling", "serialize", "toy", "tuning"]
 
 
 @pytest.mark.parametrize(
