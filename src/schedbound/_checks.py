@@ -7,13 +7,15 @@ a ValueError naming the argument.
 """
 
 import math
-
-import numpy as np
+import sys
 
 
 def integer(n, name: str, least: int = 1) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"expected an integer {name}, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        # no numpy integer can exist before numpy is loaded, so this imports nothing
+        np = sys.modules.get("numpy")
+        if np is None or not isinstance(n, np.integer):
+            raise ValueError(f"expected an integer {name}, got {n!r}")
     if n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
     return int(n)

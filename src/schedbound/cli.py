@@ -15,13 +15,14 @@ import math
 import os
 import sys
 
-# OpenBLAS spins a worker per core from numpy's import on; no call here is big enough to use one
+# OpenBLAS spins a worker per core from numpy's import on, and no call here is
+# big enough to use one.  It reads the variable once, at that import, so this
+# line must run before any handler imports numpy or a library module.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-# only what the parser, main and the writer need; each handler imports the
-# library modules it runs, so `repro list` and `--help` load none of them
+# only what the parser, main and the writer need; each handler imports numpy
+# and the library modules it runs, so `repro list`, `--help` and a parse error
+# load none of them
 from . import serialize
 from ._checks import integer, positive
 
@@ -160,8 +161,10 @@ def _grad_norms(args):
     return bounds.GradNormModel(G=args.G, alpha=args.grad_alpha)
 
 
-def _c_grid(args) -> np.ndarray:
-    """Log grid of --points cooldown fractions from --c-min to --c-max."""
+def _c_grid(args):
+    """Log grid of --points cooldown fractions from --c-min to --c-max, as an array."""
+    import numpy as np
+
     if not 0.0 < args.c_min <= args.c_max <= 1.0:
         raise ValueError("need 0 < --c-min <= --c-max <= 1")
     integer(args.points, "--points")
@@ -191,6 +194,8 @@ def _cmd_schedule(args) -> dict:
 
 
 def _cmd_bound(args) -> dict:
+    import numpy as np
+
     from . import bounds, expsum, schedules
 
     sched = schedules.parse_spec(args.schedule)
@@ -225,6 +230,8 @@ def _cmd_bound(args) -> dict:
 
 
 def _cmd_sweep_gamma(args) -> dict:
+    import numpy as np
+
     from . import schedules, tuning
 
     sched = schedules.parse_spec(args.schedule)
@@ -259,6 +266,8 @@ def _cmd_sweep_gamma(args) -> dict:
 
 
 def _cmd_sweep_cooldown(args) -> dict:
+    import numpy as np
+
     from . import schedules, tuning
 
     shape = schedules.CooldownShape.parse(args.shape)
@@ -320,7 +329,7 @@ def _cmd_toy_run(args) -> dict:
     x_start = None
     if args.x_start is not None:
         try:
-            x_start = np.array([float(v) for v in args.x_start.split(",")])
+            x_start = [float(v) for v in args.x_start.split(",")]
         except ValueError:
             raise ValueError(f"--x-start must be comma-separated floats, got {args.x_start!r}") from None
     rec = toy.run_sgd(problem, sched, args.gamma, x_start=x_start, record_iterates=args.record_iterates)
@@ -329,7 +338,7 @@ def _cmd_toy_run(args) -> dict:
         header = ["t"] + [f"x{i + 1}" for i in range(problem.d)]
         it_rows = ([t + 1, *rec.iterates[t]] for t in range(sched.horizon))
         tables.append((f"{args.name}_iterates", header, it_rows))
-    headlines = {"final_loss": float(rec.losses[-1]), "min_loss": float(np.min(rec.losses))}
+    headlines = {"final_loss": float(rec.losses[-1]), "min_loss": float(rec.losses.min())}
     return _write(args, headlines, tables)
 
 
@@ -390,7 +399,7 @@ def _cmd_fit(args) -> dict:
     else:
         fit = tuning.fit_polynomial(points, degree=6)
         extra = {}
-    xs = np.array([p[0] for p in points])
+    xs = [p[0] for p in points]
     rows = zip(xs, [p[1] for p in points], fit.predict(xs))
     headlines = {
         "model_kind": fit.model_kind,

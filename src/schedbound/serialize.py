@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -21,11 +20,13 @@ def format_float(x: float) -> str:
 
 
 def _cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    # no numpy value can exist before numpy is loaded, so a table of Python values never imports it
+    np = sys.modules.get("numpy")
+    if isinstance(x, bool) or np is not None and isinstance(x, np.bool_):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int) or np is not None and isinstance(x, np.integer):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float) or np is not None and isinstance(x, np.floating):
         return format_float(float(x))
     return str(x)
 
@@ -40,9 +41,12 @@ def _column_format(column) -> str | None:
     A bool is an int to Python but is written as true/false, so it is no int here.
     """
     types = set(map(type, column))
-    if all(issubclass(tp, (float, np.floating)) for tp in types):
+    np = sys.modules.get("numpy")  # as in _cell
+    floats = float if np is None else (float, np.floating)
+    ints = int if np is None else (int, np.integer)
+    if all(issubclass(tp, floats) for tp in types):
         return "%.17g"
-    if all(issubclass(tp, (int, np.integer)) and not issubclass(tp, bool) for tp in types):
+    if all(issubclass(tp, ints) and not issubclass(tp, bool) for tp in types):
         return "%d"
     return None
 
@@ -82,7 +86,8 @@ def json_text(obj) -> str:
 
 
 def _numpy_value(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
+    np = sys.modules.get("numpy")  # as in _cell
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -132,9 +132,10 @@ def test_rejected_with_the_argument_named(name, call):
 
 
 def test_integer_takes_numpy_integers_and_no_bools():
-    assert _checks.integer(np.int64(3), "n") == 3
-    assert type(_checks.integer(np.int64(3), "n")) is int
-    for bad in (True, 3.0, "3", None):
+    for n in (np.int64(3), np.uint64(3)):
+        assert _checks.integer(n, "n") == 3
+        assert type(_checks.integer(n, "n")) is int
+    for bad in (True, np.bool_(True), np.float64(3.0), 3.0, "3", None):
         with pytest.raises(ValueError, match="integer n"):
             _checks.integer(bad, "n")
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):

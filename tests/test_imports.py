@@ -1,4 +1,4 @@
-"""The package and the test oracles depend on numpy and the standard library only, and each CLI subcommand imports only its own modules."""
+"""The package and the test oracles depend on numpy and the standard library only, each CLI subcommand imports only its own modules, and commands that compute nothing load no numpy."""
 
 import ast
 import json
@@ -86,37 +86,49 @@ def _imported(argv, tmp_path, returncode=0) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "argv, returncode, runs",
+    "argv, returncode, runs, numpy",
     [
-        (["repro", "list"], 0, {"repro"}),
-        (["--help"], 0, set()),
-        (["bound"], 2, set()),  # --schedule is required
-        (["schedule", "--schedule", "cosine:T=100"], 0, {"schedules"}),
-        (["bound", "--schedule", "wsd:T=100000,c=0.2"], 0, {"bounds", "expsum", "schedules"}),
+        (["repro", "list"], 0, {"repro"}, False),
+        (["--help"], 0, set(), False),
+        (["bound"], 2, set(), False),  # --schedule is required
+        (["scaling-law", "--delta", "0.01", "--N", "1e8", "--D", "1e9", "--solve", "tokens"], 0, {"scaling"}, False),
+        (["schedule", "--schedule", "cosine:T=100"], 0, {"schedules"}, True),
+        (["bound", "--schedule", "wsd:T=100000,c=0.2"], 0, {"bounds", "expsum", "schedules"}, True),
     ],
-    ids=["repro list", "help", "parse error", "schedule", "bound"],
+    ids=["repro list", "help", "parse error", "scaling-law", "schedule", "bound"],
 )
-def test_subcommand_imports_only_what_it_runs(argv, returncode, runs, tmp_path):
-    imported = {name for name in _imported(argv, tmp_path, returncode) if name.split(".")[0] == "schedbound"}
-    assert imported == FRONT | {f"schedbound.{name}" for name in runs}
+def test_subcommand_imports_only_what_it_runs(argv, returncode, runs, numpy, tmp_path):
+    imported = _imported(argv, tmp_path, returncode)
+    assert {name for name in imported if name.split(".")[0] == "schedbound"} == FRONT | {f"schedbound.{name}" for name in runs}
+    assert any(name.split(".")[0] == "numpy" for name in imported) == numpy
 
 
-def _package_imports_at_module_level(path: Path):
-    """The package modules (or package names) that PATH imports outside its functions and classes."""
+def _module_level_imports(path: Path):
+    """(line, module) for each import that runs when PATH is imported: outside its functions, also in its classes.
+
+    A relative import is from the package, and `from <package> import x` names <package>.x.
+    """
     stack = list(ast.parse(path.read_text(), filename=str(path)).body)
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            yield from ((node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            # a relative import is from the package, and `from <package> import x` names x
             module = ".".join(filter(None, ["schedbound" if node.level else None, node.module]))
-            modules = [f"{module}.{alias.name}" for alias in node.names] if module == "schedbound" else [module]
-        else:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                stack.extend(ast.iter_child_nodes(node))
-            continue
-        yield from (name.split(".")[1] for name in modules if name.startswith("schedbound."))
+            names = [f"{module}.{alias.name}" for alias in node.names] if module == "schedbound" else [module]
+            yield from ((node.lineno, name) for name in names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_imports_at_module_level(path: Path) -> list[str]:
+    """The package modules (or package names) that PATH imports when it is imported."""
+    return [name.split(".")[1] for _, name in _module_level_imports(path) if name.startswith("schedbound.")]
+
+
+def _numpy_imports_at_module_level(path: Path) -> list[int]:
+    """The lines of PATH that import numpy, or a submodule of it, when PATH is imported."""
+    return sorted(line for line, name in _module_level_imports(path) if name.split(".")[0] == "numpy")
 
 
 @pytest.mark.parametrize("name", ["cli.py", "repro.py"])
@@ -125,15 +137,33 @@ def test_front_end_imports_no_library_module_at_module_level(name):
     assert set(_package_imports_at_module_level(PACKAGE / name)) <= {"serialize", "_checks"}
 
 
+@pytest.mark.parametrize("name", ["__init__.py", "_checks.py", "cli.py", "repro.py", "scaling.py", "serialize.py"])
+def test_front_end_imports_numpy_only_inside_functions(name):
+    # numpy is about half the start-up of a command that computes nothing; it loads with the first module that computes with it
+    assert _numpy_imports_at_module_level(PACKAGE / name) == []
+
+
 def test_module_level_import_rule_sees_every_spelling(tmp_path):
     path = tmp_path / "spellings.py"
     path.write_text(
         "from . import bounds, serialize\nfrom .tuning import sweep_gamma\nfrom ._checks import integer\n"
         "import schedbound.toy\nfrom schedbound.scaling import loss\nfrom schedbound import parse_spec\nimport numpy\n"
         "if True:\n    from . import expsum\ndef f():\n    from . import schedules\nclass C:\n    from . import repro\n"
+        "    def g(self):\n        from . import cli\n"
     )
     found = sorted(_package_imports_at_module_level(path))
-    assert found == ["_checks", "bounds", "expsum", "parse_spec", "scaling", "serialize", "toy", "tuning"]
+    assert found == ["_checks", "bounds", "expsum", "parse_spec", "repro", "scaling", "serialize", "toy", "tuning"]
+
+
+def test_module_level_numpy_rule_sees_every_spelling(tmp_path):
+    path = tmp_path / "spellings.py"
+    path.write_text(
+        "import numpy\nimport numpy as np\nimport os, numpy.linalg\nfrom numpy import asarray\nfrom numpy.linalg import norm\n"
+        "try:\n    import numpy\nexcept ImportError:\n    pass\nclass C:\n    import numpy\n"
+        "def f():\n    import numpy\nclass D:\n    def g(self):\n        import numpy\n"
+        "import numpyish\nfrom . import numpy_free\n"
+    )
+    assert _numpy_imports_at_module_level(path) == [1, 2, 3, 4, 5, 7, 11]
 
 
 @pytest.mark.parametrize(
@@ -209,13 +239,18 @@ def _fresh(code, **env) -> list:
 
 
 def test_cli_runs_blas_on_one_thread():
+    # OpenBLAS reads the variable once, when numpy loads; the CLI loads no numpy itself, so this
+    # holds only if the variable is set before a handler's first import of numpy
     code = f"""
-import json, os
+import json, os, sys
 import schedbound.cli
+loaded = "numpy" in sys.modules
+import numpy  # as a handler does
 task = "/proc/self/task"
-print(json.dumps([os.environ.get("{BLAS_THREADS}"), len(os.listdir(task)) if os.path.isdir(task) else None]))
+print(json.dumps([loaded, os.environ.get("{BLAS_THREADS}"), len(os.listdir(task)) if os.path.isdir(task) else None]))
 """
-    value, threads = _fresh(code)
+    loaded, value, threads = _fresh(code)
+    assert not loaded
     assert value == "1"
     if threads is not None:  # Linux: numpy's import started no BLAS worker
         assert threads == 1
@@ -234,3 +269,44 @@ schedbound.bound_terms(schedbound.parse_spec("wsd:T=100,c=0.2"))
 print(json.dumps([os.environ.get("{BLAS_THREADS}")]))
 """
     assert _fresh(code) == [None]
+
+
+def test_front_end_writes_the_same_bytes_without_numpy():
+    # a command that computes nothing writes plain Python values, and must not import numpy to do so
+    code = """
+import json, sys
+from schedbound import _checks, serialize
+
+def texts():
+    rows = [(1, 0.5, True, "a"), (2, 1e300, False, "b,c"), (3, -0.0), (2**70, 5e-324, None, "")]
+    summary = {"b": 0.1, "a": [1, 2.5, True, None, "x"], "c": {"d": -0.0, "e": 2**70}}
+    try:
+        serialize.json_text({"a": object()})
+    except TypeError as exc:
+        error = str(exc)
+    return [
+        serialize.csv_text(["t", "v", "f", "s"], rows),
+        serialize.csv_text(["t", "v"], [(1, 0.5), (2, 0.25)]),
+        serialize.json_text(summary),
+        serialize.json_text([dict(zip("tvfs", row)) for row in rows]),
+        error,
+        _checks.integer(3, "n"),
+    ]
+
+def rejected():
+    out = []
+    for bad in (True, "3", 3.0):
+        try:
+            _checks.integer(bad, "n")
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+without = [texts(), rejected(), "numpy" in sys.modules]
+import numpy
+print(json.dumps([without, [texts(), rejected()]]))
+"""
+    (texts, rejected, loaded), with_numpy = _fresh(code)
+    assert not loaded
+    assert [texts, rejected] == with_numpy
+    assert len(rejected) == 3
