@@ -75,6 +75,7 @@ functions do, so it equals them bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -117,9 +118,14 @@ def harmonic(n: int) -> float:
     their last bit, so float64 adds them exactly.  The sums of each chunk
     position are combined as Python ints into the exact numerator of H_n
     over 2**(b K); int true division rounds that quotient correctly, once.
-    Memory is three arrays of the block length.
+    Memory is three arrays of the block length.  The value is cached by n:
+    the closed forms ask for the same few H_n more than once.
     """
-    n = integer(n, "n for the harmonic number H_n", 0)
+    return _harmonic(integer(n, "n for the harmonic number H_n", 0))
+
+
+@functools.lru_cache(maxsize=32)  # keyed on the checked int, so harmonic(True) still raises
+def _harmonic(n: int) -> float:
     K = -(-(52 + n.bit_length()) // _CHUNK_BITS)
     scale = float(2**_CHUNK_BITS)
     sums = [0] * K
@@ -158,6 +164,11 @@ class GradNormModel:
         positive(self.G, "gradient norm scale")
         if finite(self.alpha, "gradient norm exponent") > 0.0:
             raise ValueError(f"gradient norm exponent must be <= 0, got {self.alpha}")
+
+    @property
+    def unit(self) -> bool:
+        """Whether every G_t is exactly 1.0 (G = 1, alpha = 0), as in every repro target."""
+        return self.G == 1.0 and self.alpha == 0.0
 
     def values(self, T: int) -> np.ndarray:
         """G_t for t = 1..T."""
@@ -275,10 +286,15 @@ class Workspace:
             self.hold(np.empty(0), False)
         return row[:n]
 
-    def gvals(self, grad_norms: GradNormModel, n: int) -> np.ndarray:
-        """G_1..G_n of grad_norms (a longer row of the same model holds them bit for bit)."""
-        if grad_norms != self._grad_norms or self._gvals.size < n:
-            self._grad_norms, self._gvals = grad_norms, grad_norms.values(n)
+    def gvals(self, grad_norms: GradNormModel, n: int) -> np.ndarray | None:
+        """G_1..G_n of grad_norms (a longer row of the same model holds them bit for bit); None if all are 1.0."""
+        if grad_norms != self._grad_norms:
+            self._grad_norms, self._gvals = grad_norms, np.empty(0)
+            self.hold(np.empty(0), False)
+        if grad_norms.unit:
+            return None
+        if self._gvals.size < n:
+            self._gvals = grad_norms.values(n)
             self.hold(np.empty(0), False)
         return self._gvals[:n]
 
@@ -298,8 +314,11 @@ class Workspace:
         return m if same[k] else k
 
 
-def _accumulators(eta: np.ndarray, gvals: np.ndarray, work: Workspace):
+def _accumulators(eta: np.ndarray, gvals: np.ndarray | None, work: Workspace):
     """(q, prefix) for the first n = eta.size steps, with q_k = eta_k^2 G_k^2, in rows of work.
+
+    gvals None stands for the unit model, G_k = 1.0: q_k is then eta_k^2,
+    bit for bit, since x * 1.0 == x in IEEE arithmetic.
 
     prefix is the pair (S, Q) of prefix sums of eta and q, each with a
     leading zero, when n selects the prefix-difference kernel, and None
@@ -314,8 +333,9 @@ def _accumulators(eta: np.ndarray, gvals: np.ndarray, work: Workspace):
     S, Q = (work.row("S", n + 1), work.row("Q", n + 1)) if sums else (None, None)
     k = work.held(eta, sums)
     np.multiply(eta[k:], eta[k:], out=q[k:])  # the order of eta * eta * G * G
-    np.multiply(q[k:], gvals[k:], out=q[k:])
-    np.multiply(q[k:], gvals[k:], out=q[k:])
+    if gvals is not None:
+        np.multiply(q[k:], gvals[k:], out=q[k:])
+        np.multiply(q[k:], gvals[k:], out=q[k:])
     if sums:
         S[0] = Q[0] = 0.0
         S[k + 1 :], Q[k + 1 :] = eta[k:], q[k:]
@@ -495,13 +515,14 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     T = spec.schedule.horizon
     stride = default_stride(T) if stride is None else integer(stride, "stride")
     ts = _grid(T, stride)
-    eta, gvals = spec.schedule.values, spec.grad_norms.values(T)
+    eta = spec.schedule.values
     n = ts.size - 1  # rows before the last
     blocks = _block_sums(eta, stride)
     S, noise = np.empty(ts.size), np.empty(ts.size)
     counts = None
     S[:n] = _running_sums(blocks)[:n]  # rows that the direct kernels overwrite
     if not cross_terms:
+        gvals = spec.grad_norms.values(T)
         kernel, q = RUNNING_SUM, eta * eta * gvals * gvals
         noise[:n] = _running_sums(_block_sums(q, stride))[:n] / (2.0 * S[:n])
         S[n], noise[n] = _plain_sums(eta, q)
@@ -509,7 +530,7 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
         # rows are made on first use, so the tail row of the direct kernels comes
         # after the exp-sum kernel has freed its working arrays
         work = Workspace()
-        q, prefix = _accumulators(eta, gvals, work)
+        q, prefix = _accumulators(eta, work.gvals(spec.grad_norms, T), work)
         S_T = np.sum(eta)
         a, w = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
         if int(ts.sum()) > EXP_SUM_MARGIN * a.size * T:

@@ -11,6 +11,7 @@ path), 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -41,97 +42,118 @@ def _add_bound_params(p: argparse.ArgumentParser):
     p.add_argument("--grad-alpha", type=float, default=0.0, help="gradient norm exponent (G_t = G * t**alpha, alpha <= 0)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of `command` only, or of all if None.
+
+    A process parses one subcommand, and the others' arguments would cost it
+    about 2 ms to build; their names and help lines stay, so `--help` and an
+    unknown command read as with the full parser.
+    """
     top = argparse.ArgumentParser(
         prog="schedbound",
         description="Suboptimality bounds, tuning, and transfer for SGD learning-rate schedules.",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schedule", help="materialize a schedule to CSV/JSON")
-    p.add_argument("--schedule", required=True, help="schedule spec, e.g. wsd:T=4000,c=0.2")
-    _add_common(p, "schedule")
+    def add(name: str, help_line: str) -> argparse.ArgumentParser | None:
+        """Register the subcommand; its parser if it gets its arguments, else None."""
+        p = sub.add_parser(name, help=help_line)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("bound", help="bound curve for a schedule")
-    p.add_argument("--schedule", required=True)
-    _add_bound_params(p)
-    p.add_argument("--gamma", default="star", help="base learning rate, a float or 'star'")
-    p.add_argument("--stride", type=int, default=None, help="horizon stride (default max(1, T//2000))")
-    _add_common(p, "bound")
+    if p := add("schedule", "materialize a schedule to CSV/JSON"):
+        p.add_argument("--schedule", required=True, help="schedule spec, e.g. wsd:T=4000,c=0.2")
+        _add_common(p, "schedule")
 
-    p = sub.add_parser("sweep-gamma", help="bound vs base learning rate")
-    p.add_argument("--schedule", required=True)
-    _add_bound_params(p)
-    p.add_argument("--gamma-min", type=float, default=None)
-    p.add_argument("--gamma-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None, help="size of the --gamma-min/--gamma-max grid")
-    _add_common(p, "sweep_gamma")
+    if p := add("bound", "bound curve for a schedule"):
+        p.add_argument("--schedule", required=True)
+        _add_bound_params(p)
+        p.add_argument("--gamma", default="star", help="base learning rate, a float or 'star'")
+        p.add_argument("--stride", type=int, default=None, help="horizon stride (default max(1, T//2000))")
+        _add_common(p, "bound")
 
-    p = sub.add_parser("sweep-cooldown", help="bound vs cooldown fraction")
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--shape", default="linear", help="cooldown shape: linear or 1-sqrt")
-    p.add_argument("--base", choices=("constant", "inv-sqrt"), default="constant")
-    _add_bound_params(p)
-    p.add_argument("--gamma", default="star", help="'star' tunes gamma per fraction; a float fixes it")
-    p.add_argument("--c-min", type=float, default=0.02)
-    p.add_argument("--c-max", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=50)
-    _add_common(p, "sweep_cooldown")
+    if p := add("sweep-gamma", "bound vs base learning rate"):
+        p.add_argument("--schedule", required=True)
+        _add_bound_params(p)
+        p.add_argument("--gamma-min", type=float, default=None)
+        p.add_argument("--gamma-max", type=float, default=None)
+        p.add_argument("--points", type=int, default=None, help="size of the --gamma-min/--gamma-max grid")
+        _add_common(p, "sweep_gamma")
 
-    p = sub.add_parser("transfer-horizon", help="extend a tuned run to a longer horizon")
-    p.add_argument("--mode", choices=("rho", "cooldown"), required=True)
-    p.add_argument("--T1", type=int, required=True)
-    p.add_argument("--T2", type=int, required=True)
-    p.add_argument("--c", type=float, default=0.2, help="cooldown fraction of the short run")
-    p.add_argument("--shape", default="linear")
-    p.add_argument("--base", choices=("constant", "inv-sqrt"), default="constant")
-    _add_bound_params(p)
-    _add_common(p, "transfer_horizon")
+    if p := add("sweep-cooldown", "bound vs cooldown fraction"):
+        p.add_argument("--T", type=int, required=True)
+        p.add_argument("--shape", default="linear", help="cooldown shape: linear or 1-sqrt")
+        p.add_argument("--base", choices=("constant", "inv-sqrt"), default="constant")
+        _add_bound_params(p)
+        p.add_argument("--gamma", default="star", help="'star' tunes gamma per fraction; a float fixes it")
+        p.add_argument("--c-min", type=float, default=0.02)
+        p.add_argument("--c-max", type=float, default=1.0)
+        p.add_argument("--points", type=int, default=50)
+        _add_common(p, "sweep_cooldown")
 
-    p = sub.add_parser("transfer-lr", help="tuned-gamma ratio across cooldown fractions")
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--shape", default="linear")
-    _add_bound_params(p)
-    p.add_argument("--c-min", type=float, default=0.02)
-    p.add_argument("--c-max", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=50)
-    _add_common(p, "transfer_lr")
+    if p := add("transfer-horizon", "extend a tuned run to a longer horizon"):
+        p.add_argument("--mode", choices=("rho", "cooldown"), required=True)
+        p.add_argument("--T1", type=int, required=True)
+        p.add_argument("--T2", type=int, required=True)
+        p.add_argument("--c", type=float, default=0.2, help="cooldown fraction of the short run")
+        p.add_argument("--shape", default="linear")
+        p.add_argument("--base", choices=("constant", "inv-sqrt"), default="constant")
+        _add_bound_params(p)
+        _add_common(p, "transfer_horizon")
 
-    p = sub.add_parser("toy-run", help="subgradient descent on the toy problem")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=20)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--x-start", default=None, help="comma-separated start point (default: problem's)")
-    p.add_argument("--record-iterates", action="store_true")
-    _add_common(p, "toy_run")
+    if p := add("transfer-lr", "tuned-gamma ratio across cooldown fractions"):
+        p.add_argument("--T", type=int, required=True)
+        p.add_argument("--shape", default="linear")
+        _add_bound_params(p)
+        p.add_argument("--c-min", type=float, default=0.02)
+        p.add_argument("--c-max", type=float, default=1.0)
+        p.add_argument("--points", type=int, default=50)
+        _add_common(p, "transfer_lr")
 
-    p = sub.add_parser("toy-compare", help="wsd vs constant vs cosine on one instance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--T", type=int, default=400)
-    _add_common(p, "toy_compare")
+    if p := add("toy-run", "subgradient descent on the toy problem"):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--m", type=int, default=20)
+        p.add_argument("--d", type=int, default=2)
+        p.add_argument("--schedule", required=True)
+        p.add_argument("--gamma", type=float, required=True)
+        p.add_argument("--x-start", default=None, help="comma-separated start point (default: problem's)")
+        p.add_argument("--record-iterates", action="store_true")
+        _add_common(p, "toy_run")
 
-    p = sub.add_parser("scaling-law", help="price a loss delta in tokens or parameters")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--N", type=float, required=True, help="parameter count")
-    p.add_argument("--D", type=float, required=True, help="token count")
-    p.add_argument("--solve", choices=("tokens", "params"), required=True)
-    # the handler fills in ScalingLaw's defaults, so the parser need not import scaling
-    for flag in ("--E", "--A", "--B", "--alpha", "--beta", "--loss-scale"):
-        p.add_argument(flag, type=float)
-    _add_common(p, "scaling_law")
+    if p := add("toy-compare", "wsd vs constant vs cosine on one instance"):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--T", type=int, default=400)
+        _add_common(p, "toy_compare")
 
-    p = sub.add_parser("fit", help="fit a parametric model to (x, y) CSV data")
-    p.add_argument("--model", choices=("hgamma", "invsqrt", "poly6"), required=True)
-    p.add_argument("--input", required=True, help="CSV file with header and two columns (x, y)")
-    _add_common(p, "fit")
+    if p := add("scaling-law", "price a loss delta in tokens or parameters"):
+        p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--N", type=float, required=True, help="parameter count")
+        p.add_argument("--D", type=float, required=True, help="token count")
+        p.add_argument("--solve", choices=("tokens", "params"), required=True)
+        # the handler fills in ScalingLaw's defaults, so the parser need not import scaling
+        for flag in ("--E", "--A", "--B", "--alpha", "--beta", "--loss-scale"):
+            p.add_argument(flag, type=float)
+        _add_common(p, "scaling_law")
 
-    p = sub.add_parser("repro", help="reproduce a named experiment with pinned defaults")
-    p.add_argument("target", help="target id, 'all', or 'list'")
-    _add_common(p, "repro")
+    if p := add("fit", "fit a parametric model to (x, y) CSV data"):
+        p.add_argument("--model", choices=("hgamma", "invsqrt", "poly6"), required=True)
+        p.add_argument("--input", required=True, help="CSV file with header and two columns (x, y)")
+        _add_common(p, "fit")
+
+    if p := add("repro", "reproduce a named experiment with pinned defaults"):
+        p.add_argument("target", help="target id, 'all', or 'list'")
+        _add_common(p, "repro")
 
     return top
+
+
+def _command(argv: list[str]) -> str | None:
+    """The subcommand that argparse will parse in argv: its first argument that is not an option.
+
+    The top-level parser has no option that takes a value, so an argument
+    before that one is an option or, if it is not one (`-`, `-1`), an
+    unknown command that fails the same way with any parser.
+    """
+    return next((arg for arg in argv if not arg.startswith("-")), None)
 
 
 def _resolve_outdir(args) -> str:
@@ -441,7 +463,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(_command(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -460,5 +483,20 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry() -> int:
+    """The `schedbound` process: main() with the cyclic garbage collector off.
+
+    Reference counting frees what a command computes.  The collector's 35
+    to 40 passes, most of them inside numpy's import, cost 5 to 9 ms and
+    find only garbage that a process makes once: argparse's parser graph
+    and what numpy's import leaves, some 700 objects.  tests/test_cli.py
+    holds that garbage bounded and the same for every command.  main()
+    leaves the collector as it finds it, for callers that run it in their
+    own process.
+    """
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

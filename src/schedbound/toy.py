@@ -184,7 +184,10 @@ def _loss_and_subgradient(problem: ToyProblem, x: np.ndarray) -> tuple[float, np
     peak = r[i]
     if peak == 0.0:
         return 0.0, np.zeros(problem.d)
-    return float(abs(peak)), np.sign(peak) * problem.A[i]
+    row = problem.A[i]
+    # a new array equal to sign(peak) * row (a nan peak gives a nan row), with no multiplication by +-1.0
+    g = row.copy() if peak > 0.0 else -row if peak < 0.0 else np.sign(peak) * row
+    return float(abs(peak)), g
 
 
 def loss(problem: ToyProblem, x: np.ndarray) -> float:
@@ -193,7 +196,7 @@ def loss(problem: ToyProblem, x: np.ndarray) -> float:
 
 
 def linf_subgradient(problem: ToyProblem, x: np.ndarray) -> np.ndarray:
-    """A subgradient of f at x: sign(r_i*) * A_i* for the peak residual.
+    """A subgradient of f at x, as a new array: sign(r_i*) * A_i* for the peak residual.
 
     r = A x - b; i* is the smallest index attaining max |r_i| (fixed
     tie-break for determinism).  At r = 0 the zero vector is returned,

@@ -108,10 +108,12 @@ class TestHarmonic:
         # narrower chunks take the path that n >= 2**28 takes with the shipped
         # width: more than one integer chunk before the remainder
         monkeypatch.setattr(bounds, "_CHUNK_BITS", chunk_bits)
+        bounds._harmonic.cache_clear()  # a cached H_n would skip the narrower path
         for n in (1, 7, bounds.HARMONIC_BLOCK + 3, 40000):
             assert harmonic(n) == math.fsum(1.0 / k for k in range(1, n + 1))
 
     def test_memory_stays_blockwise(self):
+        bounds._harmonic.cache_clear()  # a cached H_n would allocate nothing
         tracemalloc.start()
         try:
             harmonic(10**6)
@@ -119,6 +121,17 @@ class TestHarmonic:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [True, False, 1.0, 3.5, -1, np.int64(-2)])
+    def test_bad_n_raises_even_with_a_cached_value(self, n):
+        harmonic(0), harmonic(1)  # a cache keyed on the raw argument would answer True == 1
+        with pytest.raises(ValueError, match="n for the harmonic number H_n"):
+            harmonic(n)
+
+    def test_repeated_n_is_computed_once(self):
+        bounds._harmonic.cache_clear()
+        assert [harmonic(n) for n in (99999, 20001, 99999, np.int64(99999))] == [harmonic(n) for n in (99999, 20001, 99999, 99999)]
+        assert bounds._harmonic.cache_info().misses == 2
 
     def test_array_matches_scalar(self):
         hs = harmonic_numbers(50)
@@ -552,6 +565,35 @@ class TestWorkspace:
         grads = (GradNormModel(), GradNormModel(2.0), GradNormModel(2.0, -0.5), GradNormModel())
         got = [bound_terms(sched, grad, work=work) for grad in grads]
         assert got == [bound_terms(sched, grad) for grad in grads]
+
+
+@pytest.mark.parametrize("grad", [GradNormModel(), GradNormModel(1.0, -0.5), GradNormModel(1.3)])
+@pytest.mark.parametrize("name", ["wsd-linear", "random"])
+@pytest.mark.parametrize("long_horizon", [bounds.LONG_HORIZON, 200])  # 200 sends T = 300 to the suffix sums
+def test_unit_model_skips_only_multiplications_by_one(monkeypatch, name, grad, long_horizon):
+    # the unit model leaves out q *= G twice; x * 1.0 == x, so every result is
+    # the three-multiply one bit for bit, on each kernel
+    monkeypatch.setattr(bounds, "LONG_HORIZON", long_horizon)
+    sched = FAMILIES[name](300)
+    T, ts = sched.horizon, (1, 2, 150, 299, 300)
+    work = bounds.Workspace()
+    assert (work.gvals(grad, T) is None) == (grad == GradNormModel())
+    q, prefix = bounds._accumulators(sched.values, work.gvals(grad, T), work)
+    g = grad.values(T)
+    q_ref = sched.values * sched.values * g * g
+    assert q.tobytes() == q_ref.tobytes()
+    if prefix is not None:
+        assert prefix[0].tobytes() == np.cumsum([0.0, *sched.values]).tobytes()
+        assert prefix[1].tobytes() == np.cumsum([0.0, *q_ref]).tobytes()
+
+    def results():
+        terms = [bound_terms(sched, grad, 0.7, t) for t in ts]
+        curves = [bound_curve(BoundSpec(sched, grad), stride) for stride in (1, 7)]
+        return terms, [(c.noise_kernel, c.dist_terms.tobytes(), c.noise_terms.tobytes()) for c in curves]
+
+    got = results()
+    monkeypatch.setattr(GradNormModel, "unit", property(lambda self: False))
+    assert got == results()
 
 
 # the oracle families, and a last step that prefix differences lose against S_399

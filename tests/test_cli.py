@@ -1,8 +1,10 @@
 import argparse
+import gc
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +356,108 @@ def test_unknown_subcommand_exit_2(capsys):
 
 def test_help_exit_0(capsys):
     assert cli.main(["--help"]) == 0
+
+
+def _parse(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parser.parse_args(argv); code None if it returned."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in cli._HANDLERS),
+        [],
+        ["frobnicate", "--schedule", "x"],
+        ["bound"],  # --schedule is required
+        ["transfer-horizon", "--T1", "10", "--T2", "20"],  # so is --mode
+        ["bound", "--schedule", "wsd:T=10,c=0.2", "--format", "xml"],
+        ["repro", "list", "--format", "xml"],
+        ["-h", "bound"],
+        ["-1", "bound"],  # '-1' reads as the command
+        ["--", "bound", "--schedule"],
+        ["schedule", "--schedule", "constant:T=3", "--threads", "2"],
+    ],
+    ids=" ".join,
+)
+def test_lazy_parser_reads_as_the_full_one(argv, capsys):
+    full = _parse(cli._build_parser(), argv, capsys)
+    assert full[0] in (0, 2)
+    assert _parse(cli._build_parser(cli._command(argv)), argv, capsys) == full
+    assert run_cli(argv, capsys) == full
+
+
+def test_lazy_parser_builds_one_subcommand():
+    sub = next(a for a in cli._build_parser("bound")._actions if isinstance(a, argparse._SubParsersAction))
+    assert [name for name, p in sub.choices.items() if len(p._actions) > 1] == ["bound"]
+    assert list(sub.choices) == list(cli._HANDLERS)
+
+
+def _cyclic_garbage(argv, tmp_path) -> int:
+    """Objects the collector finds unreachable right after cli.main(argv), with it off during the call."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_command_leaves_the_same_bounded_cyclic_garbage(tmp_path, capsys):
+    # what the `schedbound` process leaves uncollected with the collector off:
+    # the parser's graph and nothing that grows with the work
+    commands = [["repro", "list"], ["bound", "--schedule", "wsd:T=100000,c=0.2"], ["repro", "all"]]
+    for argv in commands:  # the first calls import what each command runs
+        _cyclic_garbage(argv, tmp_path)
+    garbage = [_cyclic_garbage(argv, tmp_path) for argv in commands]
+    capsys.readouterr()
+    gc.collect()
+    cli._build_parser()
+    full_parser = gc.collect()
+    assert max(garbage) - min(garbage) <= 100, garbage  # measured 334, 390, 365
+    assert max(garbage) < full_parser, (garbage, full_parser)  # measured 501
+
+
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path, capsys):
+    assert gc.isenabled()
+    assert run_cli(["repro", "list", "--outdir", str(tmp_path)], capsys)[0] == 0
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run_cli(["repro", "list", "--outdir", str(tmp_path)], capsys)[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_process_runs_without_the_collector(tmp_path):
+    # runpy runs the module as `python -m schedbound.cli` does; atexit reports after it exits
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('gc enabled:', gc.isenabled(), file=sys.stderr))\n"
+        "runpy.run_module('schedbound.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "repro", "list", "--outdir", str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["targets"]
+    assert proc.stderr == "gc enabled: False\n"
+
+
+def test_console_script_runs_the_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'schedbound = "schedbound.cli:entry"' in pyproject
 
 
 def test_invalid_schedule_spec_exit_2(tmp_path, capsys):

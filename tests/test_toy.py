@@ -105,6 +105,25 @@ class TestLossAndSubgradient:
         g = linf_subgradient(p, np.array([0.0, -1.0]))  # residuals (0, -2)
         assert np.array_equal(g, -A[1])
 
+    @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, -1.0]])
+    def test_subgradient_is_not_a_view_of_A(self, x):
+        A = np.array([[1.0, 0.0], [0.0, 2.0]])
+        p = ToyProblem(A=A, b=np.array([0.0, 0.0]), x_start=np.zeros(2))
+        g = linf_subgradient(p, np.array(x))
+        assert not np.shares_memory(g, p.A)
+        g[:] = 7.0
+        assert np.array_equal(p.A, [[1.0, 0.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, -1.0], [-1.0, 0.0], [np.nan, 1.0]])
+    def test_subgradient_equals_sign_times_row_bit_for_bit(self, x):
+        # the row holds -0.0 and +0.0, whose signs a multiplication by +-1.0 keeps or flips
+        A = np.array([[-0.0, 0.5, 0.0], [1.5, -0.0, 0.0]])
+        p = ToyProblem(A=A, b=np.array([0.0, 0.25]), x_start=np.zeros(3))
+        x = np.array([*x, 0.0])
+        r = A @ x - p.b
+        i = int(np.argmax(np.abs(r)))
+        assert linf_subgradient(p, x).tobytes() == (np.sign(r[i]) * A[i]).tobytes()
+
     def test_argmax_tie_breaks_to_smallest_index(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = ToyProblem(A=A, b=np.zeros(2), x_start=np.zeros(2))
