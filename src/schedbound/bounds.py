@@ -63,8 +63,9 @@ allocate nothing and the heap does not trim and regrow between them.
 The rows keep q, S and Q of the last schedule, and the next one
 recomputes them only past the steps the two share: a prefix sum carried
 on from S_k adds in the order np.cumsum does, so the terms are the same
-bit for bit.  A last-iterate curve makes its own workspace; its rows
-are made on first use, at the schedule's length.
+bit for bit.  _accumulators alone fills them and records which steps
+they hold; every path forms q with _q.  A last-iterate curve makes its
+own workspace; its rows are made on first use, at the schedule's length.
 
 Best-iterate curves (running-sum) take S_t and Q_t from pairwise block
 sums and a compensated running sum, so they cost O(T) at any T;
@@ -264,84 +265,80 @@ class Workspace:
     temporaries of about 128 KB a call (t >= 16000) instead make the heap
     trim and regrow between calls, about 93 minor page faults a call.
     Each row grows to the longest horizon asked of it (a curve asks for
-    the schedule's length) and lives as long as the workspace; the G_t
-    row is kept for the last gradient-norm model.  The rows also keep the
-    accumulators of the last schedule, so that the next one recomputes
-    them only past the steps the two share (the flat part of a cooldown
-    grid).  A workspace is for one thread; a call that raised leaves it
-    usable.
+    the schedule's length), keeps its entries when it grows, and lives as
+    long as the workspace; the G_t row is kept for the last gradient-norm
+    model, whose longer rows hold the same leading values bit for bit.
+    Which steps the rows hold is _accumulators' record.  A workspace is for
+    one thread; a call that raised leaves it usable.
     """
 
     def __init__(self):
         self._rows: dict[str, np.ndarray] = {}
         self._grad_norms = None
         self._gvals = np.empty(0)
-        self.hold(np.empty(0), False)
+        self._held = None  # (steps, whether S and Q were formed, gradient-norm model): _accumulators' record
 
-    def row(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
-        """The first n entries of the named row."""
+    def row(self, name: str, n: int) -> np.ndarray:
+        """The first n entries of the named float64 row."""
         row = self._rows.get(name)
         if row is None or row.size < n:
-            row = self._rows[name] = np.empty(n, dtype)
-            self.hold(np.empty(0), False)
+            grown = self._rows[name] = np.empty(n)
+            if row is not None:
+                grown[: row.size] = row
+            row = grown
         return row[:n]
 
-    def gvals(self, grad_norms: GradNormModel, n: int) -> np.ndarray | None:
-        """G_1..G_n of grad_norms (a longer row of the same model holds them bit for bit); None if all are 1.0."""
-        if grad_norms != self._grad_norms:
-            self._grad_norms, self._gvals = grad_norms, np.empty(0)
-            self.hold(np.empty(0), False)
-        if grad_norms.unit:
-            return None
-        if self._gvals.size < n:
-            self._gvals = grad_norms.values(n)
-            self.hold(np.empty(0), False)
+    def gvals(self, grad_norms: GradNormModel, n: int) -> np.ndarray:
+        """G_1..G_n of grad_norms."""
+        if grad_norms != self._grad_norms or self._gvals.size < n:
+            self._grad_norms, self._gvals = grad_norms, grad_norms.values(n)
         return self._gvals[:n]
 
-    def hold(self, eta: np.ndarray, sums: bool):
-        """Record that the rows hold q, and S and Q if sums, of the steps eta with this G row."""
-        self._held, self._sums = eta, sums
 
-    def held(self, eta: np.ndarray, sums: bool) -> int:
-        """How many leading steps of eta the rows hold q, and S and Q if sums, of; after the call, none."""
-        held, held_sums = self._held, self._sums
-        self.hold(np.empty(0), False)
-        m = min(held.size, eta.size) if held_sums or not sums else 0
-        if m == 0:
-            return 0
-        same = np.equal(eta[:m], held[:m], out=self.row("same", m, bool))
-        k = int(np.argmin(same))
-        return m if same[k] else k
+def _q(eta: np.ndarray, grad_norms: GradNormModel, out: np.ndarray | None = None, gvals=None) -> np.ndarray:
+    """q_k = eta_k^2 G_k^2 of the steps eta as eta * eta * G * G, into out if given.
+
+    G is gvals() if given, else grad_norms.values(eta.size).  The unit model
+    builds no G row and leaves out its G_k = 1.0: x * 1.0 == x in IEEE
+    arithmetic, so q is the same bit for bit.
+    """
+    q = np.multiply(eta, eta, out=out)
+    if not grad_norms.unit:
+        g = grad_norms.values(eta.size) if gvals is None else gvals()
+        np.multiply(q, g, out=q)
+        np.multiply(q, g, out=q)
+    return q
 
 
-def _accumulators(eta: np.ndarray, gvals: np.ndarray | None, work: Workspace):
-    """(q, prefix) for the first n = eta.size steps, with q_k = eta_k^2 G_k^2, in rows of work.
-
-    gvals None stands for the unit model, G_k = 1.0: q_k is then eta_k^2,
-    bit for bit, since x * 1.0 == x in IEEE arithmetic.
+def _accumulators(eta: np.ndarray, grad_norms: GradNormModel, work: Workspace):
+    """(q, prefix) for the first n = eta.size steps, with q_k = eta_k^2 G_k^2 (_q), in rows of work.
 
     prefix is the pair (S, Q) of prefix sums of eta and q, each with a
     leading zero, when n selects the prefix-difference kernel, and None
     when it selects the suffix-sum kernel, which needs no prefix sums.
-    Only the steps past those the rows already hold (Workspace.held) are
-    computed: the prefix sums go on from S_k and Q_k one step at a time,
-    as np.cumsum adds, so every row equals a fresh one bit for bit.
+    It alone keeps the record of what the rows hold: the steps of the last
+    call, whether it formed S and Q, and its gradient-norm model.  Only the
+    steps past those the two calls share are computed: the prefix sums go
+    on from S_k and Q_k one step at a time, as np.cumsum adds, so every row
+    equals a fresh one bit for bit.
     """
     n = eta.size
     sums = _noise_kernel(n) == PREFIX_DIFFERENCE
     q = work.row("q", n)
     S, Q = (work.row("S", n + 1), work.row("Q", n + 1)) if sums else (None, None)
-    k = work.held(eta, sums)
-    np.multiply(eta[k:], eta[k:], out=q[k:])  # the order of eta * eta * G * G
-    if gvals is not None:
-        np.multiply(q[k:], gvals[k:], out=q[k:])
-        np.multiply(q[k:], gvals[k:], out=q[k:])
+    held, work._held = work._held, None  # nothing is held until the rows are filled: a call that raised leaves none
+    k = 0
+    if held is not None and held[2] == grad_norms and (held[1] or not sums):
+        same = np.equal(eta[: held[0].size], held[0][:n])
+        k = int(np.argmin(same))
+        k = same.size if same[k] else k
+    _q(eta[k:], grad_norms, q[k:], lambda: work.gvals(grad_norms, n)[k:])
     if sums:
         S[0] = Q[0] = 0.0
         S[k + 1 :], Q[k + 1 :] = eta[k:], q[k:]
         np.add.accumulate(S[k:], out=S[k:])
         np.add.accumulate(Q[k:], out=Q[k:])
-    work.hold(eta, sums)
+    work._held = (eta, sums, grad_norms)
     return q, (S, Q) if sums else None
 
 
@@ -378,7 +375,7 @@ def _sum_and_noise(schedule, grad_norms, t, work=None) -> tuple[float, float]:
     t = _resolve_t(schedule, t)
     work = Workspace() if work is None else work
     eta = schedule.values[:t]
-    q, prefix = _accumulators(eta, work.gvals(grad_norms, t), work)
+    q, prefix = _accumulators(eta, grad_norms, work)
     return _horizon(eta, q, prefix, t, work)
 
 
@@ -459,8 +456,8 @@ def best_iterate_terms(
     """
     D = positive(D, "initial distance D")
     t = _resolve_t(schedule, t)
-    eta, g = schedule.values[:t], grad_norms.values(t)
-    S_t, noise = _plain_sums(eta, eta * eta * g * g)
+    eta = schedule.values[:t]
+    S_t, noise = _plain_sums(eta, _q(eta, grad_norms))
     return _in_range(D * D / (2.0 * S_t), noise)
 
 
@@ -522,15 +519,14 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
     counts = None
     S[:n] = _running_sums(blocks)[:n]  # rows that the direct kernels overwrite
     if not cross_terms:
-        gvals = spec.grad_norms.values(T)
-        kernel, q = RUNNING_SUM, eta * eta * gvals * gvals
+        kernel, q = RUNNING_SUM, _q(eta, spec.grad_norms)
         noise[:n] = _running_sums(_block_sums(q, stride))[:n] / (2.0 * S[:n])
         S[n], noise[n] = _plain_sums(eta, q)
     else:
         # rows are made on first use, so the tail row of the direct kernels comes
         # after the exp-sum kernel has freed its working arrays
         work = Workspace()
-        q, prefix = _accumulators(eta, work.gvals(spec.grad_norms, T), work)
+        q, prefix = _accumulators(eta, spec.grad_norms, work)
         S_T = np.sum(eta)
         a, w = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
         if int(ts.sum()) > EXP_SUM_MARGIN * a.size * T:

@@ -53,6 +53,9 @@ from schedbound.schedules import (
 
 
 ORACLE_T = 240
+# the size of the long-horizon tests, a constant of their own so that they
+# keep T = 100000 whatever becomes of bounds.LONG_HORIZON
+LONG_T = 100_000
 ORACLE_SCHEDULES = {
     "constant": constant(ORACLE_T),
     "wsd-linear": wsd(ORACLE_T, 0.3),
@@ -519,7 +522,7 @@ class TestWorkspace:
         q = work.row("q", 400)
         got.append(bound_terms(wsd(200, 0.2), work=work))
         assert np.shares_memory(work.row("q", 200), q)
-        # the grown rows hold nothing yet of the 160 steps wsd(800) shares with wsd(200)
+        # the grown rows keep the 160 steps wsd(800) shares with wsd(200), in new memory
         got.append(bound_terms(wsd(800, 0.2), work=work))
         assert work.row("q", 800).size == 800 and not np.shares_memory(work.row("q", 800), q)
         assert got == [bound_terms(wsd(T, 0.2)) for T in (400, 200, 800)]
@@ -527,37 +530,54 @@ class TestWorkspace:
     def test_prefix_sums_are_not_taken_from_a_suffix_sum_call(self, monkeypatch):
         # wsd(400, 0.2) takes the suffix-sum kernel, which leaves S and Q as
         # wsd(250, 0.5) made them (right for 125 steps); wsd(250, 0.2) takes
-        # prefix differences and shares 200 steps with wsd(400, 0.2).  The
-        # first call grows q and the tail row to 400 steps, so that no row
-        # grows (and forgets what it holds) in the last two
+        # prefix differences and shares 200 steps with wsd(400, 0.2)
         monkeypatch.setattr(bounds, "LONG_HORIZON", 300)
         work = bounds.Workspace()
         cases = [(400, 0.5), (250, 0.5), (400, 0.2), (250, 0.2)]
         got = [bound_terms(wsd(T, c), work=work) for T, c in cases]
         assert got == [bound_terms(wsd(T, c)) for T, c in cases]
 
-    def test_grown_prefix_sum_rows_hold_nothing(self, monkeypatch):
+    def test_grown_prefix_sum_rows_keep_their_entries(self, monkeypatch):
         # wsd(400) (suffix-sum) sizes the G row and q for 400 steps; the second
         # wsd(200) call leaves S and Q holding its steps, and wsd(250), which
-        # shares 160 of them, grows S and Q alone
+        # shares 160 of them, grows S and Q alone and recomputes them past those
         monkeypatch.setattr(bounds, "LONG_HORIZON", 300)
         work = bounds.Workspace()
         cases = [400, 200, 200, 250]
         got = [bound_terms(wsd(T, 0.2), work=work) for T in cases]
         assert got == [bound_terms(wsd(T, 0.2)) for T in cases]
 
-    def test_next_schedule_recomputes_only_past_the_shared_steps(self):
+    def test_next_schedule_recomputes_only_past_the_shared_steps(self, monkeypatch):
         # wsd(400, 0.2) and wsd(400, 0.5) are both 1.0 up to step 200
+        formed = []  # the steps of each call that q is formed for
+        q = bounds._q
+        monkeypatch.setattr(bounds, "_q", lambda eta, *args: formed.append(eta.size) or q(eta, *args))
         work = bounds.Workspace()
         bound_terms(wsd(400, 0.2), work=work)
         bound_terms(wsd(400, 0.2), t=300, work=work)
-        assert work.held(wsd(400, 0.5).values, True) == 200
-        assert work.held(wsd(400, 0.5).values, True) == 0  # a call to held forgets what was held
+        bound_terms(wsd(400, 0.5), work=work)
+        with pytest.raises(ValueError, match="initial distance D"):
+            bound_terms(wsd(400, 0.5), D=1e200, work=work)
+        bound_terms(wsd(400, 0.5), GradNormModel(1.3), work=work)  # a new model shares no steps
+        assert formed == [400, 0, 200, 0, 400]
         grid = (0.2, 0.5, 0.3, 1.0, 0.3)
         got = [bound_terms(wsd(400, c), work=work) for c in grid]
         gammas = [optimal_gamma(wsd(400, c), work=work) for c in grid]
         assert got == [bound_terms(wsd(400, c)) for c in grid]
         assert gammas == [optimal_gamma(wsd(400, c)) for c in grid]
+
+    def test_a_call_that_raised_inside_the_rows_leaves_nothing_held(self, monkeypatch):
+        # wsd(400, 0.5) shares 200 steps with wsd(300, 0.2); its q row is overwritten
+        # past them before the longer G row it needs fails to build.  The suffix-sum
+        # kernel reads q itself, where prefix differences read only S and Q
+        monkeypatch.setattr(bounds, "LONG_HORIZON", 1)
+        grad, work = GradNormModel(1.3), bounds.Workspace()
+        first = bound_terms(wsd(300, 0.2), grad, work=work)
+        with monkeypatch.context() as mp:
+            mp.setattr(GradNormModel, "values", lambda self, T: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                bound_terms(wsd(400, 0.5), grad, work=work)
+        assert bound_terms(wsd(300, 0.2), grad, work=work) == first
 
     def test_g_row_follows_the_gradient_norms(self):
         work = bounds.Workspace()
@@ -576,9 +596,7 @@ def test_unit_model_skips_only_multiplications_by_one(monkeypatch, name, grad, l
     monkeypatch.setattr(bounds, "LONG_HORIZON", long_horizon)
     sched = FAMILIES[name](300)
     T, ts = sched.horizon, (1, 2, 150, 299, 300)
-    work = bounds.Workspace()
-    assert (work.gvals(grad, T) is None) == (grad == GradNormModel())
-    q, prefix = bounds._accumulators(sched.values, work.gvals(grad, T), work)
+    q, prefix = bounds._accumulators(sched.values, grad, bounds.Workspace())
     g = grad.values(T)
     q_ref = sched.values * sched.values * g * g
     assert q.tobytes() == q_ref.tobytes()
@@ -596,6 +614,22 @@ def test_unit_model_skips_only_multiplications_by_one(monkeypatch, name, grad, l
     assert got == results()
 
 
+def test_unit_model_builds_no_g_row(monkeypatch):
+    # G_t = 1.0 under the unit model, so no bound path asks for the row of G_t
+    def fail(self, T):
+        raise AssertionError("G row built")
+
+    monkeypatch.setattr(GradNormModel, "values", fail)
+    sched = wsd(400, 0.2)
+    bound_terms(sched)
+    best_iterate_terms(sched)
+    for stride in (1, 20):  # exp-sum and prefix differences
+        bound_curve(BoundSpec(sched), stride)
+        best_iterate_curve(BoundSpec(sched), stride)
+    with pytest.raises(AssertionError, match="G row built"):
+        bound_terms(sched, GradNormModel(1.3))
+
+
 # the oracle families, and a last step that prefix differences lose against S_399
 SUFFIX_SUM_SCHEDULES = {**ORACLE_SCHEDULES, "tiny-tail": TestNonFinite.TINY_TAIL}
 
@@ -610,8 +644,8 @@ def test_single_sum_oracle_equals_double_sum(name, alpha):
 
 class TestLongHorizon:
     def test_extended_precision_path_matches_closed_form(self):
-        # T = LONG_HORIZON takes the suffix-sum kernel
-        T = bounds.LONG_HORIZON
+        # T = LONG_T, not below bounds.LONG_HORIZON, takes the suffix-sum kernel
+        T = LONG_T
         numeric = tuned_bound(constant(T))
         closed = constant_bound_exact(T)
         assert numeric == pytest.approx(closed, rel=1e-15)  # measured 1.5e-16
@@ -652,7 +686,7 @@ class TestLongHorizon:
 
     def test_constant_curve_on_suffix_sum_path(self):
         # noise of the constant schedule at horizon t is (1 + H_{t-1}) / 2
-        sched = constant(bounds.LONG_HORIZON)
+        sched = constant(LONG_T)
         curve = bound_curve(BoundSpec(sched), stride=10_000)
         assert curve.noise_kernel == bounds.SUFFIX_SUM
         for t, noise in zip(curve.t, curve.noise_terms):
@@ -753,18 +787,18 @@ class TestExpSum:
             return horizon(*args)
 
         monkeypatch.setattr(bounds, "_horizon", counted)
-        sched = wsd(bounds.LONG_HORIZON, 0.2)
+        sched = wsd(LONG_T, 0.2)
         curve = bound_curve(BoundSpec(sched))
         assert curve.noise_kernel == bounds.EXP_SUM
         assert len(curve.t) == 2001
-        assert calls == [bounds.LONG_HORIZON]
+        assert calls == [LONG_T]
         assert (curve.dist_final, curve.noise_final) == bound_terms(sched)
 
     @pytest.mark.parametrize("stride", [None, 1])
     def test_constant_curve_holds_every_row_at_scale(self, stride):
         # noise of the constant schedule at horizon t is (1 + H_{t-1}) / 2; at
         # stride 1 the state is carried across about 1,600 groups of horizons
-        T = bounds.LONG_HORIZON
+        T = LONG_T
         sched = constant(T)
         curve = bound_curve(BoundSpec(sched), stride=stride)
         assert curve.noise_kernel == bounds.EXP_SUM
@@ -777,8 +811,8 @@ class TestExpSum:
     @pytest.mark.parametrize(
         "T, stride, kernel",
         [
-            pytest.param(bounds.LONG_HORIZON, 700, bounds.EXP_SUM, id="700-exp-sum"),
-            pytest.param(bounds.LONG_HORIZON, 1500, bounds.SUFFIX_SUM, id="1500-suffix-sum"),
+            pytest.param(LONG_T, 700, bounds.EXP_SUM, id="700-exp-sum"),
+            pytest.param(LONG_T, 1500, bounds.SUFFIX_SUM, id="1500-suffix-sum"),
             pytest.param(400, 1, bounds.EXP_SUM, id="T400-1-exp-sum"),
             pytest.param(400, 20, bounds.PREFIX_DIFFERENCE, id="T400-20-prefix-difference"),
         ],
@@ -791,9 +825,9 @@ class TestExpSum:
     @pytest.mark.parametrize(
         "sched",
         [
-            wsd(bounds.LONG_HORIZON, 0.2),
-            wsd(bounds.LONG_HORIZON, 0.2, CooldownShape.ONE_MINUS_SQRT),
-            cosine(bounds.LONG_HORIZON),
+            wsd(LONG_T, 0.2),
+            wsd(LONG_T, 0.2, CooldownShape.ONE_MINUS_SQRT),
+            cosine(LONG_T),
         ],
         ids=["wsd-linear", "wsd-1-sqrt", "cosine"],
     )
@@ -835,7 +869,7 @@ class TestExpSum:
 
     @pytest.mark.parametrize("shape", [CooldownShape.LINEAR, CooldownShape.ONE_MINUS_SQRT])
     def test_long_wsd_rows_match_exact_oracle(self, shape):
-        sched = wsd(bounds.LONG_HORIZON, 0.2, shape)
+        sched = wsd(LONG_T, 0.2, shape)
         curve = bound_curve(BoundSpec(sched))
         assert curve.noise_kernel == bounds.EXP_SUM
         for row in (2, 1600, 1999):  # 1999 is the last row from the exp-sum kernel
@@ -910,10 +944,10 @@ class TestExpSum:
     @pytest.mark.parametrize(
         "sched, alpha",
         [
-            (constant(bounds.LONG_HORIZON), 0.0),
-            (constant(bounds.LONG_HORIZON), -0.5),
-            (cosine(bounds.LONG_HORIZON), 0.0),
-            (wsd(bounds.LONG_HORIZON, 0.2), 0.0),
+            (constant(LONG_T), 0.0),
+            (constant(LONG_T), -0.5),
+            (cosine(LONG_T), 0.0),
+            (wsd(LONG_T, 0.2), 0.0),
         ],
         ids=["constant", "constant-alpha", "cosine", "wsd"],
     )
@@ -948,10 +982,10 @@ class TestExpSum:
     @pytest.mark.parametrize(
         "sched, stride",
         [
-            (constant(bounds.LONG_HORIZON), None),
-            (constant(bounds.LONG_HORIZON), 1),
-            (cosine(bounds.LONG_HORIZON), None),
-            (wsd(bounds.LONG_HORIZON, 0.2), None),
+            (constant(LONG_T), None),
+            (constant(LONG_T), 1),
+            (cosine(LONG_T), None),
+            (wsd(LONG_T, 0.2), None),
         ],
         ids=["constant", "constant-stride-1", "cosine", "wsd"],
     )
@@ -980,7 +1014,7 @@ class TestExpSum:
         # rho sets in at step 32000 and the cooldown at 80001; at the default stride (50)
         # rows 640-710 and 1563-1633 are chunks that straddle them, and the chunks on
         # either side share one set of exponentials
-        sched = extended(40000, 0.2, bounds.LONG_HORIZON, 0.5)
+        sched = extended(40000, 0.2, LONG_T, 0.5)
         curve = bound_curve(BoundSpec(sched))
         assert curve.noise_kernel == bounds.EXP_SUM and 0 < curve.exp_sum.shared < curve.exp_sum.groups
         rows = (639, 640, 641, 710, 711, 1562, 1563, 1600, 1601, 1633, 1634)
@@ -989,7 +1023,7 @@ class TestExpSum:
             assert rel_err(curve.noise_terms[row], value) <= 8e-15, row  # measured 3.7e-15 (3.4e-16 around step 32000)
 
     def test_curve_memory(self):
-        T = bounds.LONG_HORIZON
+        T = LONG_T
         spec = BoundSpec(wsd(T, 0.2))
         tracemalloc.start()
         try:
@@ -1000,7 +1034,7 @@ class TestExpSum:
         assert peak <= 4.5 * T * 8
 
     def test_best_iterate_curve_on_suffix_sum_path(self, no_horizon):
-        T = bounds.LONG_HORIZON
+        T = LONG_T
         sched = wsd(T, 0.3, CooldownShape.ONE_MINUS_SQRT)
         assert_best_iterate_rows_exact(sched, GradNormModel(G=1.3, alpha=-0.5), None, 1e-15)
 
