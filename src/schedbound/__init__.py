@@ -18,7 +18,6 @@ _EXPORTS = {
         "BoundSpec",
         "GradNormModel",
         "MirrorSpec",
-        "Workspace",
         "best_iterate_bound",
         "best_iterate_curve",
         "best_iterate_optimal_gamma",

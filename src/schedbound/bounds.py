@@ -56,16 +56,19 @@ which serve bound_terms and the rows of a curve that exp-sum does not:
   LONG_HORIZON direct pairs cost less, so exp-sum is slower near there.
 
 The two direct kernels work in the rows of a Workspace: q, the prefix
-sums S and Q, the tail sums and the denominators.  bound_terms makes a
-fresh one for each call unless its caller passes one; the sweeps and
-transfers of module tuning pass one per run, so that the calls of a grid
+sums S and Q, the tail sums and the denominators.  This module alone
+decides how long rows live.  Every single-horizon call (bound_terms, and
+through it optimal_gamma, tuned_bound and bound_value, and mirror_bound)
+works in the rows of its thread, so the calls of a grid or a bisection
 allocate nothing and the heap does not trim and regrow between them.
-The rows keep q, S and Q of the last schedule, and the next one
+The rows keep q, S and Q of the thread's last schedule, and the next one
 recomputes them only past the steps the two share: a prefix sum carried
 on from S_k adds in the order np.cumsum does, so the terms are the same
 bit for bit.  _accumulators alone fills them and records which steps
 they hold; every path forms q with _q.  A last-iterate curve makes its
-own workspace; its rows are made on first use, at the schedule's length.
+own workspace, freed when it returns, so that its T-long rows do not
+outlive it (they would through the CSV write of `bound`); its rows are
+made on first use, at the schedule's length.
 
 Best-iterate curves (running-sum) take S_t and Q_t from pairwise block
 sums and a compensated running sum, so they cost O(T) at any T;
@@ -78,6 +81,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -257,22 +261,24 @@ def _noise_kernel(n: int) -> str:
     return SUFFIX_SUM if n >= LONG_HORIZON else PREFIX_DIFFERENCE
 
 
-class Workspace:
-    """Rows that the noise kernels fill in place, owned by one caller and reused across its calls.
+class Workspace(threading.local):
+    """Rows that the noise kernels fill in place, one set per thread, reused across its calls.
 
-    A sweep or a transfer makes one and passes it to each of its bound_terms
-    calls, so that evaluating a grid allocates nothing per call.  Fresh
-    temporaries of about 128 KB a call (t >= 16000) instead make the heap
-    trim and regrow between calls, about 93 minor page faults a call.
-    Each row grows to the longest horizon asked of it (a curve asks for
-    the schedule's length), keeps its entries when it grows, and lives as
-    long as the workspace; the G_t row is kept for the last gradient-norm
-    model, whose longer rows hold the same leading values bit for bit.
-    Which steps the rows hold is _accumulators' record.  A workspace is for
-    one thread; a call that raised leaves it usable.
+    _THREAD_ROWS serves every single-horizon call, so evaluating a grid
+    allocates nothing per call.  Fresh temporaries of about 128 KB a call
+    (t >= 16000) instead make the heap trim and regrow between calls,
+    about 93 minor page faults a call.  Each row grows to the longest
+    horizon asked of it, keeps its entries when it grows, and lives as long
+    as the thread; the G_t row is kept for the last gradient-norm model,
+    whose longer rows hold the same leading values bit for bit.  So a
+    thread keeps the rows of its longest single-horizon call and a
+    reference to the steps of its last one: at t = 1e6 about 24 MB (the q
+    and tail rows and the held steps), and 8 MB more with a G row.  Which
+    steps the rows hold is _accumulators' record; a call that raised leaves
+    nothing held.  A curve makes its own instance, which lives for that call.
     """
 
-    def __init__(self):
+    def __init__(self):  # runs again in each thread that first uses the instance
         self._rows: dict[str, np.ndarray] = {}
         self._grad_norms = None
         self._gvals = np.empty(0)
@@ -293,6 +299,9 @@ class Workspace:
         if grad_norms != self._grad_norms or self._gvals.size < n:
             self._grad_norms, self._gvals = grad_norms, grad_norms.values(n)
         return self._gvals[:n]
+
+
+_THREAD_ROWS = Workspace()
 
 
 def _q(eta: np.ndarray, grad_norms: GradNormModel, out: np.ndarray | None = None, gvals=None) -> np.ndarray:
@@ -370,13 +379,12 @@ def _resolve_t(schedule: Schedule, t: int | None) -> int:
     return t
 
 
-def _sum_and_noise(schedule, grad_norms, t, work=None) -> tuple[float, float]:
-    """(S_t, noise_term) at horizon t, in work or, without one, in fresh arrays."""
+def _sum_and_noise(schedule, grad_norms, t) -> tuple[float, float]:
+    """(S_t, noise_term) at horizon t, in the rows of this thread."""
     t = _resolve_t(schedule, t)
-    work = Workspace() if work is None else work
     eta = schedule.values[:t]
-    q, prefix = _accumulators(eta, grad_norms, work)
-    return _horizon(eta, q, prefix, t, work)
+    q, prefix = _accumulators(eta, grad_norms, _THREAD_ROWS)
+    return _horizon(eta, q, prefix, t, _THREAD_ROWS)
 
 
 def _in_range(dist, noise, D="initial distance D", G="gradient norm scale") -> tuple[float, float]:
@@ -391,17 +399,14 @@ def bound_terms(
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
     t: int | None = None,
-    work: Workspace | None = None,
 ) -> tuple[float, float]:
     """(dist_term, noise_term) of the last-iterate bound at horizon t.
 
     The bound for base learning rate gamma is
-    dist_term / gamma + gamma * noise_term.  A caller that evaluates many
-    schedules passes one Workspace to every call; the terms are the same
-    bit for bit, with or without one.
+    dist_term / gamma + gamma * noise_term.
     """
     D = positive(D, "initial distance D")
-    S_t, noise = _sum_and_noise(schedule, grad_norms, t, work)
+    S_t, noise = _sum_and_noise(schedule, grad_norms, t)
     return _in_range(D * D / (2.0 * S_t), noise)  # D * D, not D ** 2: mirror_bound relies on it
 
 
@@ -416,10 +421,9 @@ def optimal_gamma(
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
     t: int | None = None,
-    work: Workspace | None = None,
 ) -> float:
-    """gamma minimizing the last-iterate bound at horizon t; work as in bound_terms."""
-    dist, noise = bound_terms(schedule, grad_norms, D, t, work=work)
+    """gamma minimizing the last-iterate bound at horizon t."""
+    dist, noise = bound_terms(schedule, grad_norms, D, t)
     return math.sqrt(dist / noise)
 
 

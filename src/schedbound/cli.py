@@ -324,6 +324,7 @@ def _cmd_transfer_horizon(args) -> dict:
     headlines = {
         param: res.value,
         "feasible": res.feasible,
+        "status": res.status,
         "target_gamma": res.target_gamma,
         "achieved_gamma": res.achieved_gamma,
     }

@@ -58,19 +58,30 @@ class SweepResult:
 class TransferResult:
     """Outcome of matching a reference tuned gamma on a new configuration.
 
-    value is the matched parameter (rho or cooldown fraction), bisected
-    to TRANSFER_REL_TOL when one grid bracket holds the root.  feasible
-    is False when no grid point brackets the target, in which case value
-    is the grid point coming closest.  mismatch is the tuned gamma minus
-    the target at each grid point.
+    status says how value was found from the grid's mismatch (the tuned
+    gamma minus the target at each grid point):
+
+    * "refined": one grid bracket holds the root, and value is bisected in
+      it to TRANSFER_REL_TOL;
+    * "grid-hit": no bracket, but the mismatch is exactly zero at value;
+    * "ambiguous": the mismatch changes sign in several brackets, and value
+      is the grid point coming closest, unrefined;
+    * "unreachable": it never changes sign, and value is the grid point
+      coming closest.
+
+    feasible is True only for the first two.
     """
 
     value: float
-    feasible: bool
+    status: str
     target_gamma: float
     achieved_gamma: float
     grid: np.ndarray
     mismatch: np.ndarray
+
+    @property
+    def feasible(self) -> bool:
+        return self.status in ("refined", "grid-hit")
 
     def table(self, param: str):
         """Header and rows of the grid: grid point, |mismatch|, mismatch."""
@@ -151,13 +162,13 @@ def _grid_array(grid, what: str) -> np.ndarray:
     return values.astype(np.float64, copy=False)
 
 
-def _family_terms(build, grid, what: str, grad_norms: GradNormModel, D: float, work: bounds.Workspace):
-    """(grid, dist, noise) arrays: the bound terms of build(x) at each point x of the named grid, in work.
+def _family_terms(build, grid, what: str, grad_norms: GradNormModel, D: float):
+    """(grid, dist, noise) arrays: the bound terms of build(x) at each point x of the named grid.
 
     Every tuning grid is evaluated here.
     """
     grid = _grid_array(grid, what)
-    terms = np.array([bounds.bound_terms(build(float(x)), grad_norms, D, work=work) for x in grid])
+    terms = np.array([bounds.bound_terms(build(float(x)), grad_norms, D) for x in grid])
     return grid, *terms.T
 
 
@@ -176,8 +187,7 @@ def sweep_cooldown(
     single already-tuned run responds to cooldown changes.
     """
     grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
-    work = bounds.Workspace()
-    grid, dist, noise = _family_terms(_cooldown_family(T, shape, base), grid, "cooldown", grad_norms, D, work)
+    grid, dist, noise = _family_terms(_cooldown_family(T, shape, base), grid, "cooldown", grad_norms, D)
     return SweepResult(grid, dist, noise, np.sqrt(dist / noise))
 
 
@@ -192,38 +202,36 @@ def _refine(g, lo, hi, g_lo):
     return 0.5 * (lo + hi)
 
 
-def _match_gamma(g, grid: np.ndarray, vals: np.ndarray) -> tuple[float, bool]:
-    """Root of the mismatch g, whose values on the grid are vals, bisection-refined.
+def _match_gamma(g, grid: np.ndarray, vals: np.ndarray) -> tuple[float, str]:
+    """(root, status) of the mismatch g, whose values on the grid are vals; status as in TransferResult.
 
-    Requires a unique sign change between adjacent grid points; with
-    none the target is unreachable (returns the closest grid point,
-    flagged infeasible), with several the crossing is ambiguous and the
-    grid argmin of |g| is returned unrefined.
+    Only a unique sign change between adjacent grid points is bisected;
+    an exact zero on a grid point without one is taken as it is, and
+    otherwise the grid argmin of |g| is returned unrefined.
     """
     sign_change = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
     if sign_change.size == 0:
         root_hits = np.nonzero(vals == 0.0)[0]
         if root_hits.size:
-            return float(grid[root_hits[0]]), True
-        return float(grid[int(np.argmin(np.abs(vals)))]), False
+            return float(grid[root_hits[0]]), "grid-hit"
+        return float(grid[int(np.argmin(np.abs(vals)))]), "unreachable"
     if sign_change.size > 1:
-        return float(grid[int(np.argmin(np.abs(vals)))]), True
+        return float(grid[int(np.argmin(np.abs(vals)))]), "ambiguous"
     i = int(sign_change[0])
-    return float(_refine(g, float(grid[i]), float(grid[i + 1]), float(vals[i]))), True
+    return float(_refine(g, float(grid[i]), float(grid[i + 1]), float(vals[i]))), "refined"
 
 
 def _transfer(reference: Schedule, family, grid, what: str, grad_norms: GradNormModel, D: float) -> TransferResult:
     """Match optimal_gamma(family(x)) over the named grid to the optimal gamma of reference."""
-    work = bounds.Workspace()  # for the reference, the grid, every bisection step and the achieved gamma
-    target = bounds.optimal_gamma(reference, grad_norms, D, work=work)
+    target = bounds.optimal_gamma(reference, grad_norms, D)
 
     def gamma_at(x: float) -> float:
-        return bounds.optimal_gamma(family(float(x)), grad_norms, D, work=work)
+        return bounds.optimal_gamma(family(float(x)), grad_norms, D)
 
-    grid, dist, noise = _family_terms(family, grid, what, grad_norms, D, work)
+    grid, dist, noise = _family_terms(family, grid, what, grad_norms, D)
     mismatch = np.sqrt(dist / noise) - target
-    value, feasible = _match_gamma(lambda x: gamma_at(x) - target, grid, mismatch)
-    return TransferResult(value, feasible, target, gamma_at(value), grid, mismatch)
+    value, status = _match_gamma(lambda x: gamma_at(x) - target, grid, mismatch)
+    return TransferResult(value, status, target, gamma_at(value), grid, mismatch)
 
 
 def transfer_horizon_rho(
@@ -295,10 +303,10 @@ def lr_transfer_curve(
     of the same shape family.  The ratio is scale-free: it does not
     depend on D or the gradient-norm scale.
     """
-    build, work = _cooldown_family(T, shape, "constant"), bounds.Workspace()
-    reference = bounds.optimal_gamma(build(1.0), grad_norms, D, work=work)
+    build = _cooldown_family(T, shape, "constant")
+    reference = bounds.optimal_gamma(build(1.0), grad_norms, D)
     grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
-    grid, dist, noise = _family_terms(build, grid, "cooldown", grad_norms, D, work)
+    grid, dist, noise = _family_terms(build, grid, "cooldown", grad_norms, D)
     return [(float(c), math.log(reference / g)) for c, g in zip(grid, np.sqrt(dist / noise))]
 
 

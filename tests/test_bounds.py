@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -482,6 +484,17 @@ FAMILIES = {
 }
 
 
+def in_new_thread(fn, *args):
+    """fn(*args), called in a thread of its own and so in rows that start empty; what it raises is raised here."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def fresh(cases):
+    """bound_terms(*case) for each case, each call in a new thread."""
+    return [in_new_thread(bound_terms, *case) for case in cases]
+
+
 class TestWorkspace:
     @given(
         calls=st.lists(
@@ -496,95 +509,119 @@ class TestWorkspace:
         ),
         long_horizon=st.integers(1, 301),
     )
-    def test_reused_workspace_equals_fresh_arrays_bit_for_bit(self, calls, long_horizon):
+    def test_reused_rows_equal_fresh_rows_bit_for_bit(self, calls, long_horizon):
         # LONG_HORIZON in 1..301 sends the horizons to the suffix-sum kernel,
-        # to prefix differences, or to both with one workspace; the calls run
+        # to prefix differences, or to both in one thread's rows; the calls run
         # forth and back, so the rows are reused for longer and shorter
         # horizons, and each follows a call that raised after filling them.
         # The fresh calls come last: freed arrays of theirs could otherwise
-        # hand the workspace the right values by chance
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "LONG_HORIZON", long_horizon)
-            work = bounds.Workspace()
+        # hand the reused rows the right values by chance
+        def reused():
             cases, got = [], []
             for name, T, u, alpha in calls + calls[::-1]:
                 sched, grad = FAMILIES[name](T), GradNormModel(1.3, alpha)
                 t = max(1, round(u * T))
                 with pytest.raises(ValueError, match="initial distance D"):
-                    bound_terms(sched, grad, 1e200, t, work=work)
+                    bound_terms(sched, grad, 1e200, t)
                 cases.append((sched, grad, 0.7, t))
-                got.append(bound_terms(*cases[-1], work=work))
-            assert got == [bound_terms(*case) for case in cases]
+                got.append(bound_terms(*cases[-1]))
+            return cases, got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "LONG_HORIZON", long_horizon)
+            cases, got = in_new_thread(reused)
+            assert got == fresh(cases)
 
     def test_rows_grow_and_are_kept(self):
-        work = bounds.Workspace()
-        got = [bound_terms(wsd(400, 0.2), work=work)]
-        q = work.row("q", 400)
-        got.append(bound_terms(wsd(200, 0.2), work=work))
-        assert np.shares_memory(work.row("q", 200), q)
-        # the grown rows keep the 160 steps wsd(800) shares with wsd(200), in new memory
-        got.append(bound_terms(wsd(800, 0.2), work=work))
-        assert work.row("q", 800).size == 800 and not np.shares_memory(work.row("q", 800), q)
-        assert got == [bound_terms(wsd(T, 0.2)) for T in (400, 200, 800)]
+        def calls():
+            work = bounds._THREAD_ROWS
+            got = [bound_terms(wsd(400, 0.2))]
+            q = work.row("q", 400)
+            got.append(bound_terms(wsd(200, 0.2)))
+            assert np.shares_memory(work.row("q", 200), q)
+            # the grown rows keep the 160 steps wsd(800) shares with wsd(200), in new memory
+            got.append(bound_terms(wsd(800, 0.2)))
+            assert work.row("q", 800).size == 800 and not np.shares_memory(work.row("q", 800), q)
+            return got
+
+        assert in_new_thread(calls) == fresh((wsd(T, 0.2),) for T in (400, 200, 800))
 
     def test_prefix_sums_are_not_taken_from_a_suffix_sum_call(self, monkeypatch):
         # wsd(400, 0.2) takes the suffix-sum kernel, which leaves S and Q as
         # wsd(250, 0.5) made them (right for 125 steps); wsd(250, 0.2) takes
         # prefix differences and shares 200 steps with wsd(400, 0.2)
         monkeypatch.setattr(bounds, "LONG_HORIZON", 300)
-        work = bounds.Workspace()
-        cases = [(400, 0.5), (250, 0.5), (400, 0.2), (250, 0.2)]
-        got = [bound_terms(wsd(T, c), work=work) for T, c in cases]
-        assert got == [bound_terms(wsd(T, c)) for T, c in cases]
+        cases = [(wsd(T, c),) for T, c in [(400, 0.5), (250, 0.5), (400, 0.2), (250, 0.2)]]
+        assert in_new_thread(lambda: [bound_terms(*case) for case in cases]) == fresh(cases)
 
     def test_grown_prefix_sum_rows_keep_their_entries(self, monkeypatch):
         # wsd(400) (suffix-sum) sizes the G row and q for 400 steps; the second
         # wsd(200) call leaves S and Q holding its steps, and wsd(250), which
         # shares 160 of them, grows S and Q alone and recomputes them past those
         monkeypatch.setattr(bounds, "LONG_HORIZON", 300)
-        work = bounds.Workspace()
-        cases = [400, 200, 200, 250]
-        got = [bound_terms(wsd(T, 0.2), work=work) for T in cases]
-        assert got == [bound_terms(wsd(T, 0.2)) for T in cases]
+        cases = [(wsd(T, 0.2),) for T in [400, 200, 200, 250]]
+        assert in_new_thread(lambda: [bound_terms(*case) for case in cases]) == fresh(cases)
 
     def test_next_schedule_recomputes_only_past_the_shared_steps(self, monkeypatch):
         # wsd(400, 0.2) and wsd(400, 0.5) are both 1.0 up to step 200
         formed = []  # the steps of each call that q is formed for
         q = bounds._q
         monkeypatch.setattr(bounds, "_q", lambda eta, *args: formed.append(eta.size) or q(eta, *args))
-        work = bounds.Workspace()
-        bound_terms(wsd(400, 0.2), work=work)
-        bound_terms(wsd(400, 0.2), t=300, work=work)
-        bound_terms(wsd(400, 0.5), work=work)
-        with pytest.raises(ValueError, match="initial distance D"):
-            bound_terms(wsd(400, 0.5), D=1e200, work=work)
-        bound_terms(wsd(400, 0.5), GradNormModel(1.3), work=work)  # a new model shares no steps
-        assert formed == [400, 0, 200, 0, 400]
         grid = (0.2, 0.5, 0.3, 1.0, 0.3)
-        got = [bound_terms(wsd(400, c), work=work) for c in grid]
-        gammas = [optimal_gamma(wsd(400, c), work=work) for c in grid]
-        assert got == [bound_terms(wsd(400, c)) for c in grid]
-        assert gammas == [optimal_gamma(wsd(400, c)) for c in grid]
+
+        def calls():
+            bound_terms(wsd(400, 0.2))
+            bound_terms(wsd(400, 0.2), t=300)
+            bound_terms(wsd(400, 0.5))
+            with pytest.raises(ValueError, match="initial distance D"):
+                bound_terms(wsd(400, 0.5), D=1e200)
+            bound_terms(wsd(400, 0.5), GradNormModel(1.3))  # a new model shares no steps
+            assert formed == [400, 0, 200, 0, 400]
+            return [bound_terms(wsd(400, c)) for c in grid], [optimal_gamma(wsd(400, c)) for c in grid]
+
+        got, gammas = in_new_thread(calls)
+        assert got == fresh((wsd(400, c),) for c in grid)
+        assert gammas == [in_new_thread(optimal_gamma, wsd(400, c)) for c in grid]
 
     def test_a_call_that_raised_inside_the_rows_leaves_nothing_held(self, monkeypatch):
         # wsd(400, 0.5) shares 200 steps with wsd(300, 0.2); its q row is overwritten
         # past them before the longer G row it needs fails to build.  The suffix-sum
         # kernel reads q itself, where prefix differences read only S and Q
         monkeypatch.setattr(bounds, "LONG_HORIZON", 1)
-        grad, work = GradNormModel(1.3), bounds.Workspace()
-        first = bound_terms(wsd(300, 0.2), grad, work=work)
-        with monkeypatch.context() as mp:
-            mp.setattr(GradNormModel, "values", lambda self, T: 1 / 0)
-            with pytest.raises(ZeroDivisionError):
-                bound_terms(wsd(400, 0.5), grad, work=work)
-        assert bound_terms(wsd(300, 0.2), grad, work=work) == first
+        grad = GradNormModel(1.3)
+
+        def calls():
+            first = bound_terms(wsd(300, 0.2), grad)
+            with monkeypatch.context() as mp:
+                mp.setattr(GradNormModel, "values", lambda self, T: 1 / 0)
+                with pytest.raises(ZeroDivisionError):
+                    bound_terms(wsd(400, 0.5), grad)
+            return first, bound_terms(wsd(300, 0.2), grad)
+
+        first, again = in_new_thread(calls)
+        assert again == first
 
     def test_g_row_follows_the_gradient_norms(self):
-        work = bounds.Workspace()
         sched = wsd(50, 0.2)
-        grads = (GradNormModel(), GradNormModel(2.0), GradNormModel(2.0, -0.5), GradNormModel())
-        got = [bound_terms(sched, grad, work=work) for grad in grads]
-        assert got == [bound_terms(sched, grad) for grad in grads]
+        cases = [(sched, grad) for grad in (GradNormModel(), GradNormModel(2.0), GradNormModel(2.0, -0.5), GradNormModel())]
+        assert in_new_thread(lambda: [bound_terms(*case) for case in cases]) == fresh(cases)
+
+    def test_threads_keep_their_own_rows(self):
+        # two grids at once, one of them with a G row; rows shared by the two
+        # threads would take q, S, Q and the held steps of one for the other's
+        grids = {
+            GradNormModel(): [wsd(16000, c) for c in np.linspace(0.05, 0.5, 40)],
+            GradNormModel(1.0, -0.5): [wsd(16000, c, CooldownShape.ONE_MINUS_SQRT) for c in np.linspace(0.1, 1.0, 40)],
+        }
+        serial = {grad: [bound_terms(sched, grad) for sched in scheds] for grad, scheds in grids.items()}
+        start = threading.Barrier(len(grids))
+
+        def run(grad):
+            start.wait()
+            return [bound_terms(sched, grad) for sched in grids[grad]]
+
+        with ThreadPoolExecutor(len(grids)) as pool:
+            assert dict(zip(grids, pool.map(run, grids))) == serial
 
 
 @pytest.mark.parametrize("grad", [GradNormModel(), GradNormModel(1.0, -0.5), GradNormModel(1.3)])

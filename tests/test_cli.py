@@ -172,6 +172,7 @@ def test_transfer_horizon_rho(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["feasible"] is True
+    assert summary["status"] == "refined"
     assert summary["rho"] == pytest.approx(0.5397, abs=1e-3)
     header = (tmp_path / "transfer_horizon.csv").read_text().splitlines()[0]
     assert header == "rho,abs_gamma_mismatch,gamma_mismatch"

@@ -56,6 +56,34 @@ def test_numpy_random_rule_sees_every_spelling(tmp_path):
     assert list(_numpy_random_references(path)) == [2, 3, 4, 5, 6]
 
 
+def _workspace_references(path: Path):
+    """The lines of PATH that name Workspace: as a name, an attribute, an imported name or a string."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            (isinstance(node, ast.Name) and node.id == "Workspace")
+            or (isinstance(node, ast.Attribute) and node.attr == "Workspace")
+            or (isinstance(node, ast.Constant) and node.value == "Workspace")
+        ):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "Workspace" for alias in node.names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "bounds.py"}), ids=lambda p: p.name)
+def test_only_bounds_names_the_workspace(path):
+    # bounds decides how long the noise kernels' rows live; no caller makes or passes them
+    assert list(_workspace_references(path)) == [], f"{path.name} names Workspace"
+
+
+def test_workspace_rule_sees_every_spelling(tmp_path):
+    path = tmp_path / "spellings.py"
+    path.write_text(
+        "from .bounds import Workspace\nfrom . import bounds\nbounds.Workspace()\nWorkspace()\n"
+        "__all__ = ['Workspace']\nwork = None\nWorkspaces = 1\n"
+    )
+    assert sorted(_workspace_references(path)) == [1, 3, 4, 5]
+
+
 def test_check_sees_every_module():
     assert {p.name for p in PACKAGE.glob("*.py")} >= {"bounds.py", "cli.py", "serialize.py"}
 
