@@ -532,10 +532,10 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
         work = Workspace()
         q, prefix = _accumulators(eta, spec.grad_norms, work)
         S_T = np.sum(eta)
-        a, w = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
+        a = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
         if int(ts.sum()) > EXP_SUM_MARGIN * a.size * T:
             kernel = EXP_SUM
-            noise[:n], counts = expsum.curve_noise(eta, q, ts[:n], stride, a, w)
+            noise[:n], counts = expsum.curve_noise(eta, q, ts[:n], a)
         else:
             kernel = _noise_kernel(T)
             for i in range(n):

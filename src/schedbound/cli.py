@@ -18,7 +18,11 @@ import sys
 
 # OpenBLAS spins a worker per core from numpy's import on, and no call here is
 # big enough to use one.  It reads the variable once, at that import, so this
-# line must run before any handler imports numpy or a library module.
+# line must run before any handler imports numpy or a library module.  It runs
+# at import, not in entry(), because perfbench/tracer.py imports this module
+# before the library layers, and so its traced commands get one thread too.
+# A process that imports this module, such as a test run, passes the variable
+# on to every child it starts afterwards.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # only what the parser, main and the writer need; each handler imports numpy

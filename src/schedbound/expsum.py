@@ -81,17 +81,16 @@ SMOOTH = 1.0
 TAYLOR = 16
 
 
-def nodes(x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """(a, w) with 1/x = sum_j w_j exp(-a_j x) to ~1e-15 relative on [x_min, x_max].
+def nodes(x_min: float, x_max: float) -> np.ndarray:
+    """Nodes a with 1/x = sum_j w_j exp(-a_j x), w_j = STEP * a_j, to ~1e-15 relative on [x_min, x_max].
 
     The trapezoid rule with step STEP on 1/x = int exp(u - x e^u) du, so
-    a_j = e^{u_j} and w_j = STEP * a_j.  The lower u-tail is cut where the
-    integrand's mass below it is 1e-15 / x_max, the upper where
-    x_min e^u = 40 e.
+    a_j = e^{u_j}.  The lower u-tail is cut where the integrand's mass
+    below it is 1e-15 / x_max, the upper where x_min e^u = 40 e, so there
+    are at least 157 nodes ((log 40 + 1 - log 1e-15) / STEP = 156.9).
     """
     u = np.arange(math.log(1e-15 / x_max), math.log(40.0 / x_min) + 1.0, STEP)
-    a = np.exp(u)
-    return a, STEP * a
+    return np.exp(u)
 
 
 def _clamped_exp(x: np.ndarray) -> np.ndarray:
@@ -164,8 +163,8 @@ class Counts(NamedTuple):
     shared: int
 
 
-def curve_noise(eta, q, t, stride: int, a, w) -> tuple[np.ndarray, Counts]:
-    """Noise term at the horizons t = 1, 1 + stride, ... < T, from nodes (a, w), and its Counts.
+def curve_noise(eta, q, t, a) -> tuple[np.ndarray, Counts]:
+    """Noise term at the horizons t = 1, 1 + stride, ... < T, from nodes a (weights w = STEP * a), and its Counts.
 
     The horizons go in groups of `rows`, so that a group spans about
     GROUP steps.  At horizon t in the group that starts at t_0, the single
@@ -185,9 +184,14 @@ def curve_noise(eta, q, t, stride: int, a, w) -> tuple[np.ndarray, Counts]:
     v = 1 row when q is equal too (module docstring).
     """
     T = eta.size
+    # t holds two horizons or more: bounds takes this kernel only past
+    # EXP_SUM_MARGIN * J * T = 0.25 J T direct pairs, and with J >= 157 (nodes)
+    # that is more than the T + 1 of a curve with one horizon before T
+    stride = int(t[1] - t[0])
     n = t.size - 1  # horizons after the first
     noise = q[t - 1] / eta[t - 1]
     neg_a = -a
+    w = STEP * a
     J = a.size
     rows = max(1, GROUP // stride)
     # a node is neither smooth nor dead in any group, of at most rows * stride

@@ -21,7 +21,9 @@ from .schedules import CooldownShape, Schedule, extended, inv_sqrt, with_cooldow
 DEFAULT_COOLDOWN_GRID = np.logspace(math.log10(0.02), 0.0, 50)
 GAMMA_GRID_POINTS = 61
 GAMMA_GRID_DECADES = 3.0
+# the grid on which transfer_horizon_rho looks for a sign change, and the
 # relative width to which the transfers bisect a bracketed root
+RHO_GRID = np.linspace(0.02, 1.0, 50)
 TRANSFER_REL_TOL = 1e-4
 
 
@@ -127,14 +129,13 @@ def sweep_gamma(
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
     gamma_grid: np.ndarray | None = None,
-    t: int | None = None,
 ) -> SweepResult:
-    """Bound at horizon t as a function of gamma on a log grid.
+    """Bound at the schedule's horizon as a function of gamma on a log grid.
 
     The grid defaults to default_gamma_grid around the analytically
     optimal gamma, so the sweep minimum lands within one grid step of it.
     """
-    dist, noise = bounds.bound_terms(schedule, grad_norms, D, t)
+    dist, noise = bounds.bound_terms(schedule, grad_norms, D)
     grid = _grid_array(default_gamma_grid(math.sqrt(dist / noise)) if gamma_grid is None else gamma_grid, "gamma")
     for gamma in grid:
         positive(gamma, "gamma grid value")
@@ -241,7 +242,6 @@ def transfer_horizon_rho(
     shape: CooldownShape = CooldownShape.LINEAR,
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
-    rho_grid: np.ndarray | None = None,
 ) -> TransferResult:
     """Continuation factor rho that keeps the tuned gamma unchanged.
 
@@ -249,14 +249,14 @@ def transfer_horizon_rho(
     (see schedules.extended) lowers the bound-optimal gamma; this finds
     the rho whose extended schedule has the same optimal gamma as the
     original wsd(T_short, c) plan, so the already-tuned base learning
-    rate stays optimal for the longer run.  The root is bisected to
-    TRANSFER_REL_TOL; equal horizons give rho = 1.
+    rate stays optimal for the longer run.  The mismatch is searched on
+    RHO_GRID and its root bisected to TRANSFER_REL_TOL; equal horizons
+    give rho = 1.
     """
     reference = wsd(T_short, c, shape)
     if integer(T_long, "extended horizon") == T_short:
         return _transfer(reference, lambda rho: reference, [1.0], "rho", grad_norms, D)
-    grid = np.linspace(0.02, 1.0, 50) if rho_grid is None else rho_grid
-    return _transfer(reference, lambda rho: extended(T_short, c, T_long, rho, c, shape), grid, "rho", grad_norms, D)
+    return _transfer(reference, lambda rho: extended(T_short, c, T_long, rho, c, shape), RHO_GRID, "rho", grad_norms, D)
 
 
 def transfer_horizon_cooldown(
@@ -267,25 +267,21 @@ def transfer_horizon_cooldown(
     base: str = "constant",
     grad_norms: GradNormModel = GradNormModel(),
     D: float = 1.0,
-    c_grid: np.ndarray | None = None,
 ) -> TransferResult:
     """Cooldown fraction for a longer run that keeps the tuned gamma unchanged.
 
     Finds c_long with optimal_gamma(family(T_long, c_long)) equal to
     optimal_gamma(family(T_short, c_short)), where the family is a flat
     (base="constant") or 1/sqrt(t) (base="inv-sqrt") schedule with a
-    cooldown tail.  The root is bisected to TRANSFER_REL_TOL; equal
-    horizons give c_short.  feasible is False when even c_long = 1
-    cannot reach the target.
+    cooldown tail.  The mismatch is searched on DEFAULT_COOLDOWN_GRID and
+    its root bisected to TRANSFER_REL_TOL; equal horizons give c_short.
+    feasible is False when even c_long = 1 cannot reach the target.
     """
     if integer(T_long, "extended horizon") < integer(T_short, "base horizon"):
         raise ValueError(f"extended horizon {T_long} must be >= base horizon {T_short}")
     build_short = _cooldown_family(T_short, shape, base)
     build_long = _cooldown_family(T_long, shape, base)
-    if T_long == T_short:
-        grid = [fraction(c_short, "cooldown fraction")]
-    else:
-        grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
+    grid = [fraction(c_short, "cooldown fraction")] if T_long == T_short else DEFAULT_COOLDOWN_GRID
     return _transfer(build_short(c_short), build_long, grid, "cooldown", grad_norms, D)
 
 
@@ -299,15 +295,14 @@ def lr_transfer_curve(
     """How much larger the tuned gamma gets as the cooldown shortens.
 
     Returns (c, ln(gamma*(c=1) / gamma*(c))) pairs for the given shape
-    family at horizon T.  The reference c = 1 is the full-decay member
-    of the same shape family.  The ratio is scale-free: it does not
-    depend on D or the gradient-norm scale.
+    family at horizon T, with gamma*(c) the tuned gammas of
+    sweep_cooldown.  The reference c = 1 is the full-decay member of the
+    same shape family.  The ratio is scale-free: it does not depend on D
+    or the gradient-norm scale.
     """
-    build = _cooldown_family(T, shape, "constant")
-    reference = bounds.optimal_gamma(build(1.0), grad_norms, D)
-    grid = DEFAULT_COOLDOWN_GRID if c_grid is None else c_grid
-    grid, dist, noise = _family_terms(build, grid, "cooldown", grad_norms, D)
-    return [(float(c), math.log(reference / g)) for c, g in zip(grid, np.sqrt(dist / noise))]
+    reference = bounds.optimal_gamma(wsd(T, 1.0, shape), grad_norms, D)
+    sweep = sweep_cooldown(T, c_grid, shape, grad_norms, D)
+    return [(float(c), math.log(reference / g)) for c, g in zip(sweep.grid, sweep.gamma)]
 
 
 # --- parametric fits ------------------------------------------------------

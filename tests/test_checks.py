@@ -100,16 +100,12 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         # tuning grids that are empty or not 1-d
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=[]), id="sweep_cooldown c_grid=[]"),
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=0.5), id="sweep_cooldown c_grid=0.5"),
-        pytest.param("rho grid", lambda: transfer_horizon_rho(400, 800, rho_grid=[[0.5, 0.6]]), id="transfer_horizon_rho 2-d grid"),
-        pytest.param("rho grid", lambda: transfer_horizon_rho(400, 800, rho_grid=[]), id="transfer_horizon_rho rho_grid=[]"),
-        pytest.param("cooldown grid", lambda: transfer_horizon_cooldown(400, 800, c_grid=[[0.2]]), id="transfer_horizon_cooldown 2-d grid"),
         pytest.param("cooldown grid", lambda: lr_transfer_curve(400, c_grid=[]), id="lr_transfer_curve c_grid=[]"),
         # tuning grids that are ragged or hold something other than numbers
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=[[0.1], [0.2, 0.3]]), id="sweep_cooldown ragged grid"),
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=["a"]), id="sweep_cooldown c_grid=['a']"),
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=["0.5"]), id="sweep_cooldown c_grid=['0.5']"),
         pytest.param("cooldown grid", lambda: lr_transfer_curve(400, c_grid=[True]), id="lr_transfer_curve c_grid=[True]"),
-        pytest.param("rho grid", lambda: transfer_horizon_rho(400, 800, rho_grid=[0.5, None]), id="transfer_horizon_rho None in grid"),
         # gamma grids: the same checks, and every value positive and finite
         pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[]), id="sweep_gamma gamma_grid=[]"),
         pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=0.1), id="sweep_gamma gamma_grid=0.1"),

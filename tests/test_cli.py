@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schedbound import bounds, cli, expsum
+from schedbound import bounds, cli, expsum, tuning
 from schedbound.schedules import wsd
 
 
@@ -189,6 +189,37 @@ def test_transfer_horizon_cooldown(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["c"] > 0.2
+
+
+def test_transfer_horizon_unreachable_is_not_feasible(tmp_path, capsys):
+    code, out, _ = run_cli(
+        [
+            "transfer-horizon", "--mode", "cooldown", "--T1", "4000", "--T2", "8000", "--c", "1",
+            "--outdir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["status"] == "unreachable"
+    assert summary["feasible"] is False
+
+
+def test_rho_transfer_without_flat_steps_exit_2_before_any_file(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["transfer-horizon", "--mode", "rho", "--T1", "4000", "--T2", "8000", "--c", "1", "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert "use a smaller cooldown fraction or a longer extended horizon" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep-cooldown", "transfer-lr"])
+def test_default_cooldown_flags_give_the_library_grid(command):
+    # the parser spells the default grid without importing tuning
+    args = cli._build_parser(command).parse_args([command, "--T", "400"])
+    assert cli._c_grid(args).tobytes() == tuning.DEFAULT_COOLDOWN_GRID.tobytes()
 
 
 def test_transfer_lr(tmp_path, capsys):

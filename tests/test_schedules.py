@@ -208,6 +208,19 @@ def test_with_cooldown_leaves_head_untouched():
     assert s.values[-1] < base.values[-1]
 
 
+@pytest.mark.parametrize("shape", list(CooldownShape))
+@pytest.mark.parametrize("T, c", [(1, 1.0), (10, 0.2), (401, 0.77), (16000, 0.02), (16000, 1.0)])
+def test_cooldown_leg_is_the_formula_bit_for_bit(T, c, shape):
+    # the leg is formed in place; it is peak * (1 - u) or peak * (1 - sqrt(u)) as three arrays
+    T0 = cooldown_start(T, c)
+    u = np.arange(T + 1 - T0) / float(T + 1 - T0)
+    factor = 1.0 - u if shape is CooldownShape.LINEAR else 1.0 - np.sqrt(u)
+    for base in (constant(T), inv_sqrt(T), cosine(T, 0.1, 0.5)):
+        leg = with_cooldown(base, c, shape).values[T0 - 1 :]
+        assert leg.tobytes() == (base.values[T0 - 1] * factor).tobytes()
+    assert wsd(T, c, shape).values.tobytes() == with_cooldown(constant(T), c, shape).values.tobytes()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         wsd(0, 0.2)

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -114,15 +115,21 @@ class TestSweepCooldown:
         ["sweep_cooldown(16000)", "[bound_terms(wsd(16000, c)) for c in DEFAULT_COOLDOWN_GRID]"],
         ids=["sweep_cooldown", "bound_terms"],
     )
-    def test_warm_grid_takes_no_page_faults(self, grid):
-        # the calls of a thread reuse its rows, so a warm grid takes no minor
-        # page faults: 0 in both cases, or 62 in some heap layouts, where the
-        # second grid settles the heap once.  With rows that lived for one call
-        # or one sweep, the heap trimmed and regrew: 156 to 408 faults for the
-        # sweep and up to 7,485 for the plain loop, over 12 layouts.  The bound
-        # is twice the worst layout measured.  It runs in a fresh process,
-        # since an allocator that has freed larger blocks (as this test run's
-        # has) raises its trim threshold and would hide the faults
+    @pytest.mark.parametrize("blas_threads", [None, "1"], ids=["blas-threads-unset", "blas-threads-1"])
+    def test_warm_grid_takes_no_page_faults(self, grid, blas_threads):
+        # the calls of a thread reuse its rows, and each schedule forms its
+        # cooldown leg in place, so a warm grid takes no minor page faults: 0
+        # in each of 350 heap layouts shifted by a padding allocation, in both
+        # settings below.  With leg-long temporaries for each step of the leg
+        # it took 61 to 371 in some layouts, and with rows that lived for one
+        # call or one sweep 156 to 408 for the sweep and up to 7,485 for the
+        # plain loop, over 12 layouts.  The bound is below the 31 pages of one
+        # 128,000-byte array regrowing once.  It runs in a fresh process, since
+        # an allocator that has freed larger blocks (as this test run's has)
+        # raises its trim threshold and would hide the faults.  The child runs
+        # with OPENBLAS_NUM_THREADS unset and set to 1, each explicitly: a test
+        # run that has imported schedbound.cli has it set, and the setting
+        # moves the heap layout
         pytest.importorskip("resource")
         code = (
             "import resource\n"
@@ -134,8 +141,11 @@ class TestSweepCooldown:
             f"{grid}\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert int(done.stdout) <= 124
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(done.stdout) <= 30
 
 
 class TestTransferHorizon:
@@ -156,12 +166,21 @@ class TestTransferHorizon:
         r4 = transfer_horizon_rho(1000, 4000)
         assert r4.value < r2.value
 
-    def test_rho_infeasible_grid(self):
-        # restricted to a window with no sign change the result is the
-        # closest grid point, flagged infeasible
-        res = transfer_horizon_rho(400, 800, rho_grid=np.linspace(0.9, 1.0, 5))
+    def test_unreachable_transfer_is_infeasible(self):
+        # no cooldown of an 8000-step run tunes gamma as high as a 4000-step
+        # linear decay: every mismatch lies between -0.0114 and -0.0046, so
+        # the result is the closest grid point, c = 1, flagged infeasible
+        res = transfer_horizon_cooldown(4000, 8000, 1.0)
         assert not res.feasible
-        assert 0.9 <= res.value <= 1.0
+        assert np.all(res.mismatch < 0.0)
+        assert res.value == res.grid[np.argmin(np.abs(res.mismatch))] == 1.0
+
+    @pytest.mark.parametrize("c", [1.0, 0.9999])
+    def test_rho_without_flat_steps_to_continue_is_rejected(self, c):
+        # the extended cooldown would start no later than the short run's, for
+        # every rho, so the transfer is a validation error, not unreachable
+        with pytest.raises(ValueError, match="use a smaller cooldown fraction or a longer extended horizon"):
+            transfer_horizon_rho(4000, 8000, c)
 
     @pytest.mark.parametrize(
         "transfer, status, sign_changes",
@@ -170,9 +189,9 @@ class TestTransferHorizon:
             (lambda: transfer_horizon_rho(4000, 4000), "grid-hit", 0),
             (lambda: transfer_horizon_rho(4000, 4400, 0.1), "ambiguous", 2),
             (lambda: transfer_horizon_cooldown(4000, 8000, 0.2, base="inv-sqrt"), "ambiguous", 2),
-            (lambda: transfer_horizon_rho(4000, 8000, rho_grid=np.linspace(0.9, 1.0, 5)), "unreachable", 0),
+            (lambda: transfer_horizon_cooldown(4000, 8000, 1.0), "unreachable", 0),
         ],
-        ids=["rho-refined", "identity-grid-hit", "rho-ambiguous", "inv-sqrt-ambiguous", "rho-unreachable"],
+        ids=["rho-refined", "identity-grid-hit", "rho-ambiguous", "inv-sqrt-ambiguous", "cooldown-unreachable"],
     )
     def test_status_says_how_the_value_was_found(self, transfer, status, sign_changes):
         res = transfer()
@@ -237,6 +256,18 @@ class TestLrTransferCurve:
         curve = lr_transfer_curve(500, np.array([0.2]))
         # bound_terms' own terms, bit for bit, so the same quotient and logarithm
         assert curve[0][1] == math.log(optimal_gamma(wsd(500, 1.0)) / optimal_gamma(wsd(500, 0.2)))
+
+    @pytest.mark.parametrize(
+        "shape, grad_norms, D",
+        [(CooldownShape.LINEAR, GradNormModel(), 1.0), (CooldownShape.ONE_MINUS_SQRT, GradNormModel(G=2.0, alpha=-0.5), 1.5)],
+        ids=["linear", "1-sqrt-alpha-0.5"],
+    )
+    def test_ratios_are_those_of_the_cooldown_sweep(self, shape, grad_norms, D):
+        grid = np.array([0.05, 0.3, 0.7, 1.0])
+        curve = lr_transfer_curve(600, grid, shape, grad_norms, D)
+        reference = optimal_gamma(wsd(600, 1.0, shape), grad_norms, D)
+        gammas = sweep_cooldown(600, grid, shape, grad_norms, D).gamma
+        assert curve == [(c, math.log(reference / g)) for c, g in zip(grid.tolist(), gammas.tolist())]
 
     def test_one_minus_sqrt_reference_is_same_shape(self):
         shape = CooldownShape.ONE_MINUS_SQRT
