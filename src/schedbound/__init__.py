@@ -18,9 +18,7 @@ _EXPORTS = {
         "BoundSpec",
         "GradNormModel",
         "MirrorSpec",
-        "best_iterate_bound",
         "best_iterate_curve",
-        "best_iterate_optimal_gamma",
         "best_iterate_terms",
         "bound_curve",
         "bound_terms",

@@ -236,7 +236,7 @@ class BoundCurve:
 
     def at_gamma(self, gamma: float) -> BoundCurve:
         """The same terms at base learning rate gamma."""
-        return replace(self, gamma=gamma)
+        return replace(self, gamma=positive(gamma, "base learning rate gamma"))
 
     @property
     def dist_final(self) -> float:
@@ -370,18 +370,13 @@ def _horizon(eta, q, prefix, t: int, work: Workspace) -> tuple[float, float]:
     return float(np.sum(eta[:t])), float(0.5 * (q[t - 1] / eta[t - 1] + np.sum(ratio)))
 
 
-def _resolve_t(schedule: Schedule, t: int | None) -> int:
+def _sum_and_noise(schedule, grad_norms, t: int | None = None) -> tuple[float, float]:
+    """(S_t, noise_term) at horizon t, by default the schedule's, in the rows of this thread."""
     T = schedule.horizon
     if t is None:
-        return T
-    if (t := integer(t, "horizon t")) > T:
+        t = T
+    elif (t := integer(t, "horizon t")) > T:
         raise ValueError(f"horizon {t} outside 1..{T}")
-    return t
-
-
-def _sum_and_noise(schedule, grad_norms, t) -> tuple[float, float]:
-    """(S_t, noise_term) at horizon t, in the rows of this thread."""
-    t = _resolve_t(schedule, t)
     eta = schedule.values[:t]
     q, prefix = _accumulators(eta, grad_norms, _THREAD_ROWS)
     return _horizon(eta, q, prefix, t, _THREAD_ROWS)
@@ -410,31 +405,21 @@ def bound_terms(
     return _in_range(D * D / (2.0 * S_t), noise)  # D * D, not D ** 2: mirror_bound relies on it
 
 
-def bound_value(spec: BoundSpec, t: int | None = None) -> float:
-    """Last-iterate bound at horizon t for the gamma in spec."""
-    dist, noise = bound_terms(spec.schedule, spec.grad_norms, spec.D, t)
+def bound_value(spec: BoundSpec) -> float:
+    """Last-iterate bound at the schedule's horizon for the gamma in spec."""
+    dist, noise = bound_terms(spec.schedule, spec.grad_norms, spec.D)
     return dist / spec.gamma + spec.gamma * noise
 
 
-def optimal_gamma(
-    schedule: Schedule,
-    grad_norms: GradNormModel = GradNormModel(),
-    D: float = 1.0,
-    t: int | None = None,
-) -> float:
-    """gamma minimizing the last-iterate bound at horizon t."""
-    dist, noise = bound_terms(schedule, grad_norms, D, t)
+def optimal_gamma(schedule: Schedule, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0) -> float:
+    """gamma minimizing the last-iterate bound at the schedule's horizon."""
+    dist, noise = bound_terms(schedule, grad_norms, D)
     return math.sqrt(dist / noise)
 
 
-def tuned_bound(
-    schedule: Schedule,
-    grad_norms: GradNormModel = GradNormModel(),
-    D: float = 1.0,
-    t: int | None = None,
-) -> float:
+def tuned_bound(schedule: Schedule, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0) -> float:
     """Last-iterate bound at the optimal gamma: 2 * sqrt(dist * noise)."""
-    dist, noise = bound_terms(schedule, grad_norms, D, t)
+    dist, noise = bound_terms(schedule, grad_norms, D)
     return 2.0 * math.sqrt(dist * noise)
 
 
@@ -445,41 +430,18 @@ def _plain_sums(eta: np.ndarray, q: np.ndarray) -> tuple[float, float]:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a term out of range fails _in_range
-def best_iterate_terms(
-    schedule: Schedule,
-    grad_norms: GradNormModel = GradNormModel(),
-    D: float = 1.0,
-    t: int | None = None,
-) -> tuple[float, float]:
-    """(dist_term, noise_term) of the classical best-iterate bound.
+def best_iterate_terms(schedule: Schedule, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0) -> tuple[float, float]:
+    """(dist_term, noise_term) of the classical best-iterate bound at the schedule's horizon.
 
-    Bounds min over the first t iterates instead of the last one; the
-    noise term drops the cross-horizon coupling and keeps only
+    Bounds min over the iterates instead of the last one; the noise term
+    drops the cross-horizon coupling and keeps only
     (sum eta_s^2 G_s^2) / (2 sum eta_s).  Used as the ablation baseline
     that shows no benefit from a cooldown.
     """
     D = positive(D, "initial distance D")
-    t = _resolve_t(schedule, t)
-    eta = schedule.values[:t]
+    eta = schedule.values
     S_t, noise = _plain_sums(eta, _q(eta, grad_norms))
     return _in_range(D * D / (2.0 * S_t), noise)
-
-
-def best_iterate_bound(spec: BoundSpec, t: int | None = None) -> float:
-    """Best-iterate bound at horizon t for the gamma in spec."""
-    dist, noise = best_iterate_terms(spec.schedule, spec.grad_norms, spec.D, t)
-    return dist / spec.gamma + spec.gamma * noise
-
-
-def best_iterate_optimal_gamma(
-    schedule: Schedule,
-    grad_norms: GradNormModel = GradNormModel(),
-    D: float = 1.0,
-    t: int | None = None,
-) -> float:
-    """gamma minimizing the best-iterate bound: D / sqrt(sum eta_s^2 G_s^2)."""
-    dist, noise = best_iterate_terms(schedule, grad_norms, D, t)
-    return math.sqrt(dist / noise)
 
 
 def default_stride(T: int) -> int:
@@ -560,13 +522,8 @@ def best_iterate_curve(spec: BoundSpec, stride: int | None = None) -> BoundCurve
     return _curve(spec, stride, cross_terms=False)
 
 
-def mirror_bound(
-    mirror: MirrorSpec,
-    schedule: Schedule,
-    t: int | None = None,
-    gamma: float = 1.0,
-) -> float:
-    """Last-iterate bound for mirror descent with step sizes gamma * eta_t.
+def mirror_bound(mirror: MirrorSpec, schedule: Schedule, gamma: float = 1.0) -> float:
+    """Last-iterate bound at the schedule's horizon for mirror descent with step sizes gamma * eta_t.
 
     Value is
 
@@ -583,26 +540,29 @@ def mirror_bound(
     """
     positive(gamma, "base learning rate gamma")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a term out of range fails _in_range
-        S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms, t)
+        S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms)
     dist, noise = _in_range(mirror.bregman_init / S_t, noise, "initial Bregman divergence", "dual gradient norm scale")
     return dist / gamma + gamma * noise / mirror.mu
 
 
 # --- closed forms for specific schedules ---------------------------------
+# Each is the tuned bound 2 * sqrt(dist * noise) at D = G = 1 (constant G_t).
+# dist scales as D^2 and noise as G^2, so the tuned bound for other D and G
+# is D * G times the value.
 
 
-def constant_bound_exact(T: int, D: float = 1.0, G: float = 1.0) -> float:
-    """Tuned bound for the constant schedule: D*G*sqrt((1 + H_{T-1}) / T).
+def constant_bound_exact(T: int) -> float:
+    """Tuned bound for the constant schedule at D = G = 1: sqrt((1 + H_{T-1}) / T).
 
     Agrees with 2*sqrt(dist*noise) to rounding error; the harmonic term
     means a flat schedule loses a log factor over decaying ones.
     """
-    T, D, G = integer(T, "horizon"), positive(D, "initial distance D"), positive(G, "gradient norm scale")
-    return D * G * math.sqrt((1.0 + harmonic(T - 1)) / T)
+    T = integer(T, "horizon")
+    return math.sqrt((1.0 + harmonic(T - 1)) / T)
 
 
-def wsd_bound_exact(T: int, T0: int, D: float = 1.0, G: float = 1.0) -> float:
-    """Closed-form tuned bound for flat-then-linear-cooldown schedules.
+def wsd_bound_exact(T: int, T0: int) -> float:
+    """Closed-form tuned bound at D = G = 1 for flat-then-linear-cooldown schedules.
 
     T0 is the first cooldown step; requires T - T0 >= 2 so the cooldown
     spans at least two steps.  For T0 >= 2 it upper-bounds the
@@ -612,7 +572,6 @@ def wsd_bound_exact(T: int, T0: int, D: float = 1.0, G: float = 1.0) -> float:
     linear_decay_bound_exact for that schedule.
     """
     T, T0 = integer(T, "horizon"), integer(T0, "cooldown start")
-    D, G = positive(D, "initial distance D"), positive(G, "gradient norm scale")
     if T - T0 < 2:
         raise ValueError(f"cooldown must span at least 2 steps, got T - T0 = {T - T0}")
     n = T - T0
@@ -620,23 +579,22 @@ def wsd_bound_exact(T: int, T0: int, D: float = 1.0, G: float = 1.0) -> float:
     L2 = harmonic(T + T0 - 2) - harmonic(T - T0 + 1)
     L3 = n * (T0 - 1.0) / (3.0 * (n + 2.0) * (T + T0))
     L4 = 1.0 / n**2 + harmonic(n - 1) / (n + 1.0)
-    return D * G * math.sqrt(4.0 / (T + T0) * (L1 + L2 - L3 + L4))
+    return math.sqrt(4.0 / (T + T0) * (L1 + L2 - L3 + L4))
 
 
-def linear_decay_bound_exact(T: int, D: float = 1.0, G: float = 1.0) -> float:
-    """Closed-form tuned bound for linear decay: (2 + (H_{T-1} - 2/3)/(T+1)) * D*G/sqrt(T).
+def linear_decay_bound_exact(T: int) -> float:
+    """Closed-form tuned bound for linear decay at D = G = 1: (2 + (H_{T-1} - 2/3)/(T+1)) / sqrt(T).
 
-    Approaches 2*D*G/sqrt(T) as T grows; an upper bound for finite T.
+    Approaches 2/sqrt(T) as T grows; an upper bound for finite T.
     """
-    T, D, G = integer(T, "horizon"), positive(D, "initial distance D"), positive(G, "gradient norm scale")
-    return (2.0 + (harmonic(T - 1) - 2.0 / 3.0) / (T + 1.0)) * D * G / math.sqrt(T)
+    T = integer(T, "horizon")
+    return (2.0 + (harmonic(T - 1) - 2.0 / 3.0) / (T + 1.0)) / math.sqrt(T)
 
 
-def polynomial_bound_approx(T: int, alpha: float, D: float = 1.0, G: float = 1.0) -> float:
-    """Leading-order tuned bound for eta_t = (T+1-t)^alpha: D*G*(alpha+1)/sqrt(alpha*T).
+def polynomial_bound_approx(T: int, alpha: float) -> float:
+    """Leading-order tuned bound at D = G = 1 for eta_t = (T+1-t)^alpha: (alpha+1)/sqrt(alpha*T).
 
-    Minimized over alpha at alpha = 1, where it reads 2*D*G/sqrt(T).
+    Minimized over alpha at alpha = 1, where it reads 2/sqrt(T).
     """
-    T, D, G = integer(T, "horizon"), positive(D, "initial distance D"), positive(G, "gradient norm scale")
-    alpha = positive(alpha, "decay exponent")
-    return D * G * (alpha + 1.0) / math.sqrt(alpha * T)
+    T, alpha = integer(T, "horizon"), positive(alpha, "decay exponent")
+    return (alpha + 1.0) / math.sqrt(alpha * T)

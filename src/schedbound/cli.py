@@ -320,6 +320,8 @@ def _cmd_transfer_horizon(args) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     if args.mode == "rho":
+        if args.base != "constant":
+            raise ValueError(f"--base {args.base} applies to --mode cooldown only; --mode rho continues a constant-base wsd run")
         res = tuning.transfer_horizon_rho(args.T1, args.T2, args.c, shape, grad, args.D)
         param = "rho"
     else:

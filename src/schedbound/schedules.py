@@ -326,7 +326,7 @@ def parse_spec(text: str) -> Schedule:
     - ``linear:T=400``
     - ``onesqrt:T=400``
     - ``cosine:T=400[,final=0.1,cycle=0.5]``
-    - ``invsqrt:T=400[,c=0.2,shape=linear]`` (c adds a cooldown tail)
+    - ``invsqrt:T=400[,c=0.2[,shape=linear]]`` (c adds a cooldown tail)
     - ``poly:T=400,alpha=1``
     - ``extended:T1=4000,c=0.2,T2=8000,rho=0.5[,c_long=0.2,shape=linear]``
 
@@ -355,6 +355,8 @@ def parse_spec(text: str) -> Schedule:
         base = inv_sqrt(params["T"])
         if "c" in params:
             return with_cooldown(base, params["c"], params.get("shape", CooldownShape.LINEAR))
+        if "shape" in params:
+            raise ValueError(f"schedule {kind!r} takes parameter 'shape' only with 'c', the cooldown it shapes")
         return base
     if kind in ("poly", "polynomial"):
         _take(params, "T", "alpha", required=("T", "alpha"), where=kind)

@@ -61,15 +61,17 @@ class TransferResult:
     """Outcome of matching a reference tuned gamma on a new configuration.
 
     status says how value was found from the grid's mismatch (the tuned
-    gamma minus the target at each grid point):
+    gamma minus the target at each grid point).  A root of the mismatch
+    is a grid point where it is exactly zero, or a bracket of adjacent
+    grid points where it has strictly opposite signs:
 
-    * "refined": one grid bracket holds the root, and value is bisected in
-      it to TRANSFER_REL_TOL;
-    * "grid-hit": no bracket, but the mismatch is exactly zero at value;
-    * "ambiguous": the mismatch changes sign in several brackets, and value
-      is the grid point coming closest, unrefined;
-    * "unreachable": it never changes sign, and value is the grid point
-      coming closest.
+    * "refined": the one root is a bracket, and value is bisected in it
+      to TRANSFER_REL_TOL;
+    * "grid-hit": the one root is a grid point, and value is that point;
+    * "ambiguous": there are several roots, and value is the grid point
+      coming closest, unrefined;
+    * "unreachable": there is none, and value is the grid point coming
+      closest.
 
     feasible is True only for the first two.
     """
@@ -193,7 +195,7 @@ def sweep_cooldown(
 
 
 def _refine(g, lo, hi, g_lo):
-    """Bisect a sign change of g on [lo, hi] to TRANSFER_REL_TOL; g_lo is the sign at lo."""
+    """Bisect a sign change of g on [lo, hi] to TRANSFER_REL_TOL; g_lo is g at lo, nonzero."""
     while hi - lo > TRANSFER_REL_TOL * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
         if (g(mid) > 0.0) == (g_lo > 0.0):
@@ -206,19 +208,20 @@ def _refine(g, lo, hi, g_lo):
 def _match_gamma(g, grid: np.ndarray, vals: np.ndarray) -> tuple[float, str]:
     """(root, status) of the mismatch g, whose values on the grid are vals; status as in TransferResult.
 
-    Only a unique sign change between adjacent grid points is bisected;
-    an exact zero on a grid point without one is taken as it is, and
-    otherwise the grid argmin of |g| is returned unrefined.
+    A root is a grid point where the mismatch is exactly zero, or a pair
+    of adjacent grid points where it has strictly opposite signs.  A
+    single root is taken as it is or bisected in its bracket; with
+    several or none, the grid argmin of |g| is returned unrefined.
     """
-    sign_change = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    if sign_change.size == 0:
-        root_hits = np.nonzero(vals == 0.0)[0]
-        if root_hits.size:
-            return float(grid[root_hits[0]]), "grid-hit"
-        return float(grid[int(np.argmin(np.abs(vals)))]), "unreachable"
-    if sign_change.size > 1:
-        return float(grid[int(np.argmin(np.abs(vals)))]), "ambiguous"
-    i = int(sign_change[0])
+    sign = np.sign(vals)
+    hits = np.nonzero(sign == 0.0)[0]
+    brackets = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+    if (roots := hits.size + brackets.size) != 1:
+        status = "ambiguous" if roots else "unreachable"
+        return float(grid[int(np.argmin(np.abs(vals)))]), status
+    if hits.size:
+        return float(grid[hits[0]]), "grid-hit"
+    i = int(brackets[0])
     return float(_refine(g, float(grid[i]), float(grid[i + 1]), float(vals[i]))), "refined"
 
 

@@ -22,9 +22,7 @@ from schedbound.bounds import (
     BoundSpec,
     GradNormModel,
     MirrorSpec,
-    best_iterate_bound,
     best_iterate_curve,
-    best_iterate_optimal_gamma,
     best_iterate_terms,
     bound_curve,
     bound_terms,
@@ -347,7 +345,8 @@ class TestCurves:
         curve = bound_curve(spec, stride=1)
         assert np.array_equal(curve.t, np.arange(1, 26))
         for i, t in enumerate(curve.t):
-            assert curve.values[i] == pytest.approx(bound_value(spec, t=int(t)), rel=1e-15)  # measured 0
+            dist, noise = bound_terms(sched, t=int(t))
+            assert curve.values[i] == pytest.approx(dist / spec.gamma + spec.gamma * noise, rel=1e-15)  # measured 0
         assert curve.value_final == curve.values[-1]
         assert curve.dist_final == curve.dist_terms[-1]
         assert curve.noise_final == curve.noise_terms[-1]
@@ -386,9 +385,6 @@ class TestBestIterate:
         dist, noise = best_iterate_terms(constant(4))
         assert dist == pytest.approx(0.125, rel=1e-15)  # measured 0
         assert noise == pytest.approx(0.5, rel=1e-15)  # measured 0
-        assert best_iterate_optimal_gamma(constant(4)) == pytest.approx(0.5, rel=1e-15)  # measured 0
-        spec = BoundSpec(constant(4), GradNormModel(), 1.0, 1.0)
-        assert best_iterate_bound(spec) == pytest.approx(0.625, rel=1e-15)  # measured 0
 
     def test_below_last_iterate(self):
         # dropping the cross terms can only shrink the noise half
@@ -411,7 +407,7 @@ class TestClosedForms:
             T = int(rng.integers(1, 2001))
             D = float(rng.uniform(0.5, 2.0))
             G = float(rng.uniform(0.5, 2.0))
-            closed = constant_bound_exact(T, D, G)
+            closed = D * G * constant_bound_exact(T)
             numeric = tuned_bound(constant(T), GradNormModel(G=G), D)
             assert closed == pytest.approx(numeric, rel=2.5e-13)  # measured 6.4e-14 over 200 draws
 
@@ -461,7 +457,7 @@ class TestClosedForms:
             assert closed == pytest.approx(numeric, rel=0.2)
 
     def test_polynomial_approx_formula(self):
-        assert polynomial_bound_approx(100, 1.0, D=2.0, G=3.0) == pytest.approx(
+        assert 2.0 * 3.0 * polynomial_bound_approx(100, 1.0) == pytest.approx(
             2.0 * 3.0 * 2.0 / math.sqrt(100.0), rel=1e-15
         )
         with pytest.raises(ValueError):

@@ -14,8 +14,6 @@ from schedbound.bounds import (
     best_iterate_curve,
     bound_curve,
     bound_terms,
-    constant_bound_exact,
-    linear_decay_bound_exact,
     mirror_bound,
     polynomial_bound_approx,
     wsd_bound_exact,
@@ -45,9 +43,6 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         pytest.param("stride", lambda: bound_curve(BoundSpec(wsd(10, 0.2)), stride=2.7), id="bound_curve stride=2.7"),
         pytest.param("horizon", lambda: wsd_bound_exact(100.7, 50), id="wsd_bound_exact T=100.7"),
         pytest.param("cooldown start", lambda: wsd_bound_exact(100, np.float64(50)), id="wsd_bound_exact T0=50.0"),
-        pytest.param("initial distance D", lambda: wsd_bound_exact(100, 50, D=-1), id="wsd_bound_exact D=-1"),
-        pytest.param("initial distance D", lambda: constant_bound_exact(10, D=math.nan), id="constant_bound_exact D=nan"),
-        pytest.param("gradient norm scale", lambda: linear_decay_bound_exact(10, G=math.inf), id="linear_decay_bound_exact G=inf"),
         pytest.param("horizon", lambda: polynomial_bound_approx(math.inf, 1), id="polynomial_bound_approx T=inf"),
         pytest.param("horizon", lambda: polynomial_bound_approx(math.nan, 1), id="polynomial_bound_approx T=nan"),
         pytest.param("decay exponent", lambda: polynomial_bound_approx(10, math.inf), id="polynomial_bound_approx alpha=inf"),
@@ -97,6 +92,9 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
             id="mirror_bound bregman_init=1e300",
         ),
         pytest.param("base learning rate gamma", lambda: sweep_cooldown(100, [0.5]).at_gamma(-1.0), id="sweep_cooldown at_gamma(-1)"),
+        pytest.param("base learning rate gamma", lambda: bound_curve(BoundSpec(wsd(100, 0.2))).at_gamma(-1.0), id="bound_curve at_gamma(-1)"),
+        pytest.param("base learning rate gamma", lambda: bound_curve(BoundSpec(wsd(100, 0.2))).at_gamma(0.0), id="bound_curve at_gamma(0)"),
+        pytest.param("base learning rate gamma", lambda: bound_curve(BoundSpec(wsd(100, 0.2))).at_gamma(math.nan), id="bound_curve at_gamma(nan)"),
         # tuning grids that are empty or not 1-d
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=[]), id="sweep_cooldown c_grid=[]"),
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=0.5), id="sweep_cooldown c_grid=0.5"),

@@ -215,6 +215,26 @@ def test_rho_transfer_without_flat_steps_exit_2_before_any_file(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rho_transfer_rejects_a_base_it_ignores_exit_2_before_any_file(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["transfer-horizon", "--mode", "rho", "--T1", "400", "--T2", "800", "--base", "inv-sqrt", "--outdir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "--base inv-sqrt applies to --mode cooldown only" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--base", "constant"]], ids=["default", "explicit"])
+def test_rho_transfer_takes_the_constant_base(tmp_path, capsys, flags):
+    code, out, _ = run_cli(
+        ["transfer-horizon", "--mode", "rho", "--T1", "400", "--T2", "800", *flags, "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["base"] == "constant"
+
+
 @pytest.mark.parametrize("command", ["sweep-cooldown", "transfer-lr"])
 def test_default_cooldown_flags_give_the_library_grid(command):
     # the parser spells the default grid without importing tuning
@@ -500,6 +520,15 @@ def test_invalid_schedule_spec_exit_2(tmp_path, capsys):
     assert "cooldown fraction" in err
 
 
+def test_invsqrt_shape_without_cooldown_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["schedule", "--schedule", "invsqrt:T=10,shape=1-sqrt", "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert "'shape' only with 'c'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_horizon_too_large_for_memory_exit_2(tmp_path, capsys):
     # rejected from the horizon alone, before any array of that length exists
     code, _, err = run_cli(
@@ -774,10 +803,10 @@ def test_csv_floats_round_trip_exactly(tmp_path, capsys):
 
     sched = parse_spec("wsd:T=50,c=0.3")
     gamma = bounds.optimal_gamma(sched)
-    spec = bounds.BoundSpec(sched, bounds.GradNormModel(), 1.0, gamma)
     for ln in (tmp_path / "bound.csv").read_text().splitlines()[1:]:
         t, omega = ln.split(",")[:2]
-        assert float(omega) == bounds.bound_value(spec, t=int(t))
+        dist, noise = bounds.bound_terms(sched, t=int(t))
+        assert float(omega) == dist / gamma + gamma * noise
 
 
 def test_threads_flag_rejected(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""The package and the test oracles depend on numpy and the standard library only, each CLI subcommand imports only its own modules, and commands that compute nothing load no numpy."""
+"""The package and the test oracles depend on numpy and the standard library only, each CLI subcommand imports only its own modules, commands that compute nothing load no numpy, and every exported function has a caller outside the tests."""
 
 import ast
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -338,3 +340,24 @@ print(json.dumps([without, [texts(), rejected()]]))
     assert not loaded
     assert [texts, rejected] == with_numpy
     assert len(rejected) == 3
+
+
+def _callers_text(module: str) -> str:
+    """What may call a public function of MODULE: the package outside MODULE and __init__, perfbench, the README and the acceptance tests."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.stem not in {module, "__init__"}]
+    paths += [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    return "\n".join(p.read_text() for p in paths)
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # a public function stays only if the package, perfbench, the README or an acceptance criterion uses it;
+    # classes are exempt, since functions return them
+    import schedbound
+
+    unused = [
+        name
+        for name in schedbound.__all__
+        if inspect.isfunction(getattr(schedbound, name))
+        and not re.search(rf"\b{name}\b", _callers_text(schedbound._HOME[name]))
+    ]
+    assert unused == []

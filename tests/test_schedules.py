@@ -325,6 +325,7 @@ class TestParseSpec:
             "wsd:T=10,c",
             "constant:T=5,extra",
             "",
+            "invsqrt:T=10,shape=1-sqrt",  # a shape without the cooldown c it shapes
         ],
     )
     def test_rejects_malformed(self, bad):

@@ -201,6 +201,25 @@ class TestTransferHorizon:
         if status == "ambiguous":  # the closest grid point, unrefined
             assert res.value == res.grid[np.argmin(np.abs(res.mismatch))]
 
+    @pytest.mark.parametrize(
+        "grid, vals, value, status",
+        [
+            ([0.5, 1.0, 1.5], [0.5, 0.0, -0.5], 1.0, "grid-hit"),  # falls through a zero: no bracket beside it
+            ([0.5, 1.0, 1.5], [-0.5, 0.0, 0.5], 1.0, "grid-hit"),  # rises through a zero
+            ([0.5, 1.0, 1.5], [1.0, 0.0, 1.0], 1.0, "grid-hit"),  # touches zero
+            ([0.5, 1.0, 1.5], [1.0, -1.0, 0.0], 1.5, "ambiguous"),  # a bracket and a zero
+            ([0.5, 1.25, 1.5], [0.5, -0.25, -0.5], 1.0, "refined"),  # one strict bracket
+            ([0.5, 1.0, 1.5], [1.0, 0.5, 0.25], 1.5, "unreachable"),  # no root
+        ],
+        ids=["falling-zero", "rising-zero", "touching-zero", "bracket-and-zero", "bracket", "no-root"],
+    )
+    def test_a_root_is_an_exact_zero_or_a_strict_sign_change(self, grid, vals, value, status):
+        root, found = tuning._match_gamma(lambda x: 1.0 - x, np.array(grid), np.array(vals))
+        assert found == status
+        assert root == pytest.approx(value, rel=tuning.TRANSFER_REL_TOL)
+        if status != "refined":
+            assert root == value
+
     def test_rho_scale_invariance(self):
         base = transfer_horizon_rho(500, 1000)
         scaled = transfer_horizon_rho(500, 1000, grad_norms=GradNormModel(G=0.2), D=3.0)
