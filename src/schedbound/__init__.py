@@ -15,9 +15,7 @@ import importlib
 _EXPORTS = {
     "bounds": (
         "BoundCurve",
-        "BoundSpec",
         "GradNormModel",
-        "MirrorSpec",
         "best_iterate_curve",
         "best_iterate_terms",
         "bound_curve",

@@ -183,43 +183,12 @@ class GradNormModel:
 
 
 @dataclass(frozen=True)
-class BoundSpec:
-    """Everything needed to evaluate the bound for one configured run."""
-
-    schedule: Schedule
-    grad_norms: GradNormModel = GradNormModel()
-    D: float = 1.0
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        positive(self.D, "initial distance D")
-        positive(self.gamma, "base learning rate gamma")
-
-
-@dataclass(frozen=True)
-class MirrorSpec:
-    """Mirror-descent variant: Bregman initialization and dual-norm noise.
-
-    bregman_init is E B(x*, x_1) for the mirror map's Bregman divergence,
-    mu its strong-convexity modulus w.r.t. the chosen norm, and
-    dual_grad_norms bounds E ||g_t||_*^2 in the dual norm.
-    """
-
-    bregman_init: float
-    mu: float = 1.0
-    dual_grad_norms: GradNormModel = field(default_factory=GradNormModel)
-
-    def __post_init__(self):
-        positive(self.bregman_init, "initial Bregman divergence")
-        positive(self.mu, "strong-convexity modulus")
-
-
-@dataclass(frozen=True)
 class BoundCurve:
     """Bound evaluated along a grid of horizons for a fixed gamma.
 
     values is dist_terms / gamma + gamma * noise_terms; a value that
-    overflows stays inf.
+    overflows stays inf.  bound_curve and best_iterate_curve return it at
+    the gamma that minimizes its bound at T; at_gamma fixes another.
     """
 
     t: np.ndarray
@@ -405,10 +374,11 @@ def bound_terms(
     return _in_range(D * D / (2.0 * S_t), noise)  # D * D, not D ** 2: mirror_bound relies on it
 
 
-def bound_value(spec: BoundSpec) -> float:
-    """Last-iterate bound at the schedule's horizon for the gamma in spec."""
-    dist, noise = bound_terms(spec.schedule, spec.grad_norms, spec.D)
-    return dist / spec.gamma + spec.gamma * noise
+def bound_value(schedule: Schedule, gamma: float, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0) -> float:
+    """Last-iterate bound at the schedule's horizon for base learning rate gamma."""
+    gamma = positive(gamma, "base learning rate gamma")
+    dist, noise = bound_terms(schedule, grad_norms, D)
+    return dist / gamma + gamma * noise
 
 
 def optimal_gamma(schedule: Schedule, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0) -> float:
@@ -474,25 +444,26 @@ def _running_sums(blocks: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a final term out of range fails _in_range; an overflowing value stays inf
-def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve:
-    T = spec.schedule.horizon
+def _curve(schedule: Schedule, grad_norms: GradNormModel, D: float, stride: int | None, cross_terms: bool) -> BoundCurve:
+    D = positive(D, "initial distance D")
+    T = schedule.horizon
     stride = default_stride(T) if stride is None else integer(stride, "stride")
     ts = _grid(T, stride)
-    eta = spec.schedule.values
+    eta = schedule.values
     n = ts.size - 1  # rows before the last
     blocks = _block_sums(eta, stride)
     S, noise = np.empty(ts.size), np.empty(ts.size)
     counts = None
     S[:n] = _running_sums(blocks)[:n]  # rows that the direct kernels overwrite
     if not cross_terms:
-        kernel, q = RUNNING_SUM, _q(eta, spec.grad_norms)
+        kernel, q = RUNNING_SUM, _q(eta, grad_norms)
         noise[:n] = _running_sums(_block_sums(q, stride))[:n] / (2.0 * S[:n])
         S[n], noise[n] = _plain_sums(eta, q)
     else:
         # rows are made on first use, so the tail row of the direct kernels comes
         # after the exp-sum kernel has freed its working arrays
         work = Workspace()
-        q, prefix = _accumulators(eta, spec.grad_norms, work)
+        q, prefix = _accumulators(eta, grad_norms, work)
         S_T = np.sum(eta)
         a = expsum.nodes(np.min(blocks[1:n], initial=S_T), S_T)  # over the Delta_i the state sees
         if int(ts.sum()) > EXP_SUM_MARGIN * a.size * T:
@@ -503,46 +474,56 @@ def _curve(spec: BoundSpec, stride: int | None, cross_terms: bool) -> BoundCurve
             for i in range(n):
                 S[i], noise[i] = _horizon(eta, q, prefix, int(ts[i]), work)
         S[n], noise[n] = _horizon(eta, q, prefix, T, work)
-    D = float(spec.D)
     dist = D * D / (2.0 * S)
-    _in_range(dist[n], noise[n])
-    return BoundCurve(t=ts, dist_terms=dist, noise_terms=noise, gamma=spec.gamma, noise_kernel=kernel, exp_sum=counts)
+    dist_T, noise_T = _in_range(dist[n], noise[n])
+    gamma = math.sqrt(dist_T / noise_T)  # minimizes the last row; for bound_curve, optimal_gamma bit for bit
+    return BoundCurve(t=ts, dist_terms=dist, noise_terms=noise, gamma=gamma, noise_kernel=kernel, exp_sum=counts)
 
 
-def bound_curve(spec: BoundSpec, stride: int | None = None) -> BoundCurve:
-    """Last-iterate bound at horizons {1, 1+stride, ...} plus T.
+def bound_curve(
+    schedule: Schedule, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0, stride: int | None = None
+) -> BoundCurve:
+    """Last-iterate bound at horizons {1, 1+stride, ...} plus T, at the gamma that minimizes it at T.
 
     Default stride is max(1, T // 2000).
     """
-    return _curve(spec, stride, cross_terms=True)
+    return _curve(schedule, grad_norms, D, stride, cross_terms=True)
 
 
-def best_iterate_curve(spec: BoundSpec, stride: int | None = None) -> BoundCurve:
-    """Best-iterate bound along the same horizon grid as bound_curve."""
-    return _curve(spec, stride, cross_terms=False)
+def best_iterate_curve(
+    schedule: Schedule, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0, stride: int | None = None
+) -> BoundCurve:
+    """Best-iterate bound along the same horizon grid as bound_curve, at the gamma that minimizes it at T."""
+    return _curve(schedule, grad_norms, D, stride, cross_terms=False)
 
 
-def mirror_bound(mirror: MirrorSpec, schedule: Schedule, gamma: float = 1.0) -> float:
+def mirror_bound(
+    schedule: Schedule, gamma: float, bregman_init: float, mu: float = 1.0, dual_grad_norms: GradNormModel = GradNormModel()
+) -> float:
     """Last-iterate bound at the schedule's horizon for mirror descent with step sizes gamma * eta_t.
 
     Value is
 
         bregman_init / S_t + (1 / mu) * noise_term(gamma * eta)
 
-    where S_t sums the actual steps gamma * eta_s and noise_term is the
-    same expression as in the Euclidean bound, evaluated on the actual
-    steps and the dual gradient-norm bounds.  gamma is homogeneous in
-    that expression (degree -1 in the first term, +1 in the rest), so it
-    is factored out analytically rather than multiplied into the
-    accumulators.  The operations are ordered as in bound_value, so the
-    Euclidean specialization (bregman_init = D*D/2, mu = 1) equals it
-    bit for bit.
+    where bregman_init is E B(x*, x_1) for the mirror map's Bregman
+    divergence, mu its strong-convexity modulus w.r.t. the chosen norm,
+    S_t sums the actual steps gamma * eta_s, and noise_term is the same
+    expression as in the Euclidean bound, evaluated on the actual steps
+    and dual_grad_norms, the bounds on E ||g_t||_*^2 in the dual norm.
+    gamma is homogeneous in that expression (degree -1 in the first term,
+    +1 in the rest), so it is factored out analytically rather than
+    multiplied into the accumulators.  The operations are ordered as in
+    bound_value, so the Euclidean specialization (bregman_init = D*D/2,
+    mu = 1) equals it bit for bit.
     """
-    positive(gamma, "base learning rate gamma")
+    bregman_init = positive(bregman_init, "initial Bregman divergence")
+    mu = positive(mu, "strong-convexity modulus")
+    gamma = positive(gamma, "base learning rate gamma")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a term out of range fails _in_range
-        S_t, noise = _sum_and_noise(schedule, mirror.dual_grad_norms)
-    dist, noise = _in_range(mirror.bregman_init / S_t, noise, "initial Bregman divergence", "dual gradient norm scale")
-    return dist / gamma + gamma * noise / mirror.mu
+        S_t, noise = _sum_and_noise(schedule, dual_grad_norms)
+    dist, noise = _in_range(bregman_init / S_t, noise, "initial Bregman divergence", "dual gradient norm scale")
+    return dist / gamma + gamma * noise / mu
 
 
 # --- closed forms for specific schedules ---------------------------------

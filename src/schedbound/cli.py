@@ -228,13 +228,11 @@ def _cmd_bound(args) -> dict:
     sched = schedules.parse_spec(args.schedule)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
-    # the terms do not depend on gamma, and the curve's last row gives gamma_star
-    spec = bounds.BoundSpec(sched, grad, args.D, 1.0 if gamma is None else gamma)
     stride = bounds.default_stride(sched.horizon) if args.stride is None else args.stride
-    curve = bounds.bound_curve(spec, stride=stride)
-    gamma_star = curve.optimal_gamma
-    if gamma is None:
-        curve = curve.at_gamma(gamma_star)
+    curve = bounds.bound_curve(sched, grad, args.D, stride=stride)  # at gamma_star
+    gamma_star = curve.gamma
+    if gamma is not None:
+        curve = curve.at_gamma(gamma)
     if not np.isfinite(curve.values).all():  # bound_curve leaves an overflow as inf
         raise ValueError(f"--gamma {args.gamma} overflows the bound")
     rows = zip(curve.t, curve.values, curve.dist_terms, curve.noise_terms)

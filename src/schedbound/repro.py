@@ -116,8 +116,7 @@ def gradnorm_shapes() -> tuple[dict, list]:
     out: dict = {"T": T, "c": c, "T0": T0}
     for alpha in alphas:
         g = bounds.GradNormModel(alpha=alpha)
-        spec = bounds.BoundSpec(sched, g, gamma=bounds.optimal_gamma(sched, g))
-        curve = bounds.bound_curve(spec, stride=1)
+        curve = bounds.bound_curve(sched, g, stride=1)
         curves.append(curve)
         out[f"drop_ratio_alpha_{alpha:g}"] = float(curve.values[T0 - 1] / curve.values[T - 1])
     rows = zip(curves[0].t, *[c.values for c in curves])
@@ -132,15 +131,14 @@ def min_ablation() -> tuple[dict, list]:
     T, c = 400, 0.2
     T0 = schedules.cooldown_start(T, c)
     sched = schedules.wsd(T, c)
-    spec = bounds.BoundSpec(sched, gamma=bounds.optimal_gamma(sched))
-    last = bounds.bound_curve(spec, stride=1)
-    best = bounds.best_iterate_curve(spec, stride=1)
+    last = bounds.bound_curve(sched, stride=1)
+    best = bounds.best_iterate_curve(sched, stride=1).at_gamma(last.gamma)
     rows = zip(last.t, last.values, best.values)
     headlines = {
         "T": T,
         "c": c,
         "T0": T0,
-        "gamma": spec.gamma,
+        "gamma": last.gamma,
         "drop_ratio_last_iterate": float(last.values[T0 - 1] / last.values[T - 1]),
         "drop_ratio_best_iterate": float(best.values[T0 - 1] / best.values[T - 1]),
     }

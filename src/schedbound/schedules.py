@@ -206,7 +206,11 @@ def polynomial_decay(T: int, alpha: float) -> Schedule:
     T = _allocatable_horizon(T)
     alpha = positive(alpha, "decay exponent")
     t = np.arange(1, T + 1, dtype=np.float64)
-    return Schedule((T + 1.0 - t) ** alpha)
+    with np.errstate(over="ignore"):  # eta_1 = T ** alpha is the largest value, checked below
+        values = (T + 1.0 - t) ** alpha
+    if not math.isfinite(values[0]):
+        raise ValueError(f"decay exponent {alpha} overflows T ** alpha at T = {T}")
+    return Schedule(values)
 
 
 def cosine(T: int, final_fraction: float = 0.0, cycle_length: float = 1.0) -> Schedule:

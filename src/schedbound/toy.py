@@ -216,6 +216,7 @@ def run_sgd(
 
     Deterministic: the only randomness lives in the problem instance.
     Loss is recorded before each update, one entry per schedule step.
+    A loss out of the float range is a ValueError naming x_start and gamma.
     """
     positive(gamma, "base learning rate gamma")
     x = np.array(problem.x_start if x_start is None else x_start, dtype=np.float64)
@@ -223,14 +224,17 @@ def run_sgd(
         raise ValueError(f"x_start must have length {problem.d}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x_start must be finite, got {x}")
-    T = schedule.horizon
+    T, start = schedule.horizon, x
     losses = np.empty(T)
     iterates = np.empty((T, problem.d)) if record_iterates else None
-    for t, eta in enumerate(schedule.values.tolist()):
-        losses[t], g = _loss_and_subgradient(problem, x)
-        if iterates is not None:
-            iterates[t] = x
-        x = x - gamma * eta * g
+    with np.errstate(over="ignore", invalid="ignore"):  # a loss out of range fails below
+        for t, eta in enumerate(schedule.values.tolist()):
+            losses[t], g = _loss_and_subgradient(problem, x)
+            if iterates is not None:
+                iterates[t] = x
+            x = x - gamma * eta * g
+    if not np.all(np.isfinite(losses)):
+        raise ValueError(f"the loss leaves the float range from x_start {start.tolist()} at base learning rate gamma {gamma}")
     return RunRecord(losses=losses, schedule_used=schedule, gamma=gamma, seed=problem.seed, iterates=iterates)
 
 

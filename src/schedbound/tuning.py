@@ -311,24 +311,33 @@ def lr_transfer_curve(
 # --- parametric fits ------------------------------------------------------
 
 
-def _lstsq_columns(columns: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least squares by numpy's SVD solver on L2-normalized columns.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a value out of range fails by name below
+def _lstsq_columns(model: str, columns, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least squares of y on the model's columns(), by numpy's SVD solver on L2-normalized columns.
 
     The scaling evens out the column norms, which keeps the minimizer of
-    an inv-gamma-linear fit at rounding level of the exact one.
+    an inv-gamma-linear fit at rounding level of the exact one.  Columns
+    or scales out of the float range are a ValueError naming the x values
+    and the model, coefficients or a residual out of it one naming the x
+    or y values.
     """
-    X = np.asarray(columns, dtype=np.float64)
+    X = np.asarray(columns(), dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] < X.shape[1]:
         raise ValueError(f"need at least {X.shape[1]} points, got {X.shape[0]}")
     scale = np.sqrt(np.sum(X * X, axis=0))
+    if not (np.isfinite(X).all() and np.isfinite(scale).all()):
+        raise ValueError(f"the x values overflow the {model} model: its columns or their norms leave the float range")
     if np.any(scale == 0.0):
         raise ValueError("fit is degenerate: a model column is identically zero")
     w, _, rank, _ = np.linalg.lstsq(X / scale, y, rcond=None)
     if rank < X.shape[1]:
         raise ValueError("fit is degenerate: model columns are collinear")
     coef = w / scale
-    return coef, float(np.linalg.norm(X @ coef - y))
+    resid = float(np.linalg.norm(X @ coef - y))
+    if not (np.isfinite(coef).all() and math.isfinite(resid)):
+        raise ValueError(f"the x or y values overflow the {model} model: its coefficients or residual leave the float range")
+    return coef, resid
 
 
 def _split_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +356,7 @@ def fit_inv_gamma_linear(points) -> FitResult:
     x, y = _split_points(points)
     if np.any(x <= 0.0):
         raise ValueError("gamma values must be positive")
-    coef, resid = _lstsq_columns(np.column_stack([1.0 / x, x, np.ones_like(x)]), y)
+    coef, resid = _lstsq_columns("inv-gamma-linear", lambda: np.column_stack([1.0 / x, x, np.ones_like(x)]), y)
     return FitResult(coef, resid, "inv-gamma-linear")
 
 
@@ -376,12 +385,15 @@ def fit_inv_sqrt(points) -> FitResult:
     x, y = _split_points(points)
     if np.any(x <= 0.0):
         raise ValueError("x values must be positive")
-    coef, resid = _lstsq_columns((1.0 / np.sqrt(x))[:, None], y)
+    coef, resid = _lstsq_columns("inv-sqrt", lambda: (1.0 / np.sqrt(x))[:, None], y)
     prefactor = exponent = None
     if np.all(y > 0.0) and x.size >= 2:
         logs, logy = np.log(x), np.log(y)
-        w, _ = _lstsq_columns(np.column_stack([np.ones_like(logs), logs]), logy)
-        prefactor, exponent = float(math.exp(w[0])), float(w[1])
+        w, _ = _lstsq_columns("free power-law", lambda: np.column_stack([np.ones_like(logs), logs]), logy)
+        try:
+            prefactor, exponent = math.exp(w[0]), float(w[1])
+        except OverflowError:
+            raise ValueError("the x or y values overflow the free power-law model: its prefactor leaves the float range") from None
     return FitResult(coef, resid, "inv-sqrt", prefactor, exponent)
 
 
@@ -389,5 +401,6 @@ def fit_polynomial(points, degree: int = 6) -> FitResult:
     """Fit a polynomial of the given degree; coefficients ascending in power."""
     degree = integer(degree, "degree", 0)
     x, y = _split_points(points)
-    coef, resid = _lstsq_columns(np.vander(x, degree + 1, increasing=True), y)
-    return FitResult(coef, resid, f"polynomial-degree-{degree}")
+    kind = f"polynomial-degree-{degree}"
+    coef, resid = _lstsq_columns(kind, lambda: np.vander(x, degree + 1, increasing=True), y)
+    return FitResult(coef, resid, kind)

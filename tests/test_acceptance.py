@@ -13,9 +13,7 @@ from oracles import harmonic_numbers
 
 from schedbound import bounds, scaling, serialize, toy, tuning
 from schedbound.bounds import (
-    BoundSpec,
     GradNormModel,
-    MirrorSpec,
     bound_curve,
     bound_terms,
     bound_value,
@@ -176,8 +174,8 @@ def test_criterion_09_gamma_grid_argmin_and_joint_rescaling():
         vals = rng.uniform(0.1, 1.0, size=T)
         s = float(rng.uniform(0.1, 10.0))
         gamma = float(rng.uniform(0.05, 2.0))
-        a = bound_value(BoundSpec(Schedule(vals), GradNormModel(), 1.0, gamma))
-        b = bound_value(BoundSpec(Schedule(s * vals), GradNormModel(), 1.0, gamma / s))
+        a = bound_value(Schedule(vals), gamma, GradNormModel(), 1.0)
+        b = bound_value(Schedule(s * vals), gamma / s, GradNormModel(), 1.0)
         assert b == pytest.approx(a, rel=6.5e-13)  # measured 1.6e-13 over 200 draws
 
 
@@ -185,9 +183,8 @@ def test_criterion_10_cooldown_drop_needs_last_iterate_analysis():
     T, c = 400, 0.2
     T0 = cooldown_start(T, c)
     sched = wsd(T, c)
-    spec = BoundSpec(sched, gamma=optimal_gamma(sched))
-    last = bound_curve(spec, stride=1)
-    best = best_iterate_curve(spec, stride=1)
+    last = bound_curve(sched, stride=1).at_gamma(optimal_gamma(sched))
+    best = best_iterate_curve(sched, stride=1).at_gamma(optimal_gamma(sched))
     drop_last = last.values[T0 - 1] / last.values[T - 1]
     drop_best = best.values[T0 - 1] / best.values[T - 1]
     assert drop_last > drop_best
@@ -200,8 +197,7 @@ def test_criterion_11_gradient_norm_shape_weakens_drop():
     drops = {}
     for alpha in (0.0, -1.0):
         g = GradNormModel(alpha=alpha)
-        spec = BoundSpec(sched, g, gamma=optimal_gamma(sched, g))
-        curve = bound_curve(spec, stride=1)
+        curve = bound_curve(sched, g, stride=1).at_gamma(optimal_gamma(sched, g))
         drops[alpha] = curve.values[T0 - 1] / curve.values[T - 1]
     assert drops[0.0] > drops[-1.0]
 
@@ -267,7 +263,6 @@ def test_criterion_15_mirror_bound_euclidean_specialization():
         gamma = float(rng.uniform(0.01, 2.0))
         grad = GradNormModel(G=float(rng.uniform(0.3, 3.0)))
         sched = Schedule(vals)
-        mirror = MirrorSpec(bregman_init=D * D / 2.0, mu=1.0, dual_grad_norms=grad)
-        lhs = mirror_bound(mirror, sched, gamma=gamma)
-        rhs = bound_value(BoundSpec(sched, grad, D, gamma))
+        lhs = mirror_bound(sched, gamma, bregman_init=D * D / 2.0, mu=1.0, dual_grad_norms=grad)
+        rhs = bound_value(sched, gamma, grad, D=D)
         assert lhs == rhs  # bit-identical by construction

@@ -19,9 +19,7 @@ from oracles import (
 
 from schedbound import bounds, expsum
 from schedbound.bounds import (
-    BoundSpec,
     GradNormModel,
-    MirrorSpec,
     best_iterate_curve,
     best_iterate_terms,
     bound_curve,
@@ -199,22 +197,22 @@ class TestNonFinite:
     @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
     def test_bound_spec(self, value):
         with pytest.raises(ValueError, match="initial distance D"):
-            BoundSpec(constant(4), D=value)
+            bound_curve(constant(4), D=value)
         with pytest.raises(ValueError, match="base learning rate gamma"):
-            BoundSpec(constant(4), gamma=value)
+            bound_value(constant(4), value)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
     def test_mirror_spec(self, value):
         with pytest.raises(ValueError, match="initial Bregman divergence"):
-            MirrorSpec(bregman_init=value)
+            mirror_bound(constant(4), 1.0, bregman_init=value)
         with pytest.raises(ValueError, match="strong-convexity modulus"):
-            MirrorSpec(bregman_init=0.5, mu=value)
+            mirror_bound(constant(4), 1.0, bregman_init=0.5, mu=value)
         with pytest.raises(ValueError, match="base learning rate gamma"):
-            mirror_bound(MirrorSpec(bregman_init=0.5), constant(4), gamma=value)
+            mirror_bound(constant(4), value, bregman_init=0.5)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_terms_distance(self, value):
-        # sweeps and transfers take D without a BoundSpec
+        # sweeps and transfers take D from the terms
         for terms in (bound_terms, best_iterate_terms):
             with pytest.raises(ValueError, match="initial distance D"):
                 terms(constant(4), D=value)
@@ -227,8 +225,8 @@ class TestNonFinite:
         "call",
         [
             lambda s: bound_terms(s),
-            lambda s: bound_curve(BoundSpec(s), stride=1),
-            lambda s: mirror_bound(MirrorSpec(bregman_init=0.5), s),
+            lambda s: bound_curve(s, stride=1),
+            lambda s: mirror_bound(s, 1.0, bregman_init=0.5),
         ],
         ids=["bound_terms", "bound_curve", "mirror_bound"],
     )
@@ -249,8 +247,7 @@ class TestBoundTerms:
         dist, noise = bound_terms(constant(4))
         assert dist == pytest.approx(0.125, rel=1e-15)  # measured 0
         assert noise == pytest.approx(17.0 / 12.0, rel=1e-15)  # measured 1.6e-16
-        spec = BoundSpec(constant(4), GradNormModel(), 1.0, 1.0)
-        assert bound_value(spec) == pytest.approx(0.125 + 17.0 / 12.0, rel=1e-15)  # measured 1.4e-16
+        assert bound_value(constant(4), 1.0, GradNormModel(), 1.0) == pytest.approx(0.125 + 17.0 / 12.0, rel=1e-15)  # measured 1.4e-16
 
     def test_single_step(self):
         # T=1: no cross terms; dist = 1/(2 eta), noise = eta G^2 / 2
@@ -312,8 +309,7 @@ class TestTunedBound:
         sched = wsd(50, 0.4)
         dist, noise = bound_terms(sched)
         for gamma in (0.01, 0.3, 2.0):
-            spec = BoundSpec(sched, GradNormModel(), 1.0, gamma)
-            assert bound_value(spec) == pytest.approx(dist / gamma + gamma * noise, rel=1e-15)  # measured 0
+            assert bound_value(sched, gamma, GradNormModel(), 1.0) == pytest.approx(dist / gamma + gamma * noise, rel=1e-15)  # measured 0
 
     def test_optimal_gamma_first_order(self):
         sched = wsd(80, 0.25)
@@ -325,9 +321,8 @@ class TestTunedBound:
     @given(gamma=st.floats(min_value=1e-3, max_value=1e3))
     def test_tuned_is_minimum(self, gamma):
         sched = wsd(40, 0.5)
-        spec = BoundSpec(sched, GradNormModel(), 1.0, gamma)
         # at most -3.6e-7 relative over 300 draws; the slack is the rounding of both sides at gamma*
-        assert tuned_bound(sched) <= bound_value(spec) * (1.0 + 2e-15)
+        assert tuned_bound(sched) <= bound_value(sched, gamma, GradNormModel(), 1.0) * (1.0 + 2e-15)
 
     def test_scale_covariance(self):
         # dist scales with D^2, noise with G^2
@@ -341,20 +336,19 @@ class TestTunedBound:
 class TestCurves:
     def test_dense_curve_matches_pointwise(self):
         sched = wsd(25, 0.4)
-        spec = BoundSpec(sched, GradNormModel(), 1.0, 0.1)
-        curve = bound_curve(spec, stride=1)
+        gamma = 0.1
+        curve = bound_curve(sched, GradNormModel(), 1.0, stride=1).at_gamma(gamma)
         assert np.array_equal(curve.t, np.arange(1, 26))
         for i, t in enumerate(curve.t):
             dist, noise = bound_terms(sched, t=int(t))
-            assert curve.values[i] == pytest.approx(dist / spec.gamma + spec.gamma * noise, rel=1e-15)  # measured 0
+            assert curve.values[i] == pytest.approx(dist / gamma + gamma * noise, rel=1e-15)  # measured 0
         assert curve.value_final == curve.values[-1]
         assert curve.dist_final == curve.dist_terms[-1]
         assert curve.noise_final == curve.noise_terms[-1]
 
     def test_strided_curve_includes_final_horizon(self):
         sched = constant(103)
-        spec = BoundSpec(sched, GradNormModel(), 1.0, 0.1)
-        curve = bound_curve(spec, stride=10)
+        curve = bound_curve(sched, GradNormModel(), 1.0, stride=10).at_gamma(0.1)
         assert curve.t[0] == 1
         assert curve.t[-1] == 103
         assert np.all(np.diff(curve.t) > 0)
@@ -367,16 +361,36 @@ class TestCurves:
 
     def test_direct_rows_equal_bound_terms(self):
         sched, grad = wsd(400, 0.2), GradNormModel(1.3, -0.5)
-        curve = bound_curve(BoundSpec(sched, grad, 0.7), stride=20)
+        curve = bound_curve(sched, grad, 0.7, stride=20)
         assert curve.noise_kernel == bounds.PREFIX_DIFFERENCE
         for t, dist, noise in zip(curve.t, curve.dist_terms, curve.noise_terms):
             assert (dist, noise) == bound_terms(sched, grad, 0.7, int(t)), t
 
     def test_optimal_gamma_property(self):
         sched = wsd(30, 0.5)
-        spec = BoundSpec(sched, GradNormModel(), 1.0, 0.1)
-        curve = bound_curve(spec, stride=1)
-        assert curve.optimal_gamma == pytest.approx(optimal_gamma(sched), rel=1e-15)  # measured 0
+        curve = bound_curve(sched, GradNormModel(), 1.0, stride=1).at_gamma(0.1)
+        assert curve.optimal_gamma == optimal_gamma(sched)
+
+    @pytest.mark.parametrize(
+        "fixture, kernel",
+        [(None, bounds.PREFIX_DIFFERENCE), ("suffix_sum_kernel", bounds.SUFFIX_SUM), ("exp_sum_kernel", bounds.EXP_SUM)],
+    )
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEDULES))
+    def test_curve_comes_at_optimal_gamma(self, request, name, alpha, fixture, kernel):
+        if fixture is not None:
+            request.getfixturevalue(fixture)
+        sched, grad = ORACLE_SCHEDULES[name], GradNormModel(G=1.3, alpha=alpha)
+        curve = bound_curve(sched, grad, 0.7, stride=7)
+        assert curve.noise_kernel == kernel
+        assert curve.gamma == optimal_gamma(sched, grad, 0.7)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SCHEDULES))
+    def test_best_iterate_curve_comes_at_its_optimal_gamma(self, name, alpha):
+        sched, grad = ORACLE_SCHEDULES[name], GradNormModel(G=1.3, alpha=alpha)
+        dist, noise = best_iterate_terms(sched, grad, 0.7)
+        assert best_iterate_curve(sched, grad, 0.7, stride=7).gamma == math.sqrt(dist / noise)
 
 
 class TestBestIterate:
@@ -394,8 +408,7 @@ class TestBestIterate:
         assert noise_best < noise_last
 
     def test_curve_runs(self):
-        spec = BoundSpec(wsd(40, 0.2), GradNormModel(), 1.0, 0.1)
-        curve = best_iterate_curve(spec, stride=1)
+        curve = best_iterate_curve(wsd(40, 0.2), GradNormModel(), 1.0, stride=1).at_gamma(0.1)
         assert len(curve.t) == 40
         assert np.all(np.isfinite(curve.values))
 
@@ -639,7 +652,7 @@ def test_unit_model_skips_only_multiplications_by_one(monkeypatch, name, grad, l
 
     def results():
         terms = [bound_terms(sched, grad, 0.7, t) for t in ts]
-        curves = [bound_curve(BoundSpec(sched, grad), stride) for stride in (1, 7)]
+        curves = [bound_curve(sched, grad, stride=stride) for stride in (1, 7)]
         return terms, [(c.noise_kernel, c.dist_terms.tobytes(), c.noise_terms.tobytes()) for c in curves]
 
     got = results()
@@ -657,8 +670,8 @@ def test_unit_model_builds_no_g_row(monkeypatch):
     bound_terms(sched)
     best_iterate_terms(sched)
     for stride in (1, 20):  # exp-sum and prefix differences
-        bound_curve(BoundSpec(sched), stride)
-        best_iterate_curve(BoundSpec(sched), stride)
+        bound_curve(sched, stride=stride)
+        best_iterate_curve(sched, stride=stride)
     with pytest.raises(AssertionError, match="G row built"):
         bound_terms(sched, GradNormModel(1.3))
 
@@ -714,13 +727,13 @@ class TestLongHorizon:
             D = float(rng.uniform(0.3, 3.0))
             gamma = float(rng.uniform(0.01, 2.0))
             grad = GradNormModel(G=float(rng.uniform(0.3, 2.0)), alpha=float(rng.uniform(-1.0, 0.0)))
-            mirror = MirrorSpec(bregman_init=D * D / 2.0, mu=1.0, dual_grad_norms=grad)
-            assert mirror_bound(mirror, sched, gamma=gamma) == bound_value(BoundSpec(sched, grad, D, gamma))
+            mirror = mirror_bound(sched, gamma, bregman_init=D * D / 2.0, mu=1.0, dual_grad_norms=grad)
+            assert mirror == bound_value(sched, gamma, grad, D=D)
 
     def test_constant_curve_on_suffix_sum_path(self):
         # noise of the constant schedule at horizon t is (1 + H_{t-1}) / 2
         sched = constant(LONG_T)
-        curve = bound_curve(BoundSpec(sched), stride=10_000)
+        curve = bound_curve(sched, stride=10_000)
         assert curve.noise_kernel == bounds.SUFFIX_SUM
         for t, noise in zip(curve.t, curve.noise_terms):
             assert noise == pytest.approx((1.0 + harmonic(int(t) - 1)) / 2.0, rel=1e-15)  # measured 1.4e-16
@@ -729,7 +742,7 @@ class TestLongHorizon:
 
 def assert_best_iterate_rows_exact(sched, grad, stride, tol):
     """Every row of the best-iterate curve within tol of exact prefix sums; the last row equals best_iterate_terms."""
-    curve = best_iterate_curve(BoundSpec(sched, grad, 0.7), stride=stride)
+    curve = best_iterate_curve(sched, grad, 0.7, stride=stride)
     assert curve.noise_kernel == bounds.RUNNING_SUM
     rows = [int(t) for t in curve.t]
     exact = prefix_sum_terms(sched.values, grad.values(sched.horizon), 0.7, rows)
@@ -794,7 +807,7 @@ class TestExpSum:
     def test_every_row_matches_fraction_oracle(self, exp_sum_kernel, name, alpha, stride):
         # stride 7 ends on a 1-step block (239 -> 240) and a part-filled group of horizons
         sched, grad = ORACLE_SCHEDULES[name], GradNormModel(G=1.3, alpha=alpha)
-        curve = bound_curve(BoundSpec(sched, grad, 0.7), stride=stride)
+        curve = bound_curve(sched, grad, 0.7, stride=stride)
         assert curve.noise_kernel == bounds.EXP_SUM
         assert curve.t[-1] == ORACLE_T
         rows = [int(t) for t in curve.t]
@@ -821,7 +834,7 @@ class TestExpSum:
 
         monkeypatch.setattr(bounds, "_horizon", counted)
         sched = wsd(LONG_T, 0.2)
-        curve = bound_curve(BoundSpec(sched))
+        curve = bound_curve(sched)
         assert curve.noise_kernel == bounds.EXP_SUM
         assert len(curve.t) == 2001
         assert calls == [LONG_T]
@@ -833,7 +846,7 @@ class TestExpSum:
         # stride 1 the state is carried across about 1,600 groups of horizons
         T = LONG_T
         sched = constant(T)
-        curve = bound_curve(BoundSpec(sched), stride=stride)
+        curve = bound_curve(sched, stride=stride)
         assert curve.noise_kernel == bounds.EXP_SUM
         exact = (1.0 + harmonic_numbers(T)[curve.t - 1]) / 2.0
         # measured 6.7e-16 at the default stride and 8.9e-16 at stride 1; about 4x margin
@@ -853,7 +866,7 @@ class TestExpSum:
     def test_kernel_follows_pair_count(self, T, stride, kernel):
         # sum(t) is 0.38 * J * T at stride 700 and 0.19 * J * T at stride 1500 (T = 100000),
         # 1.02 * J * T at stride 1 and 0.061 * J * T at stride 20 (T = 400)
-        assert bound_curve(BoundSpec(wsd(T, 0.2)), stride=stride).noise_kernel == kernel
+        assert bound_curve(wsd(T, 0.2), stride=stride).noise_kernel == kernel
 
     @pytest.mark.parametrize(
         "sched",
@@ -865,9 +878,9 @@ class TestExpSum:
         ids=["wsd-linear", "wsd-1-sqrt", "cosine"],
     )
     def test_moment_inflow_matches_direct_nodes(self, monkeypatch, sched):
-        curve = bound_curve(BoundSpec(sched))
+        curve = bound_curve(sched)
         monkeypatch.setattr(expsum, "SMOOTH", 0.0)  # no node is smooth
-        direct = bound_curve(BoundSpec(sched))
+        direct = bound_curve(sched)
         assert curve.noise_kernel == direct.noise_kernel == bounds.EXP_SUM
         assert np.max(np.abs(curve.values / direct.values - 1.0)) <= 1e-15  # measured 4.4e-16
 
@@ -903,7 +916,7 @@ class TestExpSum:
     @pytest.mark.parametrize("shape", [CooldownShape.LINEAR, CooldownShape.ONE_MINUS_SQRT])
     def test_long_wsd_rows_match_exact_oracle(self, shape):
         sched = wsd(LONG_T, 0.2, shape)
-        curve = bound_curve(BoundSpec(sched))
+        curve = bound_curve(sched)
         assert curve.noise_kernel == bounds.EXP_SUM
         for row in (2, 1600, 1999):  # 1999 is the last row from the exp-sum kernel
             exact = single_sum_noise(sched.values, np.ones(sched.horizon), [int(curve.t[row])], digits=60)
@@ -994,7 +1007,7 @@ class TestExpSum:
 
         monkeypatch.setattr(expsum, "_own_sums", spy)
         grad = GradNormModel(alpha=alpha)
-        curve = bound_curve(BoundSpec(sched, grad))
+        curve = bound_curve(sched, grad)
         assert curve.noise_kernel == bounds.EXP_SUM
         rows = (1000, 1999)  # 1999 is the last row from the exp-sum kernel
         exact = single_sum_noise(sched.values, grad.values(sched.horizon), [int(curve.t[row]) for row in rows], digits=60)
@@ -1026,7 +1039,7 @@ class TestExpSum:
         shapes = []  # of every array curve_noise exponentiates
         clamped = expsum._clamped_exp
         monkeypatch.setattr(expsum, "_clamped_exp", lambda x: shapes.append(x.shape) or clamped(x))
-        curve = bound_curve(BoundSpec(sched), stride=stride)
+        curve = bound_curve(sched, stride=stride)
         counts, T = curve.exp_sum, sched.horizon
         stride = stride or default_stride(T)
         assert curve.noise_kernel == bounds.EXP_SUM
@@ -1048,7 +1061,7 @@ class TestExpSum:
         # rows 640-710 and 1563-1633 are chunks that straddle them, and the chunks on
         # either side share one set of exponentials
         sched = extended(40000, 0.2, LONG_T, 0.5)
-        curve = bound_curve(BoundSpec(sched))
+        curve = bound_curve(sched)
         assert curve.noise_kernel == bounds.EXP_SUM and 0 < curve.exp_sum.shared < curve.exp_sum.groups
         rows = (639, 640, 641, 710, 711, 1562, 1563, 1600, 1601, 1633, 1634)
         exact = single_sum_noise(sched.values, np.ones(sched.horizon), [int(curve.t[row]) for row in rows], digits=60)
@@ -1057,10 +1070,10 @@ class TestExpSum:
 
     def test_curve_memory(self):
         T = LONG_T
-        spec = BoundSpec(wsd(T, 0.2))
+        sched = wsd(T, 0.2)
         tracemalloc.start()
         try:
-            bound_curve(spec)
+            bound_curve(sched)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1082,7 +1095,7 @@ class TestExpSum:
     def test_repro_curve_rows_match_fraction_oracle(self, alpha):
         # the curves of repro gradnorm-shapes and min-ablation: wsd(400, 0.2) at stride 1
         sched, grad = wsd(400, 0.2), GradNormModel(alpha=alpha)
-        curve = bound_curve(BoundSpec(sched, grad), stride=1)
+        curve = bound_curve(sched, grad, stride=1)
         assert curve.noise_kernel == bounds.EXP_SUM
         exact = single_sum_terms(sched.values, grad.values(400), 1.0, range(1, 401))
         for t, dist, noise, (exact_dist, exact_noise) in zip(curve.t[:-1], curve.dist_terms, curve.noise_terms, exact):
@@ -1105,25 +1118,22 @@ class TestMirror:
             D = float(rng.uniform(0.3, 2.0))
             gamma = float(rng.uniform(0.05, 2.0))
             grad = GradNormModel(G=float(rng.uniform(0.3, 2.0)))
-            mirror = MirrorSpec(bregman_init=D * D / 2.0, mu=1.0, dual_grad_norms=grad)
-            lhs = mirror_bound(mirror, sched, gamma=gamma)
-            rhs = bound_value(BoundSpec(sched, grad, D, gamma))
+            lhs = mirror_bound(sched, gamma, bregman_init=D * D / 2.0, mu=1.0, dual_grad_norms=grad)
+            rhs = bound_value(sched, gamma, grad, D=D)
             assert lhs == rhs  # bit-identical by construction
 
     def test_strong_convexity_scales_noise(self):
         sched = wsd(50, 0.3)
-        m1 = MirrorSpec(bregman_init=0.5, mu=1.0)
-        m2 = MirrorSpec(bregman_init=0.5, mu=2.0)
-        b1 = mirror_bound(m1, sched, gamma=0.2)
-        b2 = mirror_bound(m2, sched, gamma=0.2)
+        b1 = mirror_bound(sched, 0.2, bregman_init=0.5, mu=1.0)
+        b2 = mirror_bound(sched, 0.2, bregman_init=0.5, mu=2.0)
         dist, noise = bound_terms(sched)
         assert b1 - b2 == pytest.approx(0.2 * noise / 2.0, rel=1e-15)  # measured 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MirrorSpec(bregman_init=-1.0)
+            mirror_bound(constant(4), 1.0, bregman_init=-1.0)
         with pytest.raises(ValueError):
-            MirrorSpec(bregman_init=0.5, mu=0.0)
+            mirror_bound(constant(4), 1.0, bregman_init=0.5, mu=0.0)
 
 
 @settings(max_examples=20)
@@ -1137,6 +1147,6 @@ def test_gamma_schedule_rescaling_invariance(T, seed):
     vals = rng.uniform(0.1, 1.0, size=T)
     s = float(rng.uniform(0.1, 10.0))
     gamma = float(rng.uniform(0.05, 2.0))
-    base = bound_value(BoundSpec(Schedule(vals), GradNormModel(), 1.0, gamma))
-    scaled = bound_value(BoundSpec(Schedule(s * vals), GradNormModel(), 1.0, gamma / s))
+    base = bound_value(Schedule(vals), gamma, GradNormModel(), 1.0)
+    scaled = bound_value(Schedule(s * vals), gamma / s, GradNormModel(), 1.0)
     assert scaled == pytest.approx(base, rel=7.5e-14)  # measured 1.9e-14 over 200 draws

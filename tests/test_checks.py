@@ -8,9 +8,7 @@ import pytest
 
 from schedbound import _checks
 from schedbound.bounds import (
-    BoundSpec,
     GradNormModel,
-    MirrorSpec,
     best_iterate_curve,
     bound_curve,
     bound_terms,
@@ -19,7 +17,7 @@ from schedbound.bounds import (
     wsd_bound_exact,
 )
 from schedbound.scaling import ScalingLaw, loss, params_for_delta, tokens_for_delta
-from schedbound.schedules import Schedule, constant, cosine, wsd
+from schedbound.schedules import Schedule, constant, cosine, polynomial_decay, wsd
 from schedbound.toy import generate_problem
 from schedbound.tuning import (
     default_gamma_grid,
@@ -40,7 +38,7 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
     [
         pytest.param("horizon t", lambda: bound_terms(wsd(10, 0.2), t=2.5), id="bound_terms t=2.5"),
         pytest.param("horizon t", lambda: bound_terms(wsd(10, 0.2), t=True), id="bound_terms t=True"),
-        pytest.param("stride", lambda: bound_curve(BoundSpec(wsd(10, 0.2)), stride=2.7), id="bound_curve stride=2.7"),
+        pytest.param("stride", lambda: bound_curve(wsd(10, 0.2), stride=2.7), id="bound_curve stride=2.7"),
         pytest.param("horizon", lambda: wsd_bound_exact(100.7, 50), id="wsd_bound_exact T=100.7"),
         pytest.param("cooldown start", lambda: wsd_bound_exact(100, np.float64(50)), id="wsd_bound_exact T0=50.0"),
         pytest.param("horizon", lambda: polynomial_bound_approx(math.inf, 1), id="polynomial_bound_approx T=inf"),
@@ -52,7 +50,7 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         pytest.param("seed", lambda: generate_problem(20, 2, 2.5), id="generate_problem seed=2.5"),
         # scales that are not numbers
         pytest.param("cooldown fraction", lambda: transfer_horizon_cooldown(400, 400, None), id="transfer_horizon_cooldown c=None"),
-        pytest.param("initial distance D", lambda: BoundSpec(constant(4), D="abc"), id="BoundSpec D='abc'"),
+        pytest.param("initial distance D", lambda: bound_curve(constant(4), D="abc"), id="bound_curve D='abc'"),
         pytest.param("gradient norm scale", lambda: GradNormModel(G="2", alpha=-0.5), id="GradNormModel G='2'"),
         pytest.param("gradient norm scale", lambda: GradNormModel(G=[1.0, 2.0]), id="GradNormModel G=list"),
         pytest.param("gradient norm exponent", lambda: GradNormModel(alpha="x"), id="GradNormModel alpha='x'"),
@@ -66,35 +64,36 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         pytest.param("base horizon", lambda: transfer_horizon_cooldown("400", 800), id="transfer_horizon_cooldown T_short='400'"),
         pytest.param("extended horizon", lambda: transfer_horizon_rho(400, 400.0), id="transfer_horizon_rho T_long=400.0"),
         # terms that leave the float range, without a numpy warning
+        pytest.param("decay exponent", lambda: polynomial_decay(10, 1000), id="polynomial_decay alpha=1000"),
         pytest.param("initial distance D", lambda: bound_terms(wsd(10, 0.2), D=1e200), id="bound_terms D=1e200"),
         pytest.param("initial distance D", lambda: bound_terms(wsd(10, 0.2), D=1e-200), id="bound_terms D=1e-200"),
         pytest.param("gradient norm scale", lambda: bound_terms(wsd(10, 0.2), GradNormModel(G=1e200)), id="bound_terms G=1e200"),
         pytest.param("gradient norm scale", lambda: bound_terms(wsd(10, 0.2), GradNormModel(G=1e-200)), id="bound_terms G=1e-200"),
-        pytest.param("gradient norm scale", lambda: bound_curve(BoundSpec(wsd(10, 0.2), GradNormModel(G=1e200))), id="bound_curve G=1e200"),
+        pytest.param("gradient norm scale", lambda: bound_curve(wsd(10, 0.2), GradNormModel(G=1e200)), id="bound_curve G=1e200"),
         pytest.param(
             "gradient norm scale",
-            lambda: bound_curve(BoundSpec(wsd(100_000, 0.2), GradNormModel(G=1e200))),
+            lambda: bound_curve(wsd(100_000, 0.2), GradNormModel(G=1e200)),
             id="bound_curve exp-sum G=1e200",
         ),
         pytest.param(
             "dual gradient norm scale",
-            lambda: mirror_bound(MirrorSpec(0.5, dual_grad_norms=GradNormModel(G=1e200)), constant(4)),
+            lambda: mirror_bound(constant(4), 1.0, 0.5, dual_grad_norms=GradNormModel(G=1e200)),
             id="mirror_bound G=1e200",
         ),
         pytest.param(
             "dual gradient norm scale",
-            lambda: mirror_bound(MirrorSpec(0.5, dual_grad_norms=GradNormModel(G=1e-200)), constant(4)),
+            lambda: mirror_bound(constant(4), 1.0, 0.5, dual_grad_norms=GradNormModel(G=1e-200)),
             id="mirror_bound G=1e-200",
         ),
         pytest.param(
             "initial Bregman divergence",
-            lambda: mirror_bound(MirrorSpec(1e300), Schedule(np.full(4, 1e-300))),
+            lambda: mirror_bound(Schedule(np.full(4, 1e-300)), 1.0, 1e300),
             id="mirror_bound bregman_init=1e300",
         ),
         pytest.param("base learning rate gamma", lambda: sweep_cooldown(100, [0.5]).at_gamma(-1.0), id="sweep_cooldown at_gamma(-1)"),
-        pytest.param("base learning rate gamma", lambda: bound_curve(BoundSpec(wsd(100, 0.2))).at_gamma(-1.0), id="bound_curve at_gamma(-1)"),
-        pytest.param("base learning rate gamma", lambda: bound_curve(BoundSpec(wsd(100, 0.2))).at_gamma(0.0), id="bound_curve at_gamma(0)"),
-        pytest.param("base learning rate gamma", lambda: bound_curve(BoundSpec(wsd(100, 0.2))).at_gamma(math.nan), id="bound_curve at_gamma(nan)"),
+        pytest.param("base learning rate gamma", lambda: bound_curve(wsd(100, 0.2)).at_gamma(-1.0), id="bound_curve at_gamma(-1)"),
+        pytest.param("base learning rate gamma", lambda: bound_curve(wsd(100, 0.2)).at_gamma(0.0), id="bound_curve at_gamma(0)"),
+        pytest.param("base learning rate gamma", lambda: bound_curve(wsd(100, 0.2)).at_gamma(math.nan), id="bound_curve at_gamma(nan)"),
         # tuning grids that are empty or not 1-d
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=[]), id="sweep_cooldown c_grid=[]"),
         pytest.param("cooldown grid", lambda: sweep_cooldown(400, c_grid=0.5), id="sweep_cooldown c_grid=0.5"),
@@ -114,7 +113,7 @@ _POINTS = [(0.0, 1.0), (1.0, 2.0), (2.0, 5.0), (3.0, 10.0)]
         pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[0.1, math.nan]), id="sweep_gamma nan in grid"),
         pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[0.1, -1.0]), id="sweep_gamma -1 in grid"),
         pytest.param("gamma grid", lambda: sweep_gamma(wsd(400, 0.2), gamma_grid=[0.0]), id="sweep_gamma 0 in grid"),
-        pytest.param("gradient norm scale", lambda: best_iterate_curve(BoundSpec(wsd(10, 0.2), GradNormModel(G=1e-200))), id="best_iterate_curve G=1e-200"),
+        pytest.param("gradient norm scale", lambda: best_iterate_curve(wsd(10, 0.2), GradNormModel(G=1e-200)), id="best_iterate_curve G=1e-200"),
         pytest.param("exponent alpha", lambda: loss(ScalingLaw(alpha=1e200), 1e8, 1e9), id="loss alpha=1e200"),
         pytest.param("exponent beta", lambda: tokens_for_delta(ScalingLaw(beta=1e-200), 1e8, 1e9, 0.01), id="tokens_for_delta beta=1e-200"),
         pytest.param("exponent alpha", lambda: params_for_delta(ScalingLaw(alpha=1e-200), 1e8, 1e9, 0.01), id="params_for_delta alpha=1e-200"),

@@ -69,7 +69,7 @@ def test_bound_takes_gamma_star_from_the_curve(tmp_path, capsys, monkeypatch, sp
 
     sched = parse_spec(spec)
     gamma_star = bounds.optimal_gamma(sched)
-    curve = bounds.bound_curve(bounds.BoundSpec(sched, gamma=gamma_star))
+    curve = bounds.bound_curve(sched)
 
     def second_pass(*args, **kwargs):
         raise AssertionError("bound evaluated the final horizon outside its curve")
@@ -98,7 +98,7 @@ def test_bound_summary_says_which_horizons_ran(tmp_path, capsys, spec, flags):
     stride = int(flags[1]) if flags else bounds.default_stride(T)
     assert summary["stride"] == stride
     assert summary["config"]["stride"] == (stride if flags else None)
-    curve = bounds.bound_curve(bounds.BoundSpec(parse_spec(spec)), stride=stride)
+    curve = bounds.bound_curve(parse_spec(spec), stride=stride)
     rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
     assert summary["horizons"] == len(curve.t) == len(rows)
     # the exp-sum counts are the curve's own, and null for the direct kernels
@@ -306,6 +306,16 @@ def test_toy_run_bad_start_rejected(tmp_path, capsys):
     )
     assert code == 2
     assert "x-start" in err
+
+
+def test_toy_run_overflowing_loss_exit_2_before_any_file(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["toy-run", "--schedule", "constant:T=5", "--gamma", "0.1", "--x-start", "1e308,1e308", "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 2  # a RuntimeWarning, which the suite makes an error, would exit 1
+    assert "x_start [1e+308, 1e+308] at base learning rate gamma 0.1" in err and "Warning" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_toy_compare(tmp_path, capsys):
@@ -753,6 +763,26 @@ def test_fit_non_finite_cell_exit_2_before_any_file(tmp_path, capsys, cell, colu
     code, out, err = run_cli(["fit", "--model", "hgamma", "--input", str(data), "--outdir", str(outdir)], capsys)
     assert code == 2
     assert repr(row) in err and "non-finite" in err
+    assert out == ""
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "model, row, named",
+    [
+        ("poly6", "1e60,10", "x values overflow the polynomial-degree-6 model"),
+        ("hgamma", "2e200,1.9", "x values overflow the inv-gamma-linear model"),
+        ("invsqrt", "1e-320,0.035", "x values overflow the inv-sqrt model"),
+        ("invsqrt", "800,1e300", "x or y values overflow the inv-sqrt model"),
+    ],
+)
+def test_fit_overflowing_input_exit_2_before_any_file(tmp_path, capsys, model, row, named):
+    data = tmp_path / "xy.csv"
+    data.write_text(f"x,y\n0.1,3\n0.2,2.1\n0.4,1.7\n0.8,1.9\n1.6,2.8\n3.2,5\n6.4,9\n{row}\n")
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(["fit", "--model", model, "--input", str(data), "--outdir", str(outdir)], capsys)
+    assert code == 2  # a RuntimeWarning, which the suite makes an error, would exit 1
+    assert named in err and "Warning" not in err
     assert out == ""
     assert list(outdir.iterdir()) == []
 

@@ -1,7 +1,8 @@
-"""The README's python blocks run, in order, and print the values their comments give; the paths it names exist."""
+"""The README's python blocks run, in order, and print the values their comments give; its shell examples run; the paths it names exist."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,16 @@ def test_python_blocks_print_their_commented_values(tmp_path):
         if match and full_precision_float(match.group(1)):
             assert float(out) == float(match.group(1)), line
             checked += 1
-    assert checked >= 2  # gamma and curve.value_final in the quick start
+    assert checked >= 2  # curve.gamma and curve.value_final in the quick start
+
+
+def test_shell_examples_exit_0(tmp_path):
+    commands = re.findall(r"^\$ schedbound (.*)$", (ROOT / "README.md").read_text(), re.M)
+    assert len(commands) >= 3
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for command in commands:
+        run = subprocess.run([sys.executable, "-m", "schedbound.cli", *shlex.split(command)], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (command, run.stderr)
 
 
 def test_named_paths_exist():

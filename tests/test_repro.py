@@ -69,7 +69,7 @@ def test_cosine_cycles_evaluates_each_cycle_once(bound_terms_calls):
 def test_repro_all_bound_terms_calls(bound_terms_calls):
     for run in repro.run_target("all").values():
         run()
-    assert len(bound_terms_calls) == 473
+    assert len(bound_terms_calls) == 469  # gradnorm-shapes and min-ablation take gamma* from their curves
 
 
 def test_rho_transfer_headline_numbers(tmp_path):

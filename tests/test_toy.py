@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedbound import serialize, toy
-from schedbound.bounds import BoundSpec, GradNormModel, bound_curve
+from schedbound.bounds import GradNormModel, bound_curve
 from schedbound.schedules import constant, wsd
 from schedbound.toy import (
     RunRecord,
@@ -193,6 +193,12 @@ class TestRunSgd:
         with pytest.raises(ValueError, match="x_start must be finite"):
             run_sgd(p, constant(5), 0.1, x_start=np.array([np.inf, 0.0]))
 
+    def test_loss_out_of_range_rejected(self):
+        # the residuals overflow at the start; the suite makes a RuntimeWarning an error
+        p = generate_problem(20, 2, 0)
+        with pytest.raises(ValueError, match=r"x_start \[1e\+308, 1e\+308\] at base learning rate gamma 0.1"):
+            run_sgd(p, constant(5), 0.1, x_start=[1e308, 1e308])
+
     @settings(max_examples=20)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -284,6 +290,6 @@ def test_comparison_runs_stay_below_their_bound_curve(name):
     start = np.full(problem.d, 1e-3) if name == "constant" else problem.x_start
     D = float(np.linalg.norm(start - problem.x_oracle))
     G = float(np.max(np.linalg.norm(problem.A, axis=1)))
-    curve = bound_curve(BoundSpec(run.schedule_used, GradNormModel(G), D, run.gamma), stride=1)
+    curve = bound_curve(run.schedule_used, GradNormModel(G), D, stride=1).at_gamma(run.gamma)
     assert np.array_equal(curve.t, np.arange(1, run.losses.size + 1))
     assert np.all(run.losses < 0.49 * curve.values)

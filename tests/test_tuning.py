@@ -353,6 +353,28 @@ class TestFits:
         with pytest.raises(ValueError, match="degenerate: model columns are collinear"):
             fit_polynomial(list(zip(xs, xs)), degree=3)
 
+    # finite points whose columns, column norms, coefficients or residual leave the float range
+    @pytest.mark.parametrize(
+        "fit, row, named",
+        [
+            (fit_polynomial, (1e60, 10.0), "x values overflow the polynomial-degree-6 model"),
+            (fit_inv_gamma_linear, (2e200, 1.9), "x values overflow the inv-gamma-linear model"),
+            (fit_inv_gamma_linear, (1e-320, 1.9), "x values overflow the inv-gamma-linear model"),
+            (fit_inv_sqrt, (1e-320, 0.035), "x values overflow the inv-sqrt model"),
+            (fit_inv_sqrt, (800.0, 1e300), "x or y values overflow the inv-sqrt model"),
+            (fit_inv_gamma_linear, (800.0, 1e300), "x or y values overflow the inv-gamma-linear model"),
+        ],
+    )
+    def test_overflow_rejected_by_name(self, fit, row, named):
+        points = [(0.1, 3.0), (0.2, 2.1), (0.4, 1.7), (0.8, 1.9), (1.6, 2.8), (3.2, 5.0), (6.4, 9.0), row]
+        with pytest.raises(ValueError, match=named):  # and no RuntimeWarning, which the suite makes an error
+            fit(points)
+
+    def test_free_prefactor_overflow_rejected_by_name(self):
+        # y = 1e400 / x**2: the 1/sqrt(x) fit is finite, exp of the log-log intercept (921) is not
+        with pytest.raises(ValueError, match="x or y values overflow the free power-law model"):
+            fit_inv_sqrt([(1e200, 1.0), (2e200, 0.25), (4e200, 0.0625)])
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_inv_gamma_linear([(1.0, 1.0), (2.0, 2.0)])
