@@ -3,10 +3,13 @@
 Counts are integers (numpy integers too, bools not) from a least value on,
 scales are positive and finite numbers (strings are not numbers), fractions
 lie in (0, 1].  Each check returns the value as an int or float, or raises
-a ValueError naming the argument.
+a ValueError naming the argument.  fits_in_memory checks the size of the
+arrays an argument asks for, before they are allocated.
 """
 
+import functools
 import math
+import os
 import sys
 
 
@@ -59,3 +62,22 @@ def fraction(x, name: str) -> float:
     if not 0.0 < x <= 1.0:
         raise ValueError(f"{name} must be in (0, 1], got {x}")
     return x
+
+
+@functools.cache
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def fits_in_memory(nbytes: int, what: str) -> None:
+    """A ValueError naming what, unless its arrays of nbytes fit in physical memory."""
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
+        raise ValueError(
+            f"{what} needs about {nbytes / 2**30:.3g} GiB for its arrays, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )

@@ -219,11 +219,6 @@ class BoundCurve:
     def value_final(self) -> float:
         return float(self.values[-1])
 
-    @property
-    def optimal_gamma(self) -> float:
-        """The gamma that would minimize the bound at the final horizon."""
-        return math.sqrt(self.dist_final / self.noise_final)
-
 
 def _noise_kernel(n: int) -> str:
     """Name of the kernel that evaluates the noise term for n accumulators."""

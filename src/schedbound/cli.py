@@ -100,14 +100,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--T1", type=int, required=True)
         p.add_argument("--T2", type=int, required=True)
         p.add_argument("--c", type=float, default=0.2, help="cooldown fraction of the short run")
-        p.add_argument("--shape", default="linear")
+        p.add_argument("--shape", default="linear", help="cooldown shape: linear or 1-sqrt")
         p.add_argument("--base", choices=("constant", "inv-sqrt"), default="constant")
         _add_bound_params(p)
         _add_common(p, "transfer_horizon")
 
     if p := add("transfer-lr", "tuned-gamma ratio across cooldown fractions"):
         p.add_argument("--T", type=int, required=True)
-        p.add_argument("--shape", default="linear")
+        p.add_argument("--shape", default="linear", help="cooldown shape: linear or 1-sqrt")
         _add_bound_params(p)
         p.add_argument("--c-min", type=float, default=0.02)
         p.add_argument("--c-max", type=float, default=1.0)
@@ -341,7 +341,7 @@ def _cmd_transfer_lr(args) -> dict:
     shape = schedules.CooldownShape.parse(args.shape)
     grad = _grad_norms(args)
     curve = tuning.lr_transfer_curve(args.T, _c_grid(args), shape, grad, args.D)
-    fit = tuning.fit_polynomial(curve, degree=6)
+    fit = tuning.fit_polynomial(curve)
     headlines = {
         "poly6_coefficients": [float(x) for x in fit.coefficients],
         "poly6_residual_norm": fit.residual_norm,
@@ -385,13 +385,15 @@ def _cmd_scaling_law(args) -> dict:
     law = scaling.ScalingLaw(**{k: v for k, v in given.items() if v is not None})
     vars(args).update(vars(law))  # the config echo shows the constants used
     if args.solve == "tokens":
-        result = scaling.tokens_for_delta(law, args.N, args.D, args.delta)
+        result = scaling.tokens_for_delta(law, args.D, args.delta)
     else:
-        result = scaling.params_for_delta(law, args.N, args.D, args.delta)
+        result = scaling.params_for_delta(law, args.N, args.delta)
+    # scaling.loss checks both --N and --D, also the one the solve does not take
     return _write(args, {"loss_before": scaling.loss(law, args.N, args.D), "result": result, "solve": args.solve})
 
 
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
+    """The (x, y) rows of a CSV file whose header and every row have exactly two cells."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -399,13 +401,14 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
         raise ValueError(f"cannot read input file {path!r}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"input file {path!r} needs a header and at least one data row")
+    for i, ln in enumerate(lines):
+        if (columns := ln.count(",") + 1) != 2:
+            raise ValueError(f"input {'row' if i else 'header'} {ln!r} has {columns} columns; fit reads exactly two (x, y)")
     points = []
     for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) < 2:
-            raise ValueError(f"input row {ln!r} needs two columns (x, y)")
+        x_cell, y_cell = ln.split(",")
         try:
-            x, y = float(cells[0]), float(cells[1])
+            x, y = float(x_cell), float(y_cell)
         except ValueError:
             raise ValueError(f"input row {ln!r} has non-numeric cells") from None
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -425,7 +428,7 @@ def _cmd_fit(args) -> dict:
         fit = tuning.fit_inv_sqrt(points)
         extra = {"free_prefactor": fit.free_prefactor, "free_exponent": fit.free_exponent}
     else:
-        fit = tuning.fit_polynomial(points, degree=6)
+        fit = tuning.fit_polynomial(points)
         extra = {}
     xs = [p[0] for p in points]
     rows = zip(xs, [p[1] for p in points], fit.predict(xs))

@@ -71,7 +71,7 @@ def lr_transfer() -> tuple[dict, list]:
     lin = tuning.lr_transfer_curve(T, shape=schedules.CooldownShape.LINEAR)
     sqr = tuning.lr_transfer_curve(T, shape=schedules.CooldownShape.ONE_MINUS_SQRT)
     rows = [(c, v, w) for (c, v), (_, w) in zip(lin, sqr)]
-    fit = tuning.fit_polynomial(lin, degree=6)
+    fit = tuning.fit_polynomial(lin)
     at_02 = math.log(
         bounds.optimal_gamma(schedules.wsd(T, 1.0)) / bounds.optimal_gamma(schedules.wsd(T, 0.2))
     )
@@ -245,10 +245,10 @@ def scaling_law_cases() -> tuple[dict, list]:
     out: dict = {"delta": delta}
     for mode, N, D in cases:
         if mode == "tokens":
-            result = scaling.tokens_for_delta(law, N, D, delta)
+            result = scaling.tokens_for_delta(law, D, delta)
             out[f"tokens_from_{D / 1e9:.2f}B"] = result
         else:
-            result = scaling.params_for_delta(law, N, D, delta)
+            result = scaling.params_for_delta(law, N, delta)
             out[f"params_from_{N / 1e6:.0f}M"] = result
         rows.append((mode, N, D, delta, result))
     return out, [("scaling_law_cases", ["mode", "N", "D", "delta", "result"], rows)]

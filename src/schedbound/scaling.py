@@ -13,11 +13,6 @@ from dataclasses import dataclass
 
 from ._checks import non_negative, positive
 
-# Scaling the loss by ln(32000)/ln(50257) ~ 0.959 converts between the
-# 50k-vocabulary fit and a 32k-vocabulary training setup; pass it as
-# loss_scale when comparing against 32k-vocab runs.
-VOCAB_RESCALE_50K_TO_32K = 0.959
-
 
 class InfeasibleTargetError(ValueError):
     """The requested loss drop is unreachable by scaling one axis alone."""
@@ -29,8 +24,9 @@ class ScalingLaw:
 
     A = B = 0 degenerates to the constant floor E, which is allowed;
     the exponents and E must be positive.  loss_scale is an optional
-    multiplicative adjustment (e.g. vocabulary rescaling), default off.
-    Every constant must be finite.
+    multiplicative adjustment, default off: ln(32000)/ln(50257) ~ 0.959
+    converts between the 50k-vocabulary fit and a 32k-vocabulary training
+    setup.  Every constant must be finite.
     """
 
     E: float = 1.8172
@@ -78,26 +74,25 @@ def _invert(loss_scale, prefactor, exponent, name, count, delta, added) -> float
     return _power(inverse - gap / prefactor, -1.0 / exponent, name)
 
 
-def tokens_for_delta(law: ScalingLaw, N: float, D1: float, delta: float) -> float:
-    """Token count D2 with loss(N, D2) = loss(N, D1) - delta.
+def tokens_for_delta(law: ScalingLaw, D1: float, delta: float) -> float:
+    """Token count D2 with loss(N, D2) = loss(N, D1) - delta, at any N.
 
-    N drops out of the difference; it is validated for interface
-    symmetry only.  Inverting the data term gives
+    N drops out of the difference.  Inverting the data term gives
     D2 = (1/D1**beta - delta/B) ** (-1/beta).
 
     Raises InfeasibleTargetError when delta meets or exceeds the whole
     remaining data-limited loss B / D1**beta.
     """
-    N, D1 = positive(N, "N"), positive(D1, "D1")
+    D1 = positive(D1, "D1")
     return _invert(law.loss_scale, law.B, law.beta, "beta", D1, delta, f"tokens from D1={D1}")
 
 
-def params_for_delta(law: ScalingLaw, N1: float, D: float, delta: float) -> float:
-    """Parameter count N2 with loss(N2, D) = loss(N1, D) - delta.
+def params_for_delta(law: ScalingLaw, N1: float, delta: float) -> float:
+    """Parameter count N2 with loss(N2, D) = loss(N1, D) - delta, at any D.
 
-    N2 = (1/N1**alpha - delta/A) ** (-1/alpha); raises
-    InfeasibleTargetError when the drop exceeds the remaining
+    D drops out of the difference.  N2 = (1/N1**alpha - delta/A) ** (-1/alpha);
+    raises InfeasibleTargetError when the drop exceeds the remaining
     model-limited loss A / N1**alpha.
     """
-    N1, D = positive(N1, "N1"), positive(D, "D")
+    N1 = positive(N1, "N1")
     return _invert(law.loss_scale, law.A, law.alpha, "alpha", N1, delta, f"parameters from N1={N1}")

@@ -14,14 +14,12 @@ holds eta_{i+1}.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import finite, fraction, integer, positive
+from ._checks import finite, fits_in_memory, fraction, integer, positive
 
 
 class CooldownShape(enum.Enum):
@@ -32,12 +30,11 @@ class CooldownShape(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "CooldownShape":
-        key = text.strip().lower()
-        if key in ("linear", "lin"):
-            return cls.LINEAR
-        if key in ("1-sqrt", "one-minus-sqrt", "1sqrt", "sqrt"):
-            return cls.ONE_MINUS_SQRT
-        raise ValueError(f"unknown cooldown shape {text!r} (use linear or 1-sqrt)")
+        """The shape named by its value, linear or 1-sqrt."""
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown cooldown shape {text!r} (use linear or 1-sqrt)") from None
 
 
 @dataclass(frozen=True)
@@ -79,28 +76,13 @@ class Schedule:
 _ARRAYS_PER_STEP = 8
 
 
-@functools.cache
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where os.sysconf cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
 def _allocatable_horizon(T: int) -> int:
     """T as an integer horizon >= 1 whose arrays of length T fit in physical memory.
 
     For the constructors that allocate them, before they do.
     """
     T = integer(T, "horizon")
-    need = 8 * _ARRAYS_PER_STEP * T
-    memory = _physical_memory()
-    if memory is not None and need > memory:
-        raise ValueError(
-            f"horizon {T} needs about {need / 2**30:.3g} GiB for its arrays, "
-            f"more than the {memory / 2**30:.3g} GiB of physical memory"
-        )
+    fits_in_memory(8 * _ARRAYS_PER_STEP * T, f"horizon {T}")
     return T
 
 
@@ -334,7 +316,8 @@ def parse_spec(text: str) -> Schedule:
     - ``poly:T=400,alpha=1``
     - ``extended:T1=4000,c=0.2,T2=8000,rho=0.5[,c_long=0.2,shape=linear]``
 
-    Raises ValueError on unknown names, unknown keys, or malformed values.
+    These eight kinds are the only names accepted.  Raises ValueError on
+    any other name, unknown keys, or malformed values.
     """
     head, sep, body = text.strip().partition(":")
     kind = head.strip().lower()
@@ -345,16 +328,16 @@ def parse_spec(text: str) -> Schedule:
     if kind == "wsd":
         _take(params, "T", "c", "shape", required=("T", "c"), where=kind)
         return wsd(params["T"], params["c"], params.get("shape", CooldownShape.LINEAR))
-    if kind in ("linear", "linear-decay"):
+    if kind == "linear":
         _take(params, "T", required=("T",), where=kind)
         return linear_decay(params["T"])
-    if kind in ("onesqrt", "1-sqrt", "one-minus-sqrt"):
+    if kind == "onesqrt":
         _take(params, "T", required=("T",), where=kind)
         return one_minus_sqrt(params["T"])
     if kind == "cosine":
         _take(params, "T", "final", "cycle", required=("T",), where=kind)
         return cosine(params["T"], params.get("final", 0.0), params.get("cycle", 1.0))
-    if kind in ("inv-sqrt", "invsqrt"):
+    if kind == "invsqrt":
         _take(params, "T", "c", "shape", required=("T",), where=kind)
         base = inv_sqrt(params["T"])
         if "c" in params:
@@ -362,7 +345,7 @@ def parse_spec(text: str) -> Schedule:
         if "shape" in params:
             raise ValueError(f"schedule {kind!r} takes parameter 'shape' only with 'c', the cooldown it shapes")
         return base
-    if kind in ("poly", "polynomial"):
+    if kind == "poly":
         _take(params, "T", "alpha", required=("T", "alpha"), where=kind)
         return polynomial_decay(params["T"], params["alpha"])
     if kind == "extended":
@@ -375,4 +358,4 @@ def parse_spec(text: str) -> Schedule:
             params.get("c_long"),
             params.get("shape", CooldownShape.LINEAR),
         )
-    raise ValueError(f"unknown schedule type {head!r}")
+    raise ValueError(f"unknown schedule type {head!r} (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer, positive
+from ._checks import fits_in_memory, integer, positive
 from .schedules import Schedule, constant, cosine, wsd
 
 
@@ -44,7 +44,6 @@ class ToyProblem:
     b: np.ndarray = field(repr=False)
     x_start: np.ndarray
     x_oracle: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
@@ -59,10 +58,6 @@ class ToyProblem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "x_start", x0)
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
 
     @property
     def d(self) -> int:
@@ -80,8 +75,6 @@ class RunRecord:
 
     losses: np.ndarray
     schedule_used: Schedule
-    gamma: float
-    seed: int | None = None
     iterates: np.ndarray | None = None
 
     def table(self):
@@ -169,12 +162,17 @@ def _uniforms(seed: int, n: int) -> np.ndarray:
 
 
 def generate_problem(m: int = 20, d: int = 2, seed: int = 0) -> ToyProblem:
-    """Random instance: A uniform on [-1,1]^(m x d), b = A @ x_oracle, x_start = 0."""
+    """Random instance: A uniform on [-1,1]^(m x d), b = A @ x_oracle, x_start = 0.
+
+    A problem whose arrays would exceed physical memory is a ValueError, before any draw.
+    """
     m, d, seed = integer(m, "row count m"), integer(d, "dimension d"), integer(seed, "seed", 0)
+    # float64 values: the m*d + d draws, b, x_oracle and x_start
+    fits_in_memory(8 * (m * d + m + 3 * d), f"toy problem m={m}, d={d}")
     draws = _uniforms(seed, m * d + d)
     # x_oracle gets its own aligned buffer, as from numpy's generator: BLAS kernels may sum by alignment
     A, x_oracle = draws[: m * d].reshape(m, d), draws[m * d :].copy()
-    return ToyProblem(A=A, b=A @ x_oracle, x_start=np.zeros(d), x_oracle=x_oracle, seed=seed)
+    return ToyProblem(A=A, b=A @ x_oracle, x_start=np.zeros(d), x_oracle=x_oracle)
 
 
 def _loss_and_subgradient(problem: ToyProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -235,7 +233,7 @@ def run_sgd(
             x = x - gamma * eta * g
     if not np.all(np.isfinite(losses)):
         raise ValueError(f"the loss leaves the float range from x_start {start.tolist()} at base learning rate gamma {gamma}")
-    return RunRecord(losses=losses, schedule_used=schedule, gamma=gamma, seed=problem.seed, iterates=iterates)
+    return RunRecord(losses=losses, schedule_used=schedule, iterates=iterates)
 
 
 def comparison_runs(seed: int = 0, T: int = 400) -> dict[str, RunRecord]:

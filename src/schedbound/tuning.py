@@ -114,7 +114,7 @@ class FitResult:
             return a / x + b * x + c
         if self.model_kind == "inv-sqrt":
             return self.coefficients[0] / np.sqrt(x)
-        if self.model_kind.startswith("polynomial-degree-"):
+        if self.model_kind == "polynomial-degree-6":
             return np.polynomial.polynomial.polyval(x, self.coefficients)
         raise ValueError(f"unknown fit model {self.model_kind!r}")
 
@@ -397,10 +397,8 @@ def fit_inv_sqrt(points) -> FitResult:
     return FitResult(coef, resid, "inv-sqrt", prefactor, exponent)
 
 
-def fit_polynomial(points, degree: int = 6) -> FitResult:
-    """Fit a polynomial of the given degree; coefficients ascending in power."""
-    degree = integer(degree, "degree", 0)
+def fit_polynomial(points) -> FitResult:
+    """Fit a polynomial of degree 6; coefficients ascending in power."""
     x, y = _split_points(points)
-    kind = f"polynomial-degree-{degree}"
-    coef, resid = _lstsq_columns(kind, lambda: np.vander(x, degree + 1, increasing=True), y)
-    return FitResult(coef, resid, kind)
+    coef, resid = _lstsq_columns("polynomial-degree-6", lambda: np.vander(x, 7, increasing=True), y)
+    return FitResult(coef, resid, "polynomial-degree-6")

@@ -230,17 +230,17 @@ def test_criterion_12_toy_simulator_goldens():
 def test_criterion_13_scaling_law_pricing():
     law = scaling.ScalingLaw()
     cases = [
-        (scaling.tokens_for_delta(law, 124e6, 10.24e9, 0.01), 10.88e9),
-        (scaling.tokens_for_delta(law, 124e6, 20.48e9, 0.01), 22.16e9),
-        (scaling.params_for_delta(law, 124e6, 10.24e9, 0.01), 129.0e6),
-        (scaling.params_for_delta(law, 210e6, 10.24e9, 0.01), 220.1e6),
+        (scaling.tokens_for_delta(law, 10.24e9, 0.01), 10.88e9),
+        (scaling.tokens_for_delta(law, 20.48e9, 0.01), 22.16e9),
+        (scaling.params_for_delta(law, 124e6, 0.01), 129.0e6),
+        (scaling.params_for_delta(law, 210e6, 0.01), 220.1e6),
     ]
     for got, want in cases:
         assert got == pytest.approx(want, rel=5e-3)
-    d2 = scaling.tokens_for_delta(law, 124e6, 10.24e9, 0.01)
+    d2 = scaling.tokens_for_delta(law, 10.24e9, 0.01)
     achieved = scaling.loss(law, 124e6, 10.24e9) - scaling.loss(law, 124e6, d2)
     assert achieved == pytest.approx(0.01, rel=1e-13)  # measured 2.3e-14
-    n2 = scaling.params_for_delta(law, 124e6, 10.24e9, 0.01)
+    n2 = scaling.params_for_delta(law, 124e6, 0.01)
     achieved = scaling.loss(law, 124e6, 10.24e9) - scaling.loss(law, n2, 10.24e9)
     assert achieved == pytest.approx(0.01, rel=1e-13)  # measured 2.1e-14
 

@@ -366,11 +366,6 @@ class TestCurves:
         for t, dist, noise in zip(curve.t, curve.dist_terms, curve.noise_terms):
             assert (dist, noise) == bound_terms(sched, grad, 0.7, int(t)), t
 
-    def test_optimal_gamma_property(self):
-        sched = wsd(30, 0.5)
-        curve = bound_curve(sched, GradNormModel(), 1.0, stride=1).at_gamma(0.1)
-        assert curve.optimal_gamma == optimal_gamma(sched)
-
     @pytest.mark.parametrize(
         "fixture, kernel",
         [(None, bounds.PREFIX_DIFFERENCE), ("suffix_sum_kernel", bounds.SUFFIX_SUM), ("exp_sum_kernel", bounds.EXP_SUM)],

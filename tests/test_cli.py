@@ -363,6 +363,33 @@ def test_scaling_law_infeasible_is_validation_error(tmp_path, capsys):
     assert "unreachable" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "solve, flag, name",
+    [("tokens", "--N", "N"), ("tokens", "--D", "D1"), ("params", "--N", "N1"), ("params", "--D", "D")],
+)
+def test_scaling_law_bad_count_exit_2_before_any_file(tmp_path, capsys, solve, flag, name, value):
+    # the flag the solve does not take is checked too, by the loss_before it reports
+    counts = {"--N": "124e6", "--D": "10.24e9", flag: value}
+    argv = ["scaling-law", "--solve", solve, "--delta", "0.01", *(f"{k}={v}" for k, v in counts.items())]
+    code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {name} must be ") and err.endswith(f", got {float(value)}\n")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("solve", ["tokens", "params"])
+def test_scaling_law_reports_an_unreachable_drop_before_the_other_count(tmp_path, capsys, solve):
+    other = "--N" if solve == "tokens" else "--D"
+    counts = {"--N": "124e6", "--D": "10.24e9", other: "-1"}
+    argv = ["scaling-law", "--solve", solve, "--delta", "10", *(f"{k}={v}" for k, v in counts.items())]
+    code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "a loss drop of 10.0 is unreachable" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_subcommand(tmp_path, capsys):
     data = tmp_path / "xy.csv"
     xs = [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -375,6 +402,26 @@ def test_fit_subcommand(tmp_path, capsys):
     assert summary["model_kind"] == "inv-gamma-linear"
     assert summary["gamma_min"] == pytest.approx(2.0, rel=1e-15)  # measured 0
     assert (tmp_path / "fit.csv").read_text().splitlines()[0] == "x,y,fitted"
+
+
+def test_fit_reads_exactly_two_columns_exit_2_before_any_file(tmp_path, capsys):
+    # repro gamma-star-scaling writes T and one gamma_star column per schedule
+    code, _, _ = run_cli(["repro", "gamma-star-scaling", "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    wide = tmp_path / "gamma_star_scaling.csv"
+    assert wide.read_text().splitlines()[0] == "T,gamma_star_wsd,gamma_star_cosine"
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text("x,y\n1,2\n3\n4,5\n")
+    long_row = tmp_path / "long_row.csv"
+    long_row.write_text("x,y\n1,2\n3,4,5\n")
+    cases = [(wide, "input header 'T,gamma_star_wsd,gamma_star_cosine' has 3 columns"), (short_row, "input row '3' has 1 columns"), (long_row, "input row '3,4,5' has 3 columns")]
+    for data, named in cases:
+        outdir = tmp_path / f"out_{data.stem}"
+        code, out, err = run_cli(["fit", "--model", "invsqrt", "--input", str(data), "--outdir", str(outdir)], capsys)
+        assert code == 2
+        assert named in err and "fit reads exactly two (x, y)" in err
+        assert out == ""
+        assert list(outdir.iterdir()) == []
 
 
 def test_fit_missing_input(tmp_path, capsys):
@@ -536,6 +583,20 @@ def test_invsqrt_shape_without_cooldown_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "'shape' only with 'c'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_toy_problem_too_large_for_memory_exit_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    from schedbound import _checks, toy
+
+    # the problem's float64 values, m*d + m + 3d = 920 of them, need 7360 bytes
+    monkeypatch.setattr(_checks, "_physical_memory", lambda: 7359)
+    monkeypatch.setattr(toy, "_uniforms", lambda seed, n: pytest.fail("drew the problem"))
+    argv = ["toy-run", "--m", "10", "--d", "70", "--schedule", "constant:T=5", "--gamma", "0.1", "--outdir", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "toy problem m=10, d=70 needs about" in err and "physical memory" in err
+    assert out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -859,3 +920,38 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["horizon"] == 3
+
+
+# spellings of schedule kinds and cooldown shapes that no document names
+_REMOVED_KINDS = ("linear-decay", "1-sqrt", "one-minus-sqrt", "inv-sqrt", "polynomial")
+_REMOVED_SHAPES = ("lin", "one-minus-sqrt", "1sqrt", "sqrt")
+_SHAPE_COMMANDS = (
+    ["sweep-cooldown", "--T", "100", "--shape"],
+    ["transfer-horizon", "--mode", "rho", "--T1", "400", "--T2", "800", "--shape"],
+    ["transfer-lr", "--T", "400", "--shape"],
+)
+_KINDS_NAMED = "(use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)"
+_SHAPES_NAMED = "(use linear or 1-sqrt)"
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [pytest.param(argv, accepted, id=" ".join(argv)) for argv, accepted in [
+        *((["schedule", "--schedule", f"{kind}:T=10,alpha=2"], _KINDS_NAMED) for kind in _REMOVED_KINDS),
+        *((["schedule", "--schedule", f"wsd:T=10,c=0.2,shape={shape}"], _SHAPES_NAMED) for shape in _REMOVED_SHAPES),
+        *(([*command, shape], _SHAPES_NAMED) for command in _SHAPE_COMMANDS for shape in _REMOVED_SHAPES),
+    ]],
+)
+def test_undocumented_spelling_exit_2_before_any_file(tmp_path, capsys, argv, accepted):
+    code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert accepted in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep-cooldown", "transfer-horizon", "transfer-lr"])
+def test_shape_help_names_both_shapes(command):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shape = next(a for a in sub.choices[command]._actions if a.option_strings == ["--shape"])
+    assert shape.help == "cooldown shape: linear or 1-sqrt"

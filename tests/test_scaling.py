@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schedbound.scaling import (
-    VOCAB_RESCALE_50K_TO_32K,
     InfeasibleTargetError,
     ScalingLaw,
     loss,
@@ -34,21 +33,21 @@ def test_loss_hand_computation():
 def test_tokens_for_delta_oracles():
     law = ScalingLaw()
     # measured 0 on both
-    assert tokens_for_delta(law, 124e6, 10.24e9, 0.01) == pytest.approx(10882286390.623322, rel=1e-15)
-    assert tokens_for_delta(law, 124e6, 20.48e9, 0.01) == pytest.approx(22155702486.471443, rel=1e-15)
+    assert tokens_for_delta(law, 10.24e9, 0.01) == pytest.approx(10882286390.623322, rel=1e-15)
+    assert tokens_for_delta(law, 20.48e9, 0.01) == pytest.approx(22155702486.471443, rel=1e-15)
 
 
 def test_params_for_delta_oracles():
     law = ScalingLaw()
     # measured 0 on both
-    assert params_for_delta(law, 124e6, 10.24e9, 0.01) == pytest.approx(128959409.98558573, rel=1e-15)
-    assert params_for_delta(law, 210e6, 10.24e9, 0.01) == pytest.approx(220142415.20856225, rel=1e-15)
+    assert params_for_delta(law, 124e6, 0.01) == pytest.approx(128959409.98558573, rel=1e-15)
+    assert params_for_delta(law, 210e6, 0.01) == pytest.approx(220142415.20856225, rel=1e-15)
 
 
 def test_zero_delta_is_identity():
     law = ScalingLaw()
-    assert tokens_for_delta(law, 124e6, 10.24e9, 0.0) == 10.24e9
-    assert params_for_delta(law, 124e6, 10.24e9, 0.0) == 124e6
+    assert tokens_for_delta(law, 10.24e9, 0.0) == 10.24e9
+    assert params_for_delta(law, 124e6, 0.0) == 124e6
 
 
 @given(
@@ -57,7 +56,7 @@ def test_zero_delta_is_identity():
 )
 def test_tokens_round_trip(delta, D1):
     law = ScalingLaw()
-    D2 = tokens_for_delta(law, 124e6, D1, delta)
+    D2 = tokens_for_delta(law, D1, delta)
     assert D2 > D1
     achieved = loss(law, 124e6, D1) - loss(law, 124e6, D2)
     assert achieved == pytest.approx(delta, rel=2.7e-11)  # measured 6.6e-12 over 300 draws
@@ -69,7 +68,7 @@ def test_tokens_round_trip(delta, D1):
 )
 def test_params_round_trip(delta, N1):
     law = ScalingLaw()
-    N2 = params_for_delta(law, N1, 10.24e9, delta)
+    N2 = params_for_delta(law, N1, delta)
     assert N2 > N1
     achieved = loss(law, N1, 10.24e9) - loss(law, N2, 10.24e9)
     assert achieved == pytest.approx(delta, rel=2.7e-11)  # measured 6.8e-12 over 300 draws
@@ -77,23 +76,19 @@ def test_params_round_trip(delta, N1):
 
 def test_loss_scale_divides_the_delta():
     plain = ScalingLaw()
-    rescaled = ScalingLaw(loss_scale=VOCAB_RESCALE_50K_TO_32K)
-    d_plain = tokens_for_delta(plain, 124e6, 10.24e9, 0.01 / VOCAB_RESCALE_50K_TO_32K)
-    d_rescaled = tokens_for_delta(rescaled, 124e6, 10.24e9, 0.01)
+    rescaled = ScalingLaw(loss_scale=0.959)
+    d_plain = tokens_for_delta(plain, 10.24e9, 0.01 / 0.959)
+    d_rescaled = tokens_for_delta(rescaled, 10.24e9, 0.01)
     assert d_rescaled == pytest.approx(d_plain, rel=1e-15)  # measured 0
-
-
-def test_vocab_rescale_constant():
-    assert VOCAB_RESCALE_50K_TO_32K == 0.959
 
 
 def test_infeasible_target_raises():
     law = ScalingLaw()
     # the token term contributes at most B/D1^beta; ask for more
     with pytest.raises(InfeasibleTargetError):
-        tokens_for_delta(law, 124e6, 10.24e9, 10.0)
+        tokens_for_delta(law, 10.24e9, 10.0)
     with pytest.raises(InfeasibleTargetError):
-        params_for_delta(law, 124e6, 10.24e9, 10.0)
+        params_for_delta(law, 124e6, 10.0)
     assert issubclass(InfeasibleTargetError, ValueError)
 
 
@@ -101,7 +96,7 @@ def test_zero_coefficient_law_is_always_infeasible():
     flat = ScalingLaw(E=2.0, A=0.0, B=0.0, alpha=0.5, beta=0.5)
     assert loss(flat, 1e8, 1e9) == 2.0
     with pytest.raises(InfeasibleTargetError):
-        tokens_for_delta(flat, 1e8, 1e9, 0.01)
+        tokens_for_delta(flat, 1e9, 0.01)
 
 
 def test_validation():
@@ -119,21 +114,23 @@ def test_validation():
         ScalingLaw(loss_scale=0.0)
     law = ScalingLaw()
     with pytest.raises(ValueError):
-        tokens_for_delta(law, -1.0, 1e9, 0.01)
+        loss(law, -1.0, 1e9)
     with pytest.raises(ValueError):
-        tokens_for_delta(law, 1e8, 0.0, 0.01)
+        tokens_for_delta(law, 0.0, 0.01)
     with pytest.raises(ValueError):
-        tokens_for_delta(law, 1e8, 1e9, -0.01)
+        tokens_for_delta(law, 1e9, -0.01)
     with pytest.raises(ValueError):
-        params_for_delta(law, 1e8, -1e9, 0.01)
+        loss(law, 1e8, -1e9)
+    with pytest.raises(ValueError):
+        params_for_delta(law, -1e8, 0.01)
 
 
 def test_tokens_scale_sublinearly_in_delta():
     # pricing 2*delta costs more than twice the extra tokens of delta
     law = ScalingLaw()
     base = 10.24e9
-    extra1 = tokens_for_delta(law, 124e6, base, 0.005) - base
-    extra2 = tokens_for_delta(law, 124e6, base, 0.01) - base
+    extra1 = tokens_for_delta(law, base, 0.005) - base
+    extra2 = tokens_for_delta(law, base, 0.01) - base
     assert extra2 > 2.0 * extra1
 
 

@@ -1,9 +1,14 @@
+import ast
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from schedbound import schedules
+from schedbound import _checks, schedules
 from schedbound.schedules import (
     CooldownShape,
     Schedule,
@@ -20,13 +25,16 @@ from schedbound.schedules import (
     wsd,
 )
 
+# spellings of schedule kinds that no document names
+REMOVED_KINDS = ("linear-decay", "1-sqrt", "one-minus-sqrt", "inv-sqrt", "polynomial")
+
 horizons = st.integers(min_value=1, max_value=200)
 fractions = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
 
 
 def test_horizon_beyond_physical_memory_rejected(monkeypatch):
     # _ARRAYS_PER_STEP float64 values per step: 100 steps fit in this memory, 101 do not
-    monkeypatch.setattr(schedules, "_physical_memory", lambda: 8 * schedules._ARRAYS_PER_STEP * 100)
+    monkeypatch.setattr(_checks, "_physical_memory", lambda: 8 * schedules._ARRAYS_PER_STEP * 100)
     assert constant(100).horizon == 100
     builders = [constant, inv_sqrt, cosine, lambda T: wsd(T, 0.2), lambda T: polynomial_decay(T, 1.0)]
     for build in builders:
@@ -38,14 +46,14 @@ def test_horizon_beyond_physical_memory_rejected(monkeypatch):
 
 def test_horizon_arithmetic_needs_no_memory(monkeypatch):
     # cooldown_start and with_cooldown allocate nothing of a new length
-    monkeypatch.setattr(schedules, "_physical_memory", lambda: 8 * schedules._ARRAYS_PER_STEP * 100)
+    monkeypatch.setattr(_checks, "_physical_memory", lambda: 8 * schedules._ARRAYS_PER_STEP * 100)
     assert cooldown_start(10**15, 0.2) == 8 * 10**14
     base = schedules.Schedule(np.ones(101))
     assert with_cooldown(base, 0.5).horizon == 101
 
 
 def test_horizon_unchecked_without_memory_size(monkeypatch):
-    monkeypatch.setattr(schedules, "_physical_memory", lambda: None)
+    monkeypatch.setattr(_checks, "_physical_memory", lambda: None)
     assert constant(5).horizon == 5
 
 
@@ -258,12 +266,10 @@ def test_extended_infeasible_overlap():
 
 def test_cooldown_shape_parse():
     assert CooldownShape.parse("linear") is CooldownShape.LINEAR
-    assert CooldownShape.parse("lin") is CooldownShape.LINEAR
     assert CooldownShape.parse("1-sqrt") is CooldownShape.ONE_MINUS_SQRT
-    assert CooldownShape.parse("one-minus-sqrt") is CooldownShape.ONE_MINUS_SQRT
-    assert CooldownShape.parse("sqrt") is CooldownShape.ONE_MINUS_SQRT
-    with pytest.raises(ValueError):
-        CooldownShape.parse("cubic")
+    for other in ("cubic", "lin", "one-minus-sqrt", "1sqrt", "sqrt"):
+        with pytest.raises(ValueError, match=r"\(use linear or 1-sqrt\)"):
+            CooldownShape.parse(other)
 
 
 class TestParseSpec:
@@ -278,20 +284,14 @@ class TestParseSpec:
     def test_constant(self):
         assert np.array_equal(parse_spec("constant:T=5").values, constant(5).values)
 
-    def test_linear_aliases(self):
-        a = parse_spec("linear:T=6")
-        b = parse_spec("linear-decay:T=6")
-        assert np.array_equal(a.values, linear_decay(6).values)
-        assert np.array_equal(b.values, a.values)
+    def test_linear(self):
+        assert np.array_equal(parse_spec("linear:T=6").values, linear_decay(6).values)
 
-    def test_one_minus_sqrt_aliases(self):
-        for name in ("onesqrt", "1-sqrt", "one-minus-sqrt"):
-            s = parse_spec(f"{name}:T=6")
-            assert np.array_equal(s.values, one_minus_sqrt(6).values)
+    def test_one_minus_sqrt(self):
+        assert np.array_equal(parse_spec("onesqrt:T=6").values, one_minus_sqrt(6).values)
 
     def test_inv_sqrt(self):
-        for name in ("invsqrt", "inv-sqrt"):
-            assert np.array_equal(parse_spec(f"{name}:T=8").values, inv_sqrt(8).values)
+        assert np.array_equal(parse_spec("invsqrt:T=8").values, inv_sqrt(8).values)
 
     def test_inv_sqrt_with_cooldown_tail(self):
         s = parse_spec("invsqrt:T=8,c=0.25")
@@ -300,7 +300,6 @@ class TestParseSpec:
     def test_poly(self):
         s = parse_spec("poly:T=6,alpha=2")
         assert np.array_equal(s.values, polynomial_decay(6, 2.0).values)
-        assert np.array_equal(parse_spec("polynomial:T=6,alpha=2").values, s.values)
 
     def test_cosine(self):
         s = parse_spec("cosine:T=8,final=0.1,cycle=0.5")
@@ -331,6 +330,39 @@ class TestParseSpec:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_spec(bad)
+
+    @pytest.mark.parametrize("kind", REMOVED_KINDS)
+    def test_rejects_undocumented_kinds(self, kind):
+        with pytest.raises(ValueError, match=r"unknown schedule type .*\(use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended\)"):
+            parse_spec(f"{kind}:T=6,alpha=2")
+
+
+def _spec_kinds(text: str) -> set[str]:
+    """The kinds that text spells in backticked specs, each one as `kind:T=...` or `kind:T1=...`."""
+    return set(re.findall(r"`+([a-z0-9-]+):T1?=", text))
+
+
+def _accepts_kind(kind: str) -> bool:
+    try:
+        parse_spec(f"{kind}:")
+    except ValueError as exc:
+        return "unknown schedule type" not in str(exc)
+    return True
+
+
+def test_spec_kinds_are_exactly_the_documented_ones():
+    documented = _spec_kinds(parse_spec.__doc__)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Schedule spec strings are.*?\n\n", readme, re.M | re.S).group()
+    # a kind parse_spec accepts is a string it compares the name to, a literal in its source
+    literals = {n.value for n in ast.walk(ast.parse(inspect.getsource(parse_spec))) if isinstance(n, ast.Constant)}
+    candidates = {c for c in literals | documented | set(REMOVED_KINDS) if isinstance(c, str) and re.fullmatch(r"[a-z0-9-]+", c)}
+    accepted = {c for c in candidates if _accepts_kind(c)}
+    assert accepted == documented == _spec_kinds(paragraph)
+    assert len(accepted) == 8
+    with pytest.raises(ValueError) as info:
+        parse_spec("nosuch:T=5")
+    assert set(re.split(", | or ", re.search(r"\(use (.*)\)", str(info.value)).group(1))) == accepted
 
 
 @given(T=horizons, c=fractions)

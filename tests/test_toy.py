@@ -26,8 +26,18 @@ class TestGenerateProblem:
         assert p.b.shape == (20,)
         assert p.x_start.shape == (2,)
         assert np.array_equal(p.b, p.A @ p.x_oracle)
-        assert p.m == 20 and p.d == 2
-        assert p.seed == 0
+        assert p.d == 2
+
+    def test_too_large_for_memory_rejected_before_any_draw(self, monkeypatch):
+        from schedbound import _checks
+
+        # m*d + m + 3d = 66 float64 values for m = 20, d = 2
+        monkeypatch.setattr(_checks, "_physical_memory", lambda: 8 * 66)
+        assert generate_problem(20, 2).d == 2
+        monkeypatch.setattr(_checks, "_physical_memory", lambda: 8 * 66 - 1)
+        monkeypatch.setattr(toy, "_uniforms", lambda seed, n: pytest.fail("drew the problem"))
+        with pytest.raises(ValueError, match="toy problem m=20, d=2 needs about .* GiB of physical memory"):
+            generate_problem(20, 2)
 
     def test_default_start_is_origin(self):
         p = generate_problem(5, 3, 1)
@@ -230,8 +240,6 @@ class TestRunSgd:
         sched = constant(5)
         rec = run_sgd(p, sched, 0.1)
         assert isinstance(rec, RunRecord)
-        assert rec.gamma == 0.1
-        assert rec.seed == 7
         assert rec.schedule_used is sched
         assert rec.iterates is None
 
@@ -241,9 +249,6 @@ class TestComparisonRuns:
         runs = comparison_runs(seed=0, T=400)
         assert set(runs) == {"wsd", "constant", "cosine"}
         w = runs["wsd"]
-        assert w.gamma == 0.02
-        assert runs["constant"].gamma == 0.02
-        assert runs["cosine"].gamma == 0.04
         assert w.losses[0] == pytest.approx(0.5823581837214566, rel=1e-15)
         assert w.losses[319] == pytest.approx(0.020679158658531982, rel=1e-15)
         assert w.losses[399] == pytest.approx(0.0005334408140041796, rel=1e-15)
@@ -266,9 +271,8 @@ class TestComparisonRuns:
 
     def test_shared_problem_instance(self):
         runs = comparison_runs(seed=3, T=50)
-        # identical seeds and first-step losses only differ via start point
-        assert runs["wsd"].seed == runs["cosine"].seed == 3
-        assert runs["wsd"].losses[0] == runs["cosine"].losses[0]
+        # one seed-3 instance; first-step losses only differ via start point
+        assert runs["wsd"].losses[0] == runs["cosine"].losses[0] == loss(generate_problem(seed=3), np.zeros(2))
 
 
 def test_gradient_norms_stay_bounded_away_from_zero():
@@ -290,6 +294,7 @@ def test_comparison_runs_stay_below_their_bound_curve(name):
     start = np.full(problem.d, 1e-3) if name == "constant" else problem.x_start
     D = float(np.linalg.norm(start - problem.x_oracle))
     G = float(np.max(np.linalg.norm(problem.A, axis=1)))
-    curve = bound_curve(run.schedule_used, GradNormModel(G), D, stride=1).at_gamma(run.gamma)
+    gamma = {"wsd": 0.02, "constant": 0.02, "cosine": 0.04}[name]  # comparison_runs' base learning rates
+    curve = bound_curve(run.schedule_used, GradNormModel(G), D, stride=1).at_gamma(gamma)
     assert np.array_equal(curve.t, np.arange(1, run.losses.size + 1))
     assert np.all(run.losses < 0.49 * curve.values)

@@ -330,13 +330,13 @@ class TestFits:
         assert fit.predict(np.array([9.0]))[0] == pytest.approx(1.0, rel=1e-15)  # measured 0
 
     def test_polynomial_exact_recovery(self):
-        coeffs = [1.0, -2.0, 0.5, 0.25]
+        coeffs = [1.0, -2.0, 0.5, 0.25, 0.0, 0.0, 0.0]
         xs = np.linspace(-1.0, 1.0, 9)
         ys = np.polynomial.polynomial.polyval(xs, coeffs)
-        fit = fit_polynomial(list(zip(xs, ys)), degree=3)
-        assert fit.model_kind == "polynomial-degree-3"
-        assert np.allclose(fit.coefficients, coeffs, rtol=0.0, atol=1e-14)  # measured 2.3e-15
-        assert np.allclose(fit.predict(xs), ys, rtol=0.0, atol=1e-14)  # measured 3.1e-15
+        fit = fit_polynomial(list(zip(xs, ys)))
+        assert fit.model_kind == "polynomial-degree-6"
+        assert np.allclose(fit.coefficients, coeffs, rtol=0.0, atol=1e-14)  # measured 5.5e-15
+        assert np.allclose(fit.predict(xs), ys, rtol=0.0, atol=1e-14)  # measured 5.3e-15
 
     def test_degenerate_points_rejected(self):
         pts = [(2.0, 1.0)] * 6
@@ -345,13 +345,13 @@ class TestFits:
 
     def test_zero_column_rejected(self):
         with pytest.raises(ValueError, match="identically zero"):
-            fit_polynomial([(0.0, 1.0)] * 8, degree=3)
+            fit_polynomial([(0.0, 1.0)] * 8)
 
     def test_numerically_rank_deficient_fit_rejected(self):
         # powers of x within 1e-8 of 1 are collinear to rounding
         xs = 1.0 + np.arange(8) * 1e-9
         with pytest.raises(ValueError, match="degenerate: model columns are collinear"):
-            fit_polynomial(list(zip(xs, xs)), degree=3)
+            fit_polynomial(list(zip(xs, xs)))
 
     # finite points whose columns, column norms, coefficients or residual leave the float range
     @pytest.mark.parametrize(
@@ -379,7 +379,7 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_inv_gamma_linear([(1.0, 1.0), (2.0, 2.0)])
         with pytest.raises(ValueError):
-            fit_polynomial([(1.0, 1.0), (2.0, 2.0)], degree=3)
+            fit_polynomial([(1.0, 1.0), (2.0, 2.0)])
 
     def test_predict_unknown_kind_rejected(self):
         fit = FitResult(coefficients=(1.0,), residual_norm=0.0, model_kind="mystery")
