@@ -182,7 +182,7 @@ class GradNormModel:
         return self.G * np.arange(1, T + 1, dtype=np.float64) ** self.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCurve:
     """Bound evaluated along a grid of horizons for a fixed gamma.
 

@@ -37,13 +37,15 @@ class CooldownShape(enum.Enum):
             raise ValueError(f"unknown cooldown shape {text!r} (use linear or 1-sqrt)") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Immutable step-size schedule over a fixed horizon.
 
     Attributes:
         values: float64 array of length T with values[t-1] = eta_t.
             Every entry must be finite and strictly positive.
+
+    Compares and hashes by identity, as every record holding arrays does.
     """
 
     values: np.ndarray = field(repr=False)
@@ -113,14 +115,17 @@ def _cool(values: np.ndarray, c: float, shape: CooldownShape) -> Schedule:
     grow with c, so along a grid of fractions each point would need blocks
     the heap has not held, and freeing them makes it trim and regrow (up
     to 371 minor page faults on a warm sweep_cooldown(16000), by layout).
+    A shape other than the two CooldownShape members is a ValueError first.
     """
+    if shape is not CooldownShape.LINEAR and shape is not CooldownShape.ONE_MINUS_SQRT:
+        raise ValueError(f"cooldown shape must be CooldownShape.LINEAR or CooldownShape.ONE_MINUS_SQRT, got {shape!r}")
     T = values.size
     T0 = cooldown_start(T, c)
     n = T + 1 - T0
     leg = values[T0 - 1 :]
     peak = float(leg[0])
     np.divide(np.arange(n), float(n), out=leg)
-    if shape is not CooldownShape.LINEAR:
+    if shape is CooldownShape.ONE_MINUS_SQRT:
         np.sqrt(leg, out=leg)
     np.subtract(1.0, leg, out=leg)
     np.multiply(peak, leg, out=leg)
@@ -139,7 +144,7 @@ def with_cooldown(base: Schedule, c: float, shape: CooldownShape = CooldownShape
         base: schedule supplying the pre-cooldown values and the peak
             value that the cooldown scales down from.
         c: fraction of the horizon spent cooling down, in (0, 1].
-        shape: linear or one-minus-sqrt decay.
+        shape: CooldownShape.LINEAR or CooldownShape.ONE_MINUS_SQRT decay.
     """
     return _cool(base.values.copy(), c, shape)
 
@@ -293,13 +298,28 @@ def _parse_kv(body: str) -> dict:
     return params
 
 
-def _take(params: dict, *names, required=(), where=""):
-    unknown = set(params) - set(names)
-    if unknown:
-        raise ValueError(f"unknown parameter(s) {sorted(unknown)} for schedule {where!r}")
-    missing = [n for n in required if n not in params]
-    if missing:
-        raise ValueError(f"schedule {where!r} requires parameter(s) {missing}")
+def _inv_sqrt_spec(T, **cooldown) -> Schedule:
+    base = inv_sqrt(T)
+    if "c" in cooldown:
+        return with_cooldown(base, **cooldown)
+    if cooldown:
+        raise ValueError("schedule 'invsqrt' takes parameter 'shape' only with 'c', the cooldown it shapes")
+    return base
+
+
+# kind -> (required keys, optional keys, builder of the parsed params), in the order the
+# errors list them; a builder calls its constructor through the module name, which
+# perfbench/tracer.py rebinds to trace it
+_KINDS = {
+    "constant": (("T",), (), lambda T: constant(T)),
+    "wsd": (("T", "c"), ("shape",), lambda T, c, shape=CooldownShape.LINEAR: wsd(T, c, shape)),
+    "linear": (("T",), (), lambda T: linear_decay(T)),
+    "onesqrt": (("T",), (), lambda T: one_minus_sqrt(T)),
+    "cosine": (("T",), ("final", "cycle"), lambda T, final=0.0, cycle=1.0: cosine(T, final, cycle)),
+    "invsqrt": (("T",), ("c", "shape"), _inv_sqrt_spec),
+    "poly": (("T", "alpha"), (), lambda T, alpha: polynomial_decay(T, alpha)),
+    "extended": (("T1", "c", "T2", "rho"), ("c_long", "shape"), lambda T1, c, T2, rho, **rest: extended(T1, c, T2, rho, **rest)),
+}
 
 
 def parse_spec(text: str) -> Schedule:
@@ -322,40 +342,14 @@ def parse_spec(text: str) -> Schedule:
     head, sep, body = text.strip().partition(":")
     kind = head.strip().lower()
     params = _parse_kv(body if sep else "")
-    if kind == "constant":
-        _take(params, "T", required=("T",), where=kind)
-        return constant(params["T"])
-    if kind == "wsd":
-        _take(params, "T", "c", "shape", required=("T", "c"), where=kind)
-        return wsd(params["T"], params["c"], params.get("shape", CooldownShape.LINEAR))
-    if kind == "linear":
-        _take(params, "T", required=("T",), where=kind)
-        return linear_decay(params["T"])
-    if kind == "onesqrt":
-        _take(params, "T", required=("T",), where=kind)
-        return one_minus_sqrt(params["T"])
-    if kind == "cosine":
-        _take(params, "T", "final", "cycle", required=("T",), where=kind)
-        return cosine(params["T"], params.get("final", 0.0), params.get("cycle", 1.0))
-    if kind == "invsqrt":
-        _take(params, "T", "c", "shape", required=("T",), where=kind)
-        base = inv_sqrt(params["T"])
-        if "c" in params:
-            return with_cooldown(base, params["c"], params.get("shape", CooldownShape.LINEAR))
-        if "shape" in params:
-            raise ValueError(f"schedule {kind!r} takes parameter 'shape' only with 'c', the cooldown it shapes")
-        return base
-    if kind == "poly":
-        _take(params, "T", "alpha", required=("T", "alpha"), where=kind)
-        return polynomial_decay(params["T"], params["alpha"])
-    if kind == "extended":
-        _take(params, "T1", "c", "T2", "rho", "c_long", "shape", required=("T1", "c", "T2", "rho"), where=kind)
-        return extended(
-            params["T1"],
-            params["c"],
-            params["T2"],
-            params["rho"],
-            params.get("c_long"),
-            params.get("shape", CooldownShape.LINEAR),
-        )
-    raise ValueError(f"unknown schedule type {head!r} (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)")
+    if kind not in _KINDS:
+        *rest, last = _KINDS
+        raise ValueError(f"unknown schedule type {head!r} (use {', '.join(rest)} or {last})")
+    required, optional, build = _KINDS[kind]
+    unknown = set(params) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {sorted(unknown)} for schedule {kind!r}")
+    missing = [n for n in required if n not in params]
+    if missing:
+        raise ValueError(f"schedule {kind!r} requires parameter(s) {missing}")
+    return build(**params)

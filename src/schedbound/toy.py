@@ -33,7 +33,7 @@ from ._checks import fits_in_memory, integer, positive
 from .schedules import Schedule, constant, cosine, wsd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyProblem:
     """Instance of min_x max_i |<A_i, x> - b_i| with known optimum.
 
@@ -64,7 +64,7 @@ class ToyProblem:
         return self.A.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """Trajectory of one subgradient-descent run.
 
@@ -214,7 +214,8 @@ def run_sgd(
 
     Deterministic: the only randomness lives in the problem instance.
     Loss is recorded before each update, one entry per schedule step.
-    A loss out of the float range is a ValueError naming x_start and gamma.
+    A loss out of the float range is a ValueError naming x_start and gamma;
+    recorded iterates too large for physical memory are one, before any step.
     """
     positive(gamma, "base learning rate gamma")
     x = np.array(problem.x_start if x_start is None else x_start, dtype=np.float64)
@@ -223,6 +224,8 @@ def run_sgd(
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x_start must be finite, got {x}")
     T, start = schedule.horizon, x
+    if record_iterates:
+        fits_in_memory(8 * T * problem.d, f"recorded iterates of T={T}, d={problem.d}")
     losses = np.empty(T)
     iterates = np.empty((T, problem.d)) if record_iterates else None
     with np.errstate(over="ignore", invalid="ignore"):  # a loss out of range fails below

@@ -27,7 +27,7 @@ RHO_GRID = np.linspace(0.02, 1.0, 50)
 TRANSFER_REL_TOL = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """The bound's two terms, and the gamma each is taken at, on an ascending parameter grid.
 
@@ -56,7 +56,7 @@ class SweepResult:
         return replace(self, gamma=np.full_like(self.grid, positive(gamma, "base learning rate gamma")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferResult:
     """Outcome of matching a reference tuned gamma on a new configuration.
 
@@ -92,7 +92,7 @@ class TransferResult:
         return [param, "abs_gamma_mismatch", "gamma_mismatch"], zip(self.grid, np.abs(self.mismatch), self.mismatch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Least-squares fit of a named parametric model.
 

@@ -600,6 +600,20 @@ def test_toy_problem_too_large_for_memory_exit_2_before_any_draw(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_toy_run_iterates_too_large_for_memory_exit_2_before_any_file(tmp_path, capsys, monkeypatch):
+    from schedbound import _checks, toy
+
+    # T*d = 7000 iterates need 56000 bytes; the schedule's 6400 and the problem's 7360 fit
+    monkeypatch.setattr(_checks, "_physical_memory", lambda: 55999)
+    monkeypatch.setattr(toy, "_loss_and_subgradient", lambda problem, x: pytest.fail("took a step"))
+    argv = ["toy-run", "--m", "10", "--d", "70", "--schedule", "constant:T=100", "--gamma", "0.1", "--record-iterates"]
+    code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "recorded iterates of T=100, d=70 needs about" in err and "physical memory" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_horizon_too_large_for_memory_exit_2(tmp_path, capsys):
     # rejected from the horizon alone, before any array of that length exists
     code, _, err = run_cli(

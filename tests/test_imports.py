@@ -86,6 +86,39 @@ def test_workspace_rule_sees_every_spelling(tmp_path):
     assert sorted(_workspace_references(path)) == [1, 3, 4, 5]
 
 
+SHAPE_MEMBERS = {"LINEAR", "ONE_MINUS_SQRT"}
+
+
+def _shape_comparisons(path: Path):
+    """The lines of PATH that compare or match anything against a CooldownShape member, under any name for the enum."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Compare):
+            operands = [sub for operand in (node.left, *node.comparators) for sub in ast.walk(operand)]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        if any(isinstance(sub, ast.Attribute) and sub.attr in SHAPE_MEMBERS for sub in operands):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "schedules.py"}), ids=lambda p: p.name)
+def test_only_schedules_decides_by_cooldown_shape(path):
+    # _cool alone picks a cooldown leg from the shape; every other module passes the shape through
+    assert list(_shape_comparisons(path)) == [], f"{path.name} compares against a CooldownShape member"
+
+
+def test_shape_rule_sees_every_spelling(tmp_path):
+    path = tmp_path / "spellings.py"
+    path.write_text(
+        "from . import schedules\nfrom .schedules import CooldownShape as S\nshape = S.parse('linear')\n"
+        "a = shape is S.LINEAR\nb = shape is not schedules.CooldownShape.ONE_MINUS_SQRT\nc = shape == S.LINEAR\n"
+        "d = S.ONE_MINUS_SQRT != shape\ne = shape in (S.LINEAR,)\nmatch shape:\n    case S.LINEAR:\n        pass\n"
+        "f = schedules.wsd(10, 0.2, S.LINEAR)\ng = shape is S\n"
+    )
+    assert sorted(_shape_comparisons(path)) == [4, 5, 6, 7, 8, 10]
+
+
 def test_check_sees_every_module():
     assert {p.name for p in PACKAGE.glob("*.py")} >= {"bounds.py", "cli.py", "serialize.py"}
 

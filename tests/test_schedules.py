@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from schedbound import _checks, schedules
+from schedbound import _checks, cli, schedules, tuning
 from schedbound.schedules import (
     CooldownShape,
     Schedule,
@@ -309,32 +310,84 @@ class TestParseSpec:
         s = parse_spec("extended:T1=10,c=0.2,T2=20,rho=0.5")
         assert np.array_equal(s.values, extended(10, 0.2, 20, 0.5).values)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "nosuch:T=5",
-            "wsd",
-            "wsd:T=10",
-            "wsd:c=0.2",
-            "wsd:T=10,c=0.2,bogus=1",
-            "wsd:T=10,c=0.2,c=0.3",
-            "wsd:T=ten,c=0.2",
-            "wsd:T=10.5,c=0.2",
-            "wsd:T=-4,c=0.2",
-            "wsd:T=10,c",
-            "constant:T=5,extra",
-            "",
-            "invsqrt:T=10,shape=1-sqrt",  # a shape without the cooldown c it shapes
-        ],
-    )
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            parse_spec(bad)
-
     @pytest.mark.parametrize("kind", REMOVED_KINDS)
     def test_rejects_undocumented_kinds(self, kind):
         with pytest.raises(ValueError, match=r"unknown schedule type .*\(use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended\)"):
             parse_spec(f"{kind}:T=6,alpha=2")
+
+
+# every message parse_spec gives, pinned byte for byte: one per way a spec can be wrong
+BAD_SPECS = [
+    ("nosuch:T=5", "unknown schedule type 'nosuch' (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)"),
+    (" Foo :T=5", "unknown schedule type 'Foo ' (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)"),
+    ("", "unknown schedule type '' (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)"),
+    ("nosuch:T=x", "parameter 'T' must be an integer, got 'x'"),  # the params parse before the kind is looked up
+    ("constant:T=5,c=0.2", "unknown parameter(s) ['c'] for schedule 'constant'"),
+    ("wsd:T=5,c=0.2,alpha=1", "unknown parameter(s) ['alpha'] for schedule 'wsd'"),
+    ("linear:T=5,c=0.2", "unknown parameter(s) ['c'] for schedule 'linear'"),
+    ("onesqrt:T=5,final=0.1", "unknown parameter(s) ['final'] for schedule 'onesqrt'"),
+    ("cosine:T=5,c=0.2", "unknown parameter(s) ['c'] for schedule 'cosine'"),
+    ("invsqrt:T=5,rho=0.5", "unknown parameter(s) ['rho'] for schedule 'invsqrt'"),
+    ("poly:T=5,alpha=1,c=0.2", "unknown parameter(s) ['c'] for schedule 'poly'"),
+    ("extended:T1=10,c=0.2,T2=20,rho=0.5,T=5", "unknown parameter(s) ['T'] for schedule 'extended'"),
+    ("constant:T=5,z=1,a=2", "unknown parameter(s) ['a', 'z'] for schedule 'constant'"),
+    ("wsd:alpha=1", "unknown parameter(s) ['alpha'] for schedule 'wsd'"),  # unknown keys before missing ones
+    ("wsd:T=5", "schedule 'wsd' requires parameter(s) ['c']"),
+    ("wsd:c=0.2", "schedule 'wsd' requires parameter(s) ['T']"),
+    ("wsd", "schedule 'wsd' requires parameter(s) ['T', 'c']"),
+    ("extended:c=0.2", "schedule 'extended' requires parameter(s) ['T1', 'T2', 'rho']"),
+    ("poly:alpha=2", "schedule 'poly' requires parameter(s) ['T']"),
+    ("constant", "schedule 'constant' requires parameter(s) ['T']"),
+    ("constant:", "schedule 'constant' requires parameter(s) ['T']"),
+    ("wsd:T=5,c", "malformed schedule parameter 'c' (expected key=value)"),
+    ("constant:T=5,extra", "malformed schedule parameter 'extra' (expected key=value)"),
+    ("wsd:T=5,T=6,c=0.2", "duplicate schedule parameter 'T'"),
+    ("constant:T=5.5", "parameter 'T' must be an integer, got '5.5'"),
+    ("wsd:T=ten,c=0.2", "parameter 'T' must be an integer, got 'ten'"),
+    ("wsd:T=-4,c=0.2", "horizon must be >= 1, got -4"),
+    ("constant:T=5,foo=bar", "parameter 'foo' must be a number, got 'bar'"),
+    ("wsd:T=5,c=0.2,shape=cubic", "unknown cooldown shape 'cubic' (use linear or 1-sqrt)"),
+    ("invsqrt:T=10,shape=1-sqrt", "schedule 'invsqrt' takes parameter 'shape' only with 'c', the cooldown it shapes"),
+    ("wsd:T=10,c=2", "cooldown fraction must be in (0, 1], got 2.0"),
+    ("extended:T1=10,c=0.2,T2=5,rho=0.5", "extended horizon 5 must exceed the base horizon 10"),
+]
+
+
+@pytest.mark.parametrize("spec, message", BAD_SPECS)
+def test_bad_spec_keeps_its_message(spec, message):
+    with pytest.raises(ValueError) as info:
+        parse_spec(spec)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec, message", BAD_SPECS)
+def test_bad_spec_exit_2_before_any_file(spec, message, tmp_path, capsys):
+    code = cli.main(["schedule", "--schedule", spec, "--outdir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ("constant:T=5", "constant"),
+        ("wsd:T=5,c=0.2", "wsd"),
+        ("linear:T=5", "linear_decay"),
+        ("onesqrt:T=5", "one_minus_sqrt"),
+        ("cosine:T=5", "cosine"),
+        ("invsqrt:T=5,c=0.2", "inv_sqrt"),
+        ("poly:T=5,alpha=2", "polynomial_decay"),
+        ("extended:T1=10,c=0.2,T2=20,rho=0.5", "extended"),
+    ],
+)
+def test_each_kind_calls_its_constructor_through_the_module(spec, name, monkeypatch):
+    # perfbench/tracer.py traces a constructor by rebinding its module name
+    calls = []
+    constructor = getattr(schedules, name)
+    monkeypatch.setattr(schedules, name, lambda *args: calls.append(args) or constructor(*args))
+    parse_spec(spec)
+    assert len(calls) == 1
 
 
 def _spec_kinds(text: str) -> set[str]:
@@ -354,11 +407,13 @@ def test_spec_kinds_are_exactly_the_documented_ones():
     documented = _spec_kinds(parse_spec.__doc__)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = re.search(r"^Schedule spec strings are.*?\n\n", readme, re.M | re.S).group()
-    # a kind parse_spec accepts is a string it compares the name to, a literal in its source
-    literals = {n.value for n in ast.walk(ast.parse(inspect.getsource(parse_spec))) if isinstance(n, ast.Constant)}
-    candidates = {c for c in literals | documented | set(REMOVED_KINDS) if isinstance(c, str) and re.fullmatch(r"[a-z0-9-]+", c)}
+    # a kind parse_spec accepts is a key of its table, or else some string literal of the module
+    literals = {n.value for n in ast.walk(ast.parse(inspect.getsource(schedules))) if isinstance(n, ast.Constant)}
+    candidates = {
+        c for c in literals | set(schedules._KINDS) | documented | set(REMOVED_KINDS) if isinstance(c, str) and re.fullmatch(r"[a-z0-9-]+", c)
+    }
     accepted = {c for c in candidates if _accepts_kind(c)}
-    assert accepted == documented == _spec_kinds(paragraph)
+    assert accepted == set(schedules._KINDS) == documented == _spec_kinds(paragraph)
     assert len(accepted) == 8
     with pytest.raises(ValueError) as info:
         parse_spec("nosuch:T=5")
@@ -464,3 +519,86 @@ def test_extended_matches_where_form(T_short, extra, c_short, c_long, rho, shape
     assume(cooldown_start(T_long, c_long) > cooldown_start(T_short, c_short))
     got = extended(T_short, c_short, T_long, rho, c_long, shape).values
     assert _same_bits(got, _where_extended(T_short, c_short, T_long, rho, c_long, shape))
+
+
+# --- only the two CooldownShape members pick a cooldown leg -----------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: wsd(10, 0.3, "linear"),
+        lambda: with_cooldown(constant(10), 0.3, "1-sqrt"),
+        lambda: extended(40, 0.2, 80, 0.5, shape="linear"),
+        lambda: tuning.sweep_cooldown(400, shape="linear"),
+        lambda: wsd(10, 0.3, ["linear"]),  # unhashable
+        lambda: wsd(10, 0.3, None),
+    ],
+    ids=["wsd", "with_cooldown", "extended", "sweep_cooldown", "unhashable", "None"],
+)
+def test_a_shape_that_is_no_member_is_a_named_error(build):
+    with pytest.raises(ValueError, match="cooldown shape must be CooldownShape.LINEAR or CooldownShape.ONE_MINUS_SQRT, got"):
+        build()
+
+
+def test_a_shape_that_is_no_member_writes_no_step():
+    values = np.ones(10)
+    with pytest.raises(ValueError, match="cooldown shape"):
+        schedules._cool(values, 0.3, "1-sqrt")
+    assert np.array_equal(values, np.ones(10))
+
+
+# sha256 of each family's values, concatenated over T in (3, 7, 100, 4001) and then c in (0.01, 0.2, 0.3, 0.5, 1.0)
+LEG_HASHES = {
+    ("wsd", CooldownShape.LINEAR): "ca1c24339eb36cfee28c0a0680d9778843121a4e673979a8d38fc40662816078",
+    ("invsqrt", CooldownShape.LINEAR): "7fee1e0842210fca7f41370d3870424070b955b6fc90665fb6fbf2bcc30f89bd",
+    ("extended", CooldownShape.LINEAR): "84fac27c80a59a412e4228faa4b3d332d58419d3211a8356f14dc5d3b812cb53",
+    ("wsd", CooldownShape.ONE_MINUS_SQRT): "5331c2c53bc2166b0ee6a0f3016cb9ed7e7fab97a64f4a70eed6790c19fd4ea4",
+    ("invsqrt", CooldownShape.ONE_MINUS_SQRT): "0dae95aa122f87f0a5426df0f2c2c246914fdae780be8041f8f98d571c577fe7",
+    ("extended", CooldownShape.ONE_MINUS_SQRT): "d766c50ec06b638febd8774535392615944293522b644fac3437c1c5575c4bc0",
+}
+
+
+@pytest.mark.parametrize("family, shape", list(LEG_HASHES), ids=lambda v: getattr(v, "value", v))
+def test_each_shape_member_keeps_its_bits(family, shape):
+    build = {
+        "wsd": lambda T, c: wsd(T, c, shape),
+        "invsqrt": lambda T, c: with_cooldown(inv_sqrt(T), c, shape),
+        "extended": lambda T, c: extended(T, c, 3 * T, 0.5, c / 2, shape),
+    }[family]
+    digest = hashlib.sha256()
+    for T in (3, 7, 100, 4001):
+        for c in (0.01, 0.2, 0.3, 0.5, 1.0):
+            digest.update(build(T, c).values.tobytes())
+    assert digest.hexdigest() == LEG_HASHES[family, shape]
+
+
+# --- records that hold arrays compare by identity -----------------------------
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    from schedbound import bounds, scaling, toy
+
+    schedule = wsd(10, 0.3)
+    problem = toy.generate_problem()
+    records = [
+        schedule,
+        bounds.bound_curve(schedule),
+        tuning.sweep_gamma(schedule),
+        tuning.transfer_horizon_rho(400, 800),
+        tuning.fit_inv_sqrt([(100.0, 0.1), (400.0, 0.05)]),
+        problem,
+        toy.run_sgd(problem, schedule, 0.02),
+    ]
+    assert [type(r).__name__ for r in records] == [
+        "Schedule", "BoundCurve", "SweepResult", "TransferResult", "FitResult", "ToyProblem", "RunRecord"
+    ]
+    for record in records:
+        assert record == record
+        assert record != Schedule(np.ones(3))
+        assert hash(record) == hash(record)
+    assert wsd(10, 0.3) != wsd(10, 0.3)
+    # the G-row cache and _accumulators compare models by value
+    assert bounds.GradNormModel(2.0, -0.5) == bounds.GradNormModel(2.0, -0.5)
+    assert hash(bounds.GradNormModel(2.0, -0.5)) == hash(bounds.GradNormModel(2.0, -0.5))
+    assert scaling.ScalingLaw() == scaling.ScalingLaw()

@@ -209,6 +209,19 @@ class TestRunSgd:
         with pytest.raises(ValueError, match=r"x_start \[1e\+308, 1e\+308\] at base learning rate gamma 0.1"):
             run_sgd(p, constant(5), 0.1, x_start=[1e308, 1e308])
 
+    def test_iterates_too_large_for_memory_rejected_before_any_step(self, monkeypatch):
+        from schedbound import _checks
+
+        p, sched = generate_problem(10, 70, 0), constant(100)
+        # T*d = 7000 float64 iterates
+        monkeypatch.setattr(_checks, "_physical_memory", lambda: 8 * 7000)
+        assert run_sgd(p, sched, 0.1, record_iterates=True).iterates.shape == (100, 70)
+        monkeypatch.setattr(_checks, "_physical_memory", lambda: 8 * 7000 - 1)
+        assert run_sgd(p, sched, 0.1).iterates is None
+        monkeypatch.setattr(toy, "_loss_and_subgradient", lambda problem, x: pytest.fail("took a step"))
+        with pytest.raises(ValueError, match="recorded iterates of T=100, d=70 needs about .* GiB of physical memory"):
+            run_sgd(p, sched, 0.1, record_iterates=True)
+
     @settings(max_examples=20)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
