@@ -46,12 +46,24 @@ class Schedule:
             Every entry must be finite and strictly positive.
 
     Compares and hashes by identity, as every record holding arrays does.
+    A read-only float64 1-d array that owns its data is kept as it is
+    (the constructors hand over their fresh arrays so); anything else is
+    copied, so a caller's writable array, or a read-only view of one,
+    cannot change the schedule later.
     """
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        arr = self.values
+        if not (
+            type(arr) is np.ndarray
+            and arr.dtype == np.float64
+            and arr.ndim == 1
+            and arr.flags.owndata
+            and not arr.flags.writeable
+        ):
+            arr = np.array(arr, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("schedule must be a non-empty 1-d sequence")
         # a NaN makes both extremes NaN, so it reads as not finite first
@@ -76,6 +88,12 @@ class Schedule:
 # float64 arrays of length T that building a schedule and evaluating its
 # bound hold at once (the bound command peaks at about 7, on extended schedules)
 _ARRAYS_PER_STEP = 8
+
+
+def _fresh_schedule(values: np.ndarray) -> Schedule:
+    """The Schedule of a fresh float64 array that nothing else holds: read-only, so Schedule keeps it."""
+    values.flags.writeable = False
+    return Schedule(values)
 
 
 def _allocatable_horizon(T: int) -> int:
@@ -129,7 +147,7 @@ def _cool(values: np.ndarray, c: float, shape: CooldownShape) -> Schedule:
         np.sqrt(leg, out=leg)
     np.subtract(1.0, leg, out=leg)
     np.multiply(peak, leg, out=leg)
-    return Schedule(values)
+    return _fresh_schedule(values)
 
 
 def with_cooldown(base: Schedule, c: float, shape: CooldownShape = CooldownShape.LINEAR) -> Schedule:
@@ -151,7 +169,7 @@ def with_cooldown(base: Schedule, c: float, shape: CooldownShape = CooldownShape
 
 def constant(T: int) -> Schedule:
     """All-ones schedule of length T."""
-    return Schedule(np.ones(_allocatable_horizon(T)))
+    return _fresh_schedule(np.ones(_allocatable_horizon(T)))
 
 
 def wsd(T: int, c: float, shape: CooldownShape = CooldownShape.LINEAR) -> Schedule:
@@ -181,7 +199,7 @@ def one_minus_sqrt(T: int) -> Schedule:
 def inv_sqrt(T: int) -> Schedule:
     """eta_t = 1 / sqrt(t)."""
     T = _allocatable_horizon(T)
-    return Schedule(1.0 / np.sqrt(np.arange(1, T + 1, dtype=np.float64)))
+    return _fresh_schedule(1.0 / np.sqrt(np.arange(1, T + 1, dtype=np.float64)))
 
 
 def polynomial_decay(T: int, alpha: float) -> Schedule:
@@ -197,7 +215,7 @@ def polynomial_decay(T: int, alpha: float) -> Schedule:
         values = (T + 1.0 - t) ** alpha
     if not math.isfinite(values[0]):
         raise ValueError(f"decay exponent {alpha} overflows T ** alpha at T = {T}")
-    return Schedule(values)
+    return _fresh_schedule(values)
 
 
 def cosine(T: int, final_fraction: float = 0.0, cycle_length: float = 1.0) -> Schedule:
@@ -220,7 +238,7 @@ def cosine(T: int, final_fraction: float = 0.0, cycle_length: float = 1.0) -> Sc
     C = max(1, _round_half_up(ell * T))
     t = np.arange(T)
     vals = f + (1.0 - f) * 0.5 * (1.0 + np.cos(np.pi * (t % C) / C))
-    return Schedule(vals)
+    return _fresh_schedule(vals)
 
 
 def extended(

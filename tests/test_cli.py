@@ -539,8 +539,10 @@ def test_a_command_leaves_the_same_bounded_cyclic_garbage(tmp_path, capsys):
 
 def test_main_leaves_the_collector_as_it_finds_it(tmp_path, capsys):
     assert gc.isenabled()
+    frozen = gc.get_freeze_count()
     assert run_cli(["repro", "list", "--outdir", str(tmp_path)], capsys)[0] == 0
     assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen  # only entry() freezes, for the exit of its own process
     gc.disable()
     try:
         assert run_cli(["repro", "list", "--outdir", str(tmp_path)], capsys)[0] == 0
@@ -550,18 +552,21 @@ def test_main_leaves_the_collector_as_it_finds_it(tmp_path, capsys):
 
 
 def test_process_runs_without_the_collector(tmp_path):
-    # runpy runs the module as `python -m schedbound.cli` does; atexit reports after it exits
+    # runpy runs the module as `python -m schedbound.cli` does; atexit reports after it exits,
+    # before the interpreter's own exit-time collection, which skips the frozen objects
     script = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print('gc enabled:', gc.isenabled(), file=sys.stderr))\n"
+        "import atexit, gc, json, runpy, sys\n"
+        "atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count(), len(gc.get_objects())]), file=sys.stderr))\n"
         "runpy.run_module('schedbound.cli', run_name='__main__', alter_sys=True)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "repro", "list", "--outdir", str(tmp_path)], capture_output=True, text=True
-    )
+    argv = ["bound", "--schedule", "wsd:T=1000,c=0.2", "--outdir", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["targets"]
-    assert proc.stderr == "gc enabled: False\n"
+    assert json.loads(proc.stdout)["horizons"] == 1000
+    enabled, frozen, tracked = json.loads(proc.stderr)
+    assert not enabled
+    assert frozen > 10_000, frozen  # measured 32,390: numpy's import and the command
+    assert tracked == 0
 
 
 def test_console_script_runs_the_entry():

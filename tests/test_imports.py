@@ -1,4 +1,4 @@
-"""The package and the test oracles depend on numpy and the standard library only, each CLI subcommand imports only its own modules, commands that compute nothing load no numpy, and every exported function has a caller outside the tests."""
+"""The package and the test oracles depend on numpy and the standard library only, each CLI subcommand imports only its own modules, commands that compute nothing load no numpy, only `cli.entry` touches the garbage collector, and every exported function has a caller outside the tests."""
 
 import ast
 import inspect
@@ -117,6 +117,46 @@ def test_shape_rule_sees_every_spelling(tmp_path):
         "f = schedules.wsd(10, 0.2, S.LINEAR)\ng = shape is S\n"
     )
     assert sorted(_shape_comparisons(path)) == [4, 5, 6, 7, 8, 10]
+
+
+GC_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "collect"}
+
+
+def _gc_switches(path: Path):
+    """(function, line) for each use in PATH of a gc function that switches or runs the collector, under any name for gc.
+
+    The function is the innermost def around the use, or None at module level.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names if alias.name == "gc"}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in GC_SWITCHES and isinstance(child.value, ast.Name) and child.value.id in names:
+                yield scope, child.lineno
+            elif isinstance(child, ast.ImportFrom) and child.module == "gc" and any(a.name in GC_SWITCHES | {"*"} for a in child.names):
+                yield scope, child.lineno
+            yield from visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    return list(visit(tree, None))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_process_entry_touches_the_collector(path):
+    # a library module that a user imports in-process never changes the caller's collector;
+    # cli.entry owns its process and switches it off, then freezes what is left before exit
+    scopes = {scope for scope, _ in _gc_switches(path)}
+    assert scopes == ({"entry"} if path.name == "cli.py" else set()), f"{path.name}: {_gc_switches(path)}"
+
+
+def test_collector_rule_sees_every_spelling(tmp_path):
+    path = tmp_path / "spellings.py"
+    path.write_text(
+        "import gc\nimport gc as g\nfrom gc import freeze\nfrom gc import *\ngc.collect()\n"
+        "def f():\n    g.disable()\n    def h():\n        off = gc.unfreeze\nclass C:\n    def m(self):\n        gc.enable()\n"
+        "gc.isenabled()\ngc.get_freeze_count()\nimport os\nos.freeze = 1\n"
+    )
+    assert sorted(_gc_switches(path), key=lambda found: found[1]) == [(None, 3), (None, 4), (None, 5), ("f", 7), ("h", 9), ("m", 12)]
 
 
 def test_check_sees_every_module():

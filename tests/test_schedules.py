@@ -101,6 +101,53 @@ def test_schedule_copies_its_input():
     assert s.values[0] == 1.0
 
 
+def test_schedule_keeps_a_read_only_array_it_owns():
+    raw = np.ones(3)
+    raw.flags.writeable = False
+    assert Schedule(raw).values is raw
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_schedule_copies_a_read_only_view_or_other_dtype(dtype):
+    base = np.ones(4, dtype=dtype)
+    view = base[:3]
+    view.flags.writeable = False
+    s = Schedule(view)
+    assert s.values is not view
+    base[0] = 5.0
+    assert s.values[0] == 1.0
+    assert s.values.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: constant(5),
+        lambda: wsd(9, 0.3),
+        lambda: wsd(9, 0.3, CooldownShape.ONE_MINUS_SQRT),
+        lambda: inv_sqrt(7),
+        lambda: polynomial_decay(6, 1.5),
+        lambda: cosine(8, 0.1, 0.5),
+        lambda: extended(10, 0.2, 20, 0.5),
+        lambda: with_cooldown(inv_sqrt(7), 0.4),
+    ],
+    ids=["constant", "wsd", "wsd 1-sqrt", "inv_sqrt", "poly", "cosine", "extended", "with_cooldown"],
+)
+def test_constructors_hand_over_their_fresh_array(build, monkeypatch):
+    # each constructor builds its array once; Schedule keeps it instead of copying it
+    kept = []
+
+    class Recording(Schedule):
+        def __post_init__(self):
+            given = self.values
+            super().__post_init__()
+            kept.append(self.values is given)
+
+    monkeypatch.setattr(schedules, "Schedule", Recording)
+    s = build()
+    assert kept and all(kept), kept
+    assert not s.values.flags.writeable
+
 def test_schedule_values_read_only():
     s = constant(3)
     with pytest.raises(ValueError):
