@@ -17,7 +17,6 @@ _EXPORTS = {
         "BoundCurve",
         "GradNormModel",
         "best_iterate_curve",
-        "best_iterate_terms",
         "bound_curve",
         "bound_terms",
         "bound_value",
@@ -30,7 +29,7 @@ _EXPORTS = {
         "tuned_bound",
         "wsd_bound_exact",
     ),
-    "scaling": ("InfeasibleTargetError", "ScalingLaw", "params_for_delta", "tokens_for_delta"),
+    "scaling": ("ScalingLaw", "params_for_delta", "tokens_for_delta"),
     "schedules": ("CooldownShape", "Schedule", "cooldown_start", "parse_spec", "with_cooldown"),
     "toy": ("RunRecord", "ToyProblem", "comparison_runs", "generate_problem", "linf_subgradient", "run_sgd"),
     "tuning": (

@@ -71,10 +71,10 @@ outlive it (they would through the CSV write of `bound`); its rows are
 made on first use, at the schedule's length.
 
 Best-iterate curves (running-sum) take S_t and Q_t from pairwise block
-sums and a compensated running sum, so they cost O(T) at any T;
-best_iterate_terms takes them as pairwise sums.  Exp-sum curves take
-S_t the same way.  Every curve evaluates its last row as the *_terms
-functions do, so it equals them bit for bit.
+sums and a compensated running sum, so they cost O(T) at any T; their
+last row takes them as pairwise sums.  Exp-sum curves take S_t the same
+way.  A last-iterate curve evaluates its last row as bound_terms does,
+so it equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class GradNormModel:
 
     @property
     def unit(self) -> bool:
-        """Whether every G_t is exactly 1.0 (G = 1, alpha = 0), as in every repro target."""
+        """Whether every G_t is exactly 1.0 (G = 1, alpha = 0), the default model."""
         return self.G == 1.0 and self.alpha == 0.0
 
     def values(self, T: int) -> np.ndarray:
@@ -388,27 +388,6 @@ def tuned_bound(schedule: Schedule, grad_norms: GradNormModel = GradNormModel(),
     return 2.0 * math.sqrt(dist * noise)
 
 
-def _plain_sums(eta: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """(S_t, best-iterate noise_term) over all of eta, from pairwise sums of eta and q."""
-    S_t = np.sum(eta)
-    return float(S_t), float(np.sum(q) / (2.0 * S_t))
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a term out of range fails _in_range
-def best_iterate_terms(schedule: Schedule, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0) -> tuple[float, float]:
-    """(dist_term, noise_term) of the classical best-iterate bound at the schedule's horizon.
-
-    Bounds min over the iterates instead of the last one; the noise term
-    drops the cross-horizon coupling and keeps only
-    (sum eta_s^2 G_s^2) / (2 sum eta_s).  Used as the ablation baseline
-    that shows no benefit from a cooldown.
-    """
-    D = positive(D, "initial distance D")
-    eta = schedule.values
-    S_t, noise = _plain_sums(eta, _q(eta, grad_norms))
-    return _in_range(D * D / (2.0 * S_t), noise)
-
-
 def default_stride(T: int) -> int:
     return max(1, T // 2000)
 
@@ -442,7 +421,8 @@ def _running_sums(blocks: np.ndarray) -> np.ndarray:
 def _curve(schedule: Schedule, grad_norms: GradNormModel, D: float, stride: int | None, cross_terms: bool) -> BoundCurve:
     D = positive(D, "initial distance D")
     T = schedule.horizon
-    stride = default_stride(T) if stride is None else integer(stride, "stride")
+    # any stride from T on gives the rows 1 and T; clamped, a larger one stays in np.arange's range
+    stride = min(default_stride(T) if stride is None else integer(stride, "stride"), T)
     ts = _grid(T, stride)
     eta = schedule.values
     n = ts.size - 1  # rows before the last
@@ -453,7 +433,8 @@ def _curve(schedule: Schedule, grad_norms: GradNormModel, D: float, stride: int 
     if not cross_terms:
         kernel, q = RUNNING_SUM, _q(eta, grad_norms)
         noise[:n] = _running_sums(_block_sums(q, stride))[:n] / (2.0 * S[:n])
-        S[n], noise[n] = _plain_sums(eta, q)
+        S[n] = np.sum(eta)
+        noise[n] = np.sum(q) / (2.0 * S[n])
     else:
         # rows are made on first use, so the tail row of the direct kernels comes
         # after the exp-sum kernel has freed its working arrays
@@ -480,7 +461,7 @@ def bound_curve(
 ) -> BoundCurve:
     """Last-iterate bound at horizons {1, 1+stride, ...} plus T, at the gamma that minimizes it at T.
 
-    Default stride is max(1, T // 2000).
+    Default stride is max(1, T // 2000); any stride from T on gives the rows 1 and T.
     """
     return _curve(schedule, grad_norms, D, stride, cross_terms=True)
 
@@ -488,7 +469,14 @@ def bound_curve(
 def best_iterate_curve(
     schedule: Schedule, grad_norms: GradNormModel = GradNormModel(), D: float = 1.0, stride: int | None = None
 ) -> BoundCurve:
-    """Best-iterate bound along the same horizon grid as bound_curve, at the gamma that minimizes it at T."""
+    """Classical best-iterate bound along the same horizon grid as bound_curve, at the gamma that minimizes it at T.
+
+    Bounds the min over the iterates instead of the last one: the noise
+    term drops the cross-horizon coupling and keeps only
+    (sum eta_s^2 G_s^2) / (2 sum eta_s).  The ablation baseline that shows
+    no benefit from a cooldown; its terms at T are the last row
+    (dist_final, noise_final).
+    """
     return _curve(schedule, grad_norms, D, stride, cross_terms=False)
 
 

@@ -29,9 +29,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # and the library modules it runs, so `repro list`, `--help` and a parse error
 # load none of them
 from . import serialize
-from ._checks import integer, positive
+from ._checks import fits_in_memory, integer, positive
 
 OUTDIR_ENV = "SCHEDBOUND_OUTDIR"
+# the keys of tuning._BASES, which the parser does not import
+_BASE_CHOICES = ("constant", "inv-sqrt")
 
 
 def _add_common(p: argparse.ArgumentParser, name: str):
@@ -87,7 +89,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("sweep-cooldown", "bound vs cooldown fraction"):
         p.add_argument("--T", type=int, required=True)
         p.add_argument("--shape", default="linear", help="cooldown shape: linear or 1-sqrt")
-        p.add_argument("--base", choices=("constant", "inv-sqrt"), default="constant")
+        p.add_argument("--base", choices=_BASE_CHOICES, default="constant")
         _add_bound_params(p)
         p.add_argument("--gamma", default="star", help="'star' tunes gamma per fraction; a float fixes it")
         p.add_argument("--c-min", type=float, default=0.02)
@@ -101,7 +103,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--T2", type=int, required=True)
         p.add_argument("--c", type=float, default=0.2, help="cooldown fraction of the short run")
         p.add_argument("--shape", default="linear", help="cooldown shape: linear or 1-sqrt")
-        p.add_argument("--base", choices=("constant", "inv-sqrt"), default="constant")
+        p.add_argument("--base", choices=_BASE_CHOICES, default="constant")
         _add_bound_params(p)
         _add_common(p, "transfer_horizon")
 
@@ -188,14 +190,20 @@ def _grad_norms(args):
     return bounds.GradNormModel(G=args.G, alpha=args.grad_alpha)
 
 
+def _points(args) -> int:
+    """--points as a count whose float64 grid fits in memory."""
+    points = integer(args.points, "--points")
+    fits_in_memory(8 * points, f"--points {points}")
+    return points
+
+
 def _c_grid(args):
     """Log grid of --points cooldown fractions from --c-min to --c-max, as an array."""
     import numpy as np
 
     if not 0.0 < args.c_min <= args.c_max <= 1.0:
         raise ValueError("need 0 < --c-min <= --c-max <= 1")
-    integer(args.points, "--points")
-    return np.logspace(math.log10(args.c_min), math.log10(args.c_max), args.points)
+    return np.logspace(math.log10(args.c_min), math.log10(args.c_max), _points(args))
 
 
 def _write_tables(args, tables) -> list[str]:
@@ -267,13 +275,13 @@ def _cmd_sweep_gamma(args) -> dict:
     grid = None
     if (args.gamma_min is None) != (args.gamma_max is None):
         raise ValueError("--gamma-min and --gamma-max must be given together")
-    integer(args.points, "--points")
+    points = _points(args)
     if args.gamma_min is not None:
         positive(args.gamma_min, "--gamma-min")
         positive(args.gamma_max, "--gamma-max")
         if not args.gamma_min < args.gamma_max:
             raise ValueError("need 0 < --gamma-min < --gamma-max")
-        grid = np.logspace(math.log10(args.gamma_min), math.log10(args.gamma_max), args.points)
+        grid = np.logspace(math.log10(args.gamma_min), math.log10(args.gamma_max), points)
     elif points_given:
         raise ValueError("--points sets the size of the --gamma-min/--gamma-max grid; give both")
     sweep = tuning.sweep_gamma(sched, grad, args.D, gamma_grid=grid)

@@ -255,7 +255,6 @@ def scaling_law_cases() -> tuple[dict, list]:
 
 
 TARGETS = {
-    "fig4": gamma_star_scaling,
     "gamma-star-scaling": gamma_star_scaling,
     "rho-transfer": rho_transfer,
     "cooldown-transfer": cooldown_transfer,
@@ -270,14 +269,13 @@ TARGETS = {
     "scaling-law-cases": scaling_law_cases,
 }
 
-# primary names only (fig4 is a legacy alias for gamma-star-scaling)
-TARGET_NAMES = [name for name in TARGETS if name != "fig4"]
+TARGET_NAMES = list(TARGETS)
 
 
 def run_target(target: str) -> dict:
     """Resolve a repro target name, or 'all', to {name: target function}; call each to run it."""
     if target == "all":
-        return {name: TARGETS[name] for name in TARGET_NAMES}
+        return dict(TARGETS)
     if target not in TARGETS:
         known = ", ".join(["all", "list"] + sorted(TARGETS))
         raise ValueError(f"unknown repro target {target!r}; known targets: {known}")

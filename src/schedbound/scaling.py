@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from ._checks import non_negative, positive
 
 
-class InfeasibleTargetError(ValueError):
-    """The requested loss drop is unreachable by scaling one axis alone."""
-
-
 @dataclass(frozen=True)
 class ScalingLaw:
     """L(N, D) = loss_scale * (E + A / N**alpha + B / D**beta).
@@ -62,7 +58,7 @@ def loss(law: ScalingLaw, N: float, D: float) -> float:
 def _invert(loss_scale, prefactor, exponent, name, count, delta, added) -> float:
     """count2 with prefactor / count2**exponent = prefactor / count**exponent - delta / loss_scale.
 
-    The InfeasibleTargetError names what is added.
+    A drop that adding to one axis cannot reach is a ValueError naming what is added.
     """
     delta = non_negative(delta, "loss delta")
     if delta == 0.0:
@@ -70,7 +66,7 @@ def _invert(loss_scale, prefactor, exponent, name, count, delta, added) -> float
     gap = delta / loss_scale
     inverse = 1.0 / _power(count, exponent, name)
     if prefactor == 0.0 or inverse <= gap / prefactor:
-        raise InfeasibleTargetError(f"a loss drop of {delta} is unreachable by adding {added}")
+        raise ValueError(f"a loss drop of {delta} is unreachable by adding {added}")
     return _power(inverse - gap / prefactor, -1.0 / exponent, name)
 
 
@@ -80,8 +76,8 @@ def tokens_for_delta(law: ScalingLaw, D1: float, delta: float) -> float:
     N drops out of the difference.  Inverting the data term gives
     D2 = (1/D1**beta - delta/B) ** (-1/beta).
 
-    Raises InfeasibleTargetError when delta meets or exceeds the whole
-    remaining data-limited loss B / D1**beta.
+    Raises ValueError when delta meets or exceeds the whole remaining
+    data-limited loss B / D1**beta.
     """
     D1 = positive(D1, "D1")
     return _invert(law.loss_scale, law.B, law.beta, "beta", D1, delta, f"tokens from D1={D1}")
@@ -91,7 +87,7 @@ def params_for_delta(law: ScalingLaw, N1: float, delta: float) -> float:
     """Parameter count N2 with loss(N2, D) = loss(N1, D) - delta, at any D.
 
     D drops out of the difference.  N2 = (1/N1**alpha - delta/A) ** (-1/alpha);
-    raises InfeasibleTargetError when the drop exceeds the remaining
+    raises ValueError when the drop meets or exceeds the remaining
     model-limited loss A / N1**alpha.
     """
     N1 = positive(N1, "N1")

@@ -15,8 +15,12 @@ import sys
 from typing import Iterable, Sequence
 
 
+# the template of every float cell
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _FLOAT_FORMAT % float(x)
 
 
 def _cell(x) -> str:
@@ -36,7 +40,7 @@ CSV_BLOCK = 4096
 
 
 def _column_format(column) -> str | None:
-    """The %-template of a column whose cells are all floats ("%.17g") or all ints ("%d"), else None.
+    """The %-template of a column whose cells are all floats (_FLOAT_FORMAT) or all ints ("%d"), else None.
 
     A bool is an int to Python but is written as true/false, so it is no int here.
     """
@@ -45,7 +49,7 @@ def _column_format(column) -> str | None:
     floats = float if np is None else (float, np.floating)
     ints = int if np is None else (int, np.integer)
     if all(issubclass(tp, floats) for tp in types):
-        return "%.17g"
+        return _FLOAT_FORMAT
     if all(issubclass(tp, ints) and not issubclass(tp, bool) for tp in types):
         return "%d"
     return None

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bounds
+from . import bounds, schedules
 from ._checks import fraction, integer, positive
 from .bounds import GradNormModel
-from .schedules import CooldownShape, Schedule, extended, inv_sqrt, with_cooldown, wsd
+from .schedules import CooldownShape, Schedule, extended, wsd
 
 DEFAULT_COOLDOWN_GRID = np.logspace(math.log10(0.02), 0.0, 50)
 GAMMA_GRID_POINTS = 61
@@ -144,14 +144,17 @@ def sweep_gamma(
     return SweepResult(grid, np.full_like(grid, dist), np.full_like(grid, noise), grid)
 
 
+# base family -> the builder of its schedule of horizon T; a builder calls its
+# constructor through the module name, which perfbench/tracer.py rebinds to trace it
+_BASES = {"constant": lambda T: schedules.constant(T), "inv-sqrt": lambda T: schedules.inv_sqrt(T)}
+
+
 def _cooldown_family(T: int, shape: CooldownShape, base: str):
-    """Schedule builder c -> flat-or-1/sqrt base with a cooldown tail."""
-    if base == "constant":
-        return lambda c: wsd(T, c, shape)
-    if base == "inv-sqrt":
-        root = inv_sqrt(T)
-        return lambda c: with_cooldown(root, c, shape)
-    raise ValueError(f"unknown base schedule family {base!r} (use constant or inv-sqrt)")
+    """Schedule builder c -> the base family's schedule of horizon T with a cooldown tail of fraction c."""
+    if base not in _BASES:
+        raise ValueError(f"unknown base schedule family {base!r} (use {' or '.join(_BASES)})")
+    root = _BASES[base](T)
+    return lambda c: schedules.with_cooldown(root, c, shape)
 
 
 def _grid_array(grid, what: str) -> np.ndarray:
@@ -278,7 +281,8 @@ def transfer_horizon_cooldown(
     (base="constant") or 1/sqrt(t) (base="inv-sqrt") schedule with a
     cooldown tail.  The mismatch is searched on DEFAULT_COOLDOWN_GRID and
     its root bisected to TRANSFER_REL_TOL; equal horizons give c_short.
-    feasible is False when even c_long = 1 cannot reach the target.
+    The status follows TransferResult: "unreachable" when the grid holds
+    no root, "ambiguous" when it holds several, and neither is feasible.
     """
     if integer(T_long, "extended horizon") < integer(T_short, "base horizon"):
         raise ValueError(f"extended horizon {T_long} must be >= base horizon {T_short}")

@@ -16,6 +16,7 @@ S_t = eta_1 + ... + eta_t, has two forms:
 and tests/test_bounds.py proves that the two agree exactly.
 """
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
@@ -156,3 +157,36 @@ def harmonic_numbers(n: int) -> np.ndarray:
         total[1:] += np.cumsum(err)
         out[1:] = total
     return out
+
+
+def wsd_limit_F(c: float) -> float:
+    """F(c) = Phi(1) * I of wsd with a linear cooldown of fraction c: its bound as T -> infinity.
+
+    Not exact, unlike the rest of this module: it is the limit the kernels
+    approach, not their answer at any T.  With eta_k = phi(k/T), Phi(u) the
+    integral of phi from 0 and R(u) = Phi(1) - Phi(u), T * dist -> D^2 / (2 Phi(1))
+    and, for phi(1) = 0, noise -> G^2 I / 2 with I the integral of phi^2 / R.
+    For wsd, phi = 1 before 1 - c and (1 - u) / c after, so Phi(1) = 1 - c/2,
+    R = 1 - c/2 - u before 1 - c and (1 - u)^2 / (2c) after, and
+    I = ln((1 - c/2) / (c/2)) + 2.  Hence gamma* = (D/G) / sqrt(T F(c)), and
+    F(1) = 1.
+    """
+    return (1.0 - c / 2.0) * (2.0 + math.log((2.0 - c) / c))
+
+
+def wsd_limit_cooldown(T_short: int, T_long: int, c_short: float) -> float | None:
+    """The c_long with T_long F(c_long) = T_short F(c_short), or None where none exists.
+
+    F falls from infinity at c -> 0 to F(1) = 1, so the root exists exactly
+    when T_long / T_short <= F(c_short); bisected to the last bit.
+    """
+    target = T_short * wsd_limit_F(c_short) / T_long
+    if target < 1.0:
+        return None
+    lo, hi = 0.0, 1.0  # F(lo) > target >= F(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if wsd_limit_F(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -21,7 +21,6 @@ from schedbound import bounds, expsum
 from schedbound.bounds import (
     GradNormModel,
     best_iterate_curve,
-    best_iterate_terms,
     bound_curve,
     bound_terms,
     bound_value,
@@ -213,7 +212,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_terms_distance(self, value):
         # sweeps and transfers take D from the terms
-        for terms in (bound_terms, best_iterate_terms):
+        for terms in (bound_terms, best_iterate_curve):
             with pytest.raises(ValueError, match="initial distance D"):
                 terms(constant(4), D=value)
 
@@ -353,6 +352,17 @@ class TestCurves:
         assert curve.t[-1] == 103
         assert np.all(np.diff(curve.t) > 0)
 
+    @pytest.mark.parametrize("curve_of", [bound_curve, best_iterate_curve])
+    def test_stride_beyond_the_horizon_gives_the_rows_of_stride_T(self, curve_of):
+        # any stride from T on gives the rows 1 and T, also one past numpy's index range
+        sched = wsd(103, 0.2)
+        at_T = curve_of(sched, stride=103)
+        for stride in (104, 2**63, 10**20):
+            curve = curve_of(sched, stride=stride)
+            assert curve.t.tolist() == [1, 103]
+            assert (curve.dist_terms.tobytes(), curve.noise_terms.tobytes()) == (at_T.dist_terms.tobytes(), at_T.noise_terms.tobytes())
+        assert curve_of(constant(1), stride=10**20).t.tolist() == [1]
+
     def test_default_stride(self):
         assert default_stride(100) == 1
         assert default_stride(2000) == 1
@@ -384,23 +394,24 @@ class TestCurves:
     @pytest.mark.parametrize("name", sorted(ORACLE_SCHEDULES))
     def test_best_iterate_curve_comes_at_its_optimal_gamma(self, name, alpha):
         sched, grad = ORACLE_SCHEDULES[name], GradNormModel(G=1.3, alpha=alpha)
-        dist, noise = best_iterate_terms(sched, grad, 0.7)
-        assert best_iterate_curve(sched, grad, 0.7, stride=7).gamma == math.sqrt(dist / noise)
+        curve = best_iterate_curve(sched, grad, 0.7, stride=7)
+        assert curve.gamma == math.sqrt(curve.dist_final / curve.noise_final)
+        [(dist, noise)] = prefix_sum_terms(sched.values, grad.values(sched.horizon), 0.7, [sched.horizon])
+        assert rel_err(curve.gamma, math.sqrt(dist / noise)) <= 1e-15  # measured 2.0e-16
 
 
 class TestBestIterate:
     def test_constant_T4_oracle(self):
         # S=4, Q=4: dist = 1/8, noise = 4/8
-        dist, noise = best_iterate_terms(constant(4))
-        assert dist == pytest.approx(0.125, rel=1e-15)  # measured 0
-        assert noise == pytest.approx(0.5, rel=1e-15)  # measured 0
+        curve = best_iterate_curve(constant(4))
+        assert curve.dist_final == pytest.approx(0.125, rel=1e-15)  # measured 0
+        assert curve.noise_final == pytest.approx(0.5, rel=1e-15)  # measured 0
 
     def test_below_last_iterate(self):
         # dropping the cross terms can only shrink the noise half
         sched = wsd(60, 0.3)
         _, noise_last = bound_terms(sched)
-        _, noise_best = best_iterate_terms(sched)
-        assert noise_best < noise_last
+        assert best_iterate_curve(sched).noise_final < noise_last
 
     def test_curve_runs(self):
         curve = best_iterate_curve(wsd(40, 0.2), GradNormModel(), 1.0, stride=1).at_gamma(0.1)
@@ -663,7 +674,6 @@ def test_unit_model_builds_no_g_row(monkeypatch):
     monkeypatch.setattr(GradNormModel, "values", fail)
     sched = wsd(400, 0.2)
     bound_terms(sched)
-    best_iterate_terms(sched)
     for stride in (1, 20):  # exp-sum and prefix differences
         bound_curve(sched, stride=stride)
         best_iterate_curve(sched, stride=stride)
@@ -736,7 +746,7 @@ class TestLongHorizon:
 
 
 def assert_best_iterate_rows_exact(sched, grad, stride, tol):
-    """Every row of the best-iterate curve within tol of exact prefix sums; the last row equals best_iterate_terms."""
+    """Every row of the best-iterate curve within tol of exact prefix sums; the last row, the terms at T, is the same at every stride."""
     curve = best_iterate_curve(sched, grad, 0.7, stride=stride)
     assert curve.noise_kernel == bounds.RUNNING_SUM
     rows = [int(t) for t in curve.t]
@@ -744,7 +754,8 @@ def assert_best_iterate_rows_exact(sched, grad, stride, tol):
     for t, dist, noise, (exact_dist, exact_noise) in zip(rows, curve.dist_terms, curve.noise_terms, exact):
         assert rel_err(dist, exact_dist) <= tol, t
         assert rel_err(noise, exact_noise) <= tol, t
-    assert (curve.dist_final, curve.noise_final) == best_iterate_terms(sched, grad, 0.7)
+    last = best_iterate_curve(sched, grad, 0.7, stride=sched.horizon)
+    assert (curve.dist_final, curve.noise_final) == (last.dist_final, last.noise_final)
 
 
 @pytest.fixture

@@ -438,12 +438,14 @@ def test_repro_list(tmp_path, capsys):
     assert code == 0
     targets = json.loads(out)["targets"]
     assert "rho-transfer" in targets
-    assert "fig4" in targets
+    assert "fig4" not in targets
 
 
-def test_repro_unknown_target(tmp_path, capsys):
-    code, _, err = run_cli(["repro", "nosuch", "--outdir", str(tmp_path)], capsys)
+@pytest.mark.parametrize("target", ["nosuch", "fig4"])
+def test_repro_unknown_target(tmp_path, capsys, target):
+    code, _, err = run_cli(["repro", target, "--outdir", str(tmp_path)], capsys)
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
     assert "unknown repro target" in err
     assert "known targets: all, list, " in err
 
@@ -507,6 +509,14 @@ def test_lazy_parser_builds_one_subcommand():
     sub = next(a for a in cli._build_parser("bound")._actions if isinstance(a, argparse._SubParsersAction))
     assert [name for name, p in sub.choices.items() if len(p._actions) > 1] == ["bound"]
     assert list(sub.choices) == list(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", ["sweep-cooldown", "transfer-horizon"])
+def test_base_choices_are_the_tuning_bases(command):
+    # the parser does not import tuning, so this holds its --base choices to tuning's table
+    sub = next(a for a in cli._build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
+    base = next(a for a in sub.choices[command]._actions if a.dest == "base")
+    assert list(base.choices) == list(tuning._BASES)
 
 
 def _cyclic_garbage(argv, tmp_path) -> int:
@@ -617,6 +627,35 @@ def test_toy_run_iterates_too_large_for_memory_exit_2_before_any_file(tmp_path, 
     assert "recorded iterates of T=100, d=70 needs about" in err and "physical memory" in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("points", ["100000000000", "100000000000000000000"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep-cooldown", "--T", "400"],
+        ["transfer-lr", "--T", "400"],
+        ["sweep-gamma", "--schedule", "wsd:T=400,c=0.2", "--gamma-min", "0.01", "--gamma-max", "1"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_grid_too_large_for_memory_exit_2_before_any_file(tmp_path, capsys, monkeypatch, command, points):
+    from schedbound import _checks
+
+    # 10**11 float64 grid points need 745 GiB; the limit is fixed so the test holds on any machine
+    monkeypatch.setattr(_checks, "_physical_memory", lambda: 8 * 2**30)
+    code, out, err = run_cli([*command, "--points", points, "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"error: --points {points} needs about" in err and "physical memory" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bound_stride_beyond_the_horizon_writes_the_rows_of_stride_T(tmp_path, capsys):
+    spec = ["bound", "--schedule", "wsd:T=1000,c=0.2"]
+    for stride in ("1000", "9223372036854775808"):
+        assert run_cli([*spec, "--stride", stride, "--outdir", str(tmp_path / stride)], capsys)[0] == 0
+    assert (tmp_path / "9223372036854775808" / "bound.csv").read_bytes() == (tmp_path / "1000" / "bound.csv").read_bytes()
 
 
 def test_horizon_too_large_for_memory_exit_2(tmp_path, capsys):
@@ -788,7 +827,7 @@ def test_command_writes_the_repro_target_bytes(tmp_path, capsys, args, repro_tar
         ["repro", "all"],
         ["repro", "all", "--format", "json"],
         ["repro", "toy", "--name", "r"],
-        ["repro", "fig4"],
+        ["repro", "gamma-star-scaling"],
         ["repro", "list"],
         ["bound", "--schedule", "wsd:T=100000,c=0.2"],
         ["bound", "--schedule", "cosine:T=400", "--gamma", "0.1", "--format", "json"],

@@ -1,4 +1,4 @@
-"""The package and the test oracles depend on numpy and the standard library only, each CLI subcommand imports only its own modules, commands that compute nothing load no numpy, only `cli.entry` touches the garbage collector, and every exported function has a caller outside the tests."""
+"""The package and the test oracles depend on numpy and the standard library only, each CLI subcommand imports only its own modules, commands that compute nothing load no numpy, only `cli.entry` touches the garbage collector, no registry holds an alias, and every exported function has a caller outside the tests."""
 
 import ast
 import inspect
@@ -434,3 +434,25 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
         and not re.search(rf"\b{name}\b", _callers_text(schedbound._HOME[name]))
     ]
     assert unused == []
+
+
+def _body(fn) -> tuple:
+    """What a function runs; an alias, the same function or a lambda with the same body, runs the same."""
+    code = fn.__code__
+    return code.co_code, code.co_consts, code.co_names, fn.__defaults__
+
+
+def test_no_registry_holds_an_alias():
+    # one spelling per name: two keys that run the same code are one entry under two names
+    from schedbound import cli, repro, schedules, tuning
+
+    registries = {
+        "repro.TARGETS": repro.TARGETS,
+        "schedules._KINDS": {kind: build for kind, (_, _, build) in schedules._KINDS.items()},
+        "tuning._BASES": tuning._BASES,
+        "cli._HANDLERS": cli._HANDLERS,
+    }
+    for name, entries in registries.items():
+        first = {}
+        for key, fn in entries.items():
+            assert first.setdefault(_body(fn), key) == key, f"{name}: {key!r} is an alias of {first[_body(fn)]!r}"

@@ -1,5 +1,6 @@
-"""The README's python blocks run, in order, and print the values their comments give; its shell examples run; the paths it names exist."""
+"""The README's python blocks run, in order, and print the values their comments give; its shell examples run; the paths it names exist; it lists the repro targets that `repro list` prints."""
 
+import json
 import os
 import re
 import shlex
@@ -56,3 +57,14 @@ def test_named_paths_exist():
     paths = set(REPO_PATH.findall((ROOT / "README.md").read_text()))
     assert {"src/schedbound/", "tests/oracles.py"} <= paths
     assert [path for path in sorted(paths) if not (ROOT / path).exists()] == []
+
+
+def test_repro_targets_are_the_ones_listed(tmp_path, capsys):
+    from schedbound import cli, repro
+
+    section = (ROOT / "README.md").read_text().split("\n## Reproduction targets\n", 1)[1].split("\n## ", 1)[0]
+    documented = [name for item in re.findall(r"^- (.*?):", section, re.M) for name in re.findall(r"`([\w-]+)`", item)]
+    assert cli.main(["repro", "list", "--outdir", str(tmp_path)]) == 0
+    listed = json.loads(capsys.readouterr().out)["targets"]
+    assert sorted(documented) == listed == sorted(repro.TARGETS)
+    assert len(listed) == 12

@@ -29,9 +29,8 @@ def _repro_summary(target, outdir, *flags):
 
 
 def test_target_registry():
-    assert set(repro.TARGET_NAMES) == set(repro.TARGETS) - {"fig4"}
-    # alias points at the same callable
-    assert repro.TARGETS["fig4"] is repro.TARGETS["gamma-star-scaling"]
+    # one name per target, in the order `repro all` runs them
+    assert repro.TARGET_NAMES == list(repro.TARGETS) == list(DATA_FILES)
 
 
 def test_unknown_target_rejected():
@@ -49,7 +48,6 @@ def test_targets_compute_without_writing(tmp_path, monkeypatch):
         for _, header, rows in tables:
             assert all(len(row) == len(header) for row in rows), target
         names[target] = [name for name, _, _ in tables]
-    assert names.pop("fig4") == names["gamma-star-scaling"]
     assert names == DATA_FILES
     assert sum(map(len, names.values())) == 17
     assert list(tmp_path.iterdir()) == []

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import coef_err, fitted_err, lstsq
+from oracles import coef_err, fitted_err, lstsq, wsd_limit_cooldown, wsd_limit_F
 
 from schedbound import bounds, repro, tuning
 from schedbound.bounds import GradNormModel, optimal_gamma
@@ -292,6 +292,49 @@ class TestLrTransferCurve:
         shape = CooldownShape.ONE_MINUS_SQRT
         curve = lr_transfer_curve(500, np.array([0.2]), shape=shape)
         assert curve[0][1] == math.log(optimal_gamma(wsd(500, 1.0, shape)) / optimal_gamma(wsd(500, 0.2, shape)))
+
+
+class TestLimitLaws:
+    """The transfers of wsd with a linear cooldown against their T -> infinity laws (oracles.wsd_limit_F)."""
+
+    # |error| at T = 1e3, 1e4, 1e5, each bound set from its measurement
+    LR_BOUNDS = {
+        0.05: (8e-3, 1.6e-3, 2.3e-4),  # measured 7.9e-3, 1.5e-3, 2.2e-4
+        0.2: (1.8e-3, 3.4e-4, 5e-5),  # measured 1.7e-3, 3.3e-4, 4.9e-5
+        0.5: (4e-4, 4e-4, 4e-4),  # measured 3.7e-4, 2.8e-6, 3.1e-6: no steady trend, so one bound
+    }
+
+    def test_lr_transfer_approaches_half_log_F(self):
+        # gamma* = 1 / sqrt(T F(c)) and F(1) = 1, so ln(gamma*(1) / gamma*(c)) -> ln(F(c)) / 2
+        errors = {c: [] for c in self.LR_BOUNDS}
+        for T in (1_000, 10_000, 100_000):
+            for c, log_ratio in lr_transfer_curve(T, np.array(list(self.LR_BOUNDS))):
+                errors[c].append(abs(log_ratio - 0.5 * math.log(wsd_limit_F(c))))
+        for c, bound in self.LR_BOUNDS.items():
+            assert all(e <= b for e, b in zip(errors[c], bound)), (c, errors[c])
+        for c in (0.05, 0.2):
+            assert errors[c][0] > errors[c][1] > errors[c][2], (c, errors[c])
+
+    def test_cooldown_transfer_approaches_the_law(self):
+        # T_short F(c_short) = T_long F(c_long); the same ratio at longer horizons lands closer
+        limit = wsd_limit_cooldown(1, 2, 0.2)
+        assert limit == pytest.approx(0.634512, abs=1e-6)
+        errors = []
+        for T_short, bound in ((1000, 4.8e-3), (4000, 1.6e-3)):  # measured 4.74e-3, 1.58e-3
+            res = transfer_horizon_cooldown(T_short, 2 * T_short, 0.2)
+            assert res.status == "refined"
+            errors.append(abs(res.value - limit))
+            assert errors[-1] <= bound, (T_short, errors[-1])
+        assert errors[0] > errors[1]
+
+    def test_unreachable_exactly_past_F(self):
+        # F(1) = 1 is F's least value, so no c_long reaches the target once T_long / T_short > F(c_short)
+        assert 3.0 < wsd_limit_F(0.2) < 4.0  # 3.7775
+        assert wsd_limit_cooldown(1000, 4000, 0.2) is None
+        assert transfer_horizon_cooldown(1000, 4000, 0.2).status == "unreachable"
+        res = transfer_horizon_cooldown(1000, 3000, 0.2)
+        assert res.status == "refined"
+        assert abs(res.value - wsd_limit_cooldown(1000, 3000, 0.2)) <= 5.1e-3  # measured 5.04e-3 against 0.878178
 
 
 class TestFits:
