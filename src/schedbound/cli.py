@@ -122,7 +122,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=2)
         p.add_argument("--schedule", required=True)
         p.add_argument("--gamma", type=float, required=True)
-        p.add_argument("--x-start", default=None, help="comma-separated start point (default: problem's)")
+        p.add_argument("--x-start", default=None, help="comma-separated start point (default: the origin)")
         p.add_argument("--record-iterates", action="store_true")
         _add_common(p, "toy_run")
 

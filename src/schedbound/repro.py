@@ -175,7 +175,7 @@ def schedule_comparison() -> tuple[dict, list]:
         ("wsd_c0.2", schedules.wsd(T, 0.2)),
         ("wsd_c0.2_1-sqrt", schedules.wsd(T, 0.2, schedules.CooldownShape.ONE_MINUS_SQRT)),
         ("linear_decay", schedules.linear_decay(T)),
-        ("one_minus_sqrt", schedules.one_minus_sqrt(T)),
+        ("one_minus_sqrt", schedules.wsd(T, 1.0, schedules.CooldownShape.ONE_MINUS_SQRT)),
         ("inv_sqrt", schedules.inv_sqrt(T)),
         ("inv_sqrt_cooldown_0.2", schedules.with_cooldown(schedules.inv_sqrt(T), 0.2)),
         ("poly_alpha_1", schedules.polynomial_decay(T, 1.0)),

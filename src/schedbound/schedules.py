@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class Schedule:
     cannot change the schedule later.
     """
 
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
     def __post_init__(self):
         arr = self.values
@@ -191,11 +191,6 @@ def linear_decay(T: int) -> Schedule:
     return wsd(T, 1.0, CooldownShape.LINEAR)
 
 
-def one_minus_sqrt(T: int) -> Schedule:
-    """eta_t = 1 - sqrt((t - 1) / T): identical to wsd(T, c=1, 1-sqrt)."""
-    return wsd(T, 1.0, CooldownShape.ONE_MINUS_SQRT)
-
-
 def inv_sqrt(T: int) -> Schedule:
     """eta_t = 1 / sqrt(t)."""
     T = _allocatable_horizon(T)
@@ -332,7 +327,7 @@ _KINDS = {
     "constant": (("T",), (), lambda T: constant(T)),
     "wsd": (("T", "c"), ("shape",), lambda T, c, shape=CooldownShape.LINEAR: wsd(T, c, shape)),
     "linear": (("T",), (), lambda T: linear_decay(T)),
-    "onesqrt": (("T",), (), lambda T: one_minus_sqrt(T)),
+    "onesqrt": (("T",), (), lambda T: wsd(T, 1.0, CooldownShape.ONE_MINUS_SQRT)),
     "cosine": (("T",), ("final", "cycle"), lambda T, final=0.0, cycle=1.0: cosine(T, final, cycle)),
     "invsqrt": (("T",), ("c", "shape"), _inv_sqrt_spec),
     "poly": (("T", "alpha"), (), lambda T, alpha: polynomial_decay(T, alpha)),
@@ -348,7 +343,7 @@ def parse_spec(text: str) -> Schedule:
     - ``constant:T=400``
     - ``wsd:T=4000,c=0.2[,shape=linear]``
     - ``linear:T=400``
-    - ``onesqrt:T=400``
+    - ``onesqrt:T=400`` (wsd with c=1 and shape=1-sqrt)
     - ``cosine:T=400[,final=0.1,cycle=0.5]``
     - ``invsqrt:T=400[,c=0.2[,shape=linear]]`` (c adds a cooldown tail)
     - ``poly:T=400,alpha=1``

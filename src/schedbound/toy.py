@@ -35,15 +35,16 @@ from .schedules import Schedule, constant, cosine, wsd
 
 @dataclass(frozen=True, eq=False)
 class ToyProblem:
-    """Instance of min_x max_i |<A_i, x> - b_i| with known optimum.
+    """Instance of min_x max_i |<A_i, x> - b_i|.
 
-    b = A @ x_oracle by construction, so the optimal value is 0.
+    x_oracle, when given, has b = A @ x_oracle, so the optimal value is 0
+    (generate_problem always gives one).  Runs start at the origin unless
+    run_sgd is given another start point.
     """
 
     A: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    x_start: np.ndarray
-    x_oracle: np.ndarray | None = None
+    x_oracle: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
@@ -52,12 +53,8 @@ class ToyProblem:
             raise ValueError("A must be a non-empty 2-d matrix")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have length {A.shape[0]}, got shape {b.shape}")
-        x0 = np.asarray(self.x_start, dtype=np.float64)
-        if x0.shape != (A.shape[1],):
-            raise ValueError(f"x_start must have length {A.shape[1]}, got shape {x0.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "x_start", x0)
 
     @property
     def d(self) -> int:
@@ -162,17 +159,17 @@ def _uniforms(seed: int, n: int) -> np.ndarray:
 
 
 def generate_problem(m: int = 20, d: int = 2, seed: int = 0) -> ToyProblem:
-    """Random instance: A uniform on [-1,1]^(m x d), b = A @ x_oracle, x_start = 0.
+    """Random instance: A uniform on [-1,1]^(m x d), b = A @ x_oracle; runs on it start at the origin.
 
-    A problem whose arrays would exceed physical memory is a ValueError, before any draw.
+    A problem whose arrays, with a run's start point, would exceed physical memory is a ValueError, before any draw.
     """
     m, d, seed = integer(m, "row count m"), integer(d, "dimension d"), integer(seed, "seed", 0)
-    # float64 values: the m*d + d draws, b, x_oracle and x_start
+    # float64 values: the m*d + d draws, b, x_oracle and the start point every run allocates
     fits_in_memory(8 * (m * d + m + 3 * d), f"toy problem m={m}, d={d}")
     draws = _uniforms(seed, m * d + d)
     # x_oracle gets its own aligned buffer, as from numpy's generator: BLAS kernels may sum by alignment
     A, x_oracle = draws[: m * d].reshape(m, d), draws[m * d :].copy()
-    return ToyProblem(A=A, b=A @ x_oracle, x_start=np.zeros(d), x_oracle=x_oracle)
+    return ToyProblem(A=A, b=A @ x_oracle, x_oracle=x_oracle)
 
 
 def _loss_and_subgradient(problem: ToyProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -212,13 +209,14 @@ def run_sgd(
 ) -> RunRecord:
     """Run x_{t+1} = x_t - gamma * eta_t * g_t for the full schedule.
 
+    The run starts at x_start, or at the origin when x_start is None.
     Deterministic: the only randomness lives in the problem instance.
     Loss is recorded before each update, one entry per schedule step.
     A loss out of the float range is a ValueError naming x_start and gamma;
     recorded iterates too large for physical memory are one, before any step.
     """
     positive(gamma, "base learning rate gamma")
-    x = np.array(problem.x_start if x_start is None else x_start, dtype=np.float64)
+    x = np.zeros(problem.d) if x_start is None else np.array(x_start, dtype=np.float64)
     if x.shape != (problem.d,):
         raise ValueError(f"x_start must have length {problem.d}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):

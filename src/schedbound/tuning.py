@@ -259,8 +259,10 @@ def transfer_horizon_rho(
     RHO_GRID and its root bisected to TRANSFER_REL_TOL; equal horizons
     give rho = 1.
     """
+    if integer(T_long, "extended horizon") < integer(T_short, "base horizon"):
+        raise ValueError(f"extended horizon {T_long} must be >= base horizon {T_short}")
     reference = wsd(T_short, c, shape)
-    if integer(T_long, "extended horizon") == T_short:
+    if T_long == T_short:
         return _transfer(reference, lambda rho: reference, [1.0], "rho", grad_norms, D)
     return _transfer(reference, lambda rho: extended(T_short, c, T_long, rho, c, shape), RHO_GRID, "rho", grad_norms, D)
 

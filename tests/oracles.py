@@ -131,6 +131,26 @@ def fitted_err(X, coef, exact) -> float:
     return float(max(abs(Fraction(f) - g) for f, g in zip(got, fitted)) / max(abs(g) for g in fitted))
 
 
+def predict_err(fit, x, exact, digits=40) -> float:
+    """Largest error of fit.predict(x) against the model with the exact coefficients at the exact x, relative to its largest.
+
+    fit is a tuning.FitResult; the inv-sqrt model's square roots are Decimals
+    to `digits` digits, every other value is exact.
+    """
+    xs = np.asarray(x, dtype=np.float64).tolist()
+    if fit.model_kind == "polynomial-degree-6":
+        model = [sum(e * Fraction(v) ** k for k, e in enumerate(exact)) for v in xs]
+    elif fit.model_kind == "inv-gamma-linear":
+        A, B, C = exact
+        model = [A / Fraction(v) + B * Fraction(v) + C for v in xs]
+    else:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            model = [exact[0] / Fraction(Decimal(v).sqrt()) for v in xs]
+    got = fit.predict(x).tolist()
+    return float(max(abs(Fraction(g) - m) for g, m in zip(got, model)) / max(abs(m) for m in model))
+
+
 def coef_err(coef, exact) -> float:
     """Largest relative error of a coefficient, over those at least 1e-12 of the largest exact one.
 
@@ -190,3 +210,78 @@ def wsd_limit_cooldown(T_short: int, T_long: int, c_short: float) -> float | Non
         else:
             hi = mid
     return hi
+
+
+def _roots(f, lo: float, hi: float, points: int = 1000) -> list[float]:
+    """Every root of f on [lo, hi] where it changes sign between two of `points` log-spaced nodes, bisected to the last bit."""
+    nodes = np.geomspace(lo, hi, points).tolist()
+    above = [f(x) > 0.0 for x in nodes]
+    roots = []
+    for i in range(points - 1):
+        if above[i] != above[i + 1]:
+            left, right = nodes[i], nodes[i + 1]
+            while (mid := 0.5 * (left + right)) not in (left, right):
+                if (f(mid) > 0.0) == above[i]:
+                    left = mid
+                else:
+                    right = mid
+            roots.append(right)
+    return roots
+
+
+def extended_limit_rho(T_short: int, T_long: int, c: float) -> list[float]:
+    """The roots rho of T_short F(c) = T_long Phi(1) I for extended(T_short, c, T_long, rho) with a linear cooldown.
+
+    Not exact: the limit of the rho transfer as both horizons grow at a fixed
+    ratio (see wsd_limit_F).  With a = T_short (1 - c) / T_long, phi is 1 on
+    [0, a), rho on [a, 1 - c) and rho (1 - u) / c after.  Then Phi(1) = a + B
+    with B = rho (1 - c/2 - a), and R is a + B - u, rho (1 - c/2 - u) and
+    rho (1 - u)^2 / (2c) on the three legs, whose phi^2 / R integrate to
+    ln((a + B) / B), rho ln((1 - c/2 - a) / (c/2)) and 2 rho.  The two sides
+    of the law are equal gamma*s, each (D/G) / sqrt(T Phi(1) I).
+    """
+    a = T_short * (1.0 - c) / T_long
+
+    def excess(rho):
+        B = rho * (1.0 - c / 2.0 - a)
+        integral = math.log((a + B) / B) + rho * math.log((1.0 - c / 2.0 - a) / (c / 2.0)) + 2.0 * rho
+        return T_long * (a + B) * integral - T_short * wsd_limit_F(c)
+
+    return _roots(excess, 1e-9, 1.0)
+
+
+def _cosine_integral() -> float:
+    """I of the cosine schedule, phi = (1 + cos(pi u)) / 2, by 64-node Gauss-Legendre quadrature.
+
+    With w = 1 - u and x = pi w, phi = sin(x/2)^2 and R = (x - sin x) / (2 pi),
+    formed from the tail: Phi(1) - Phi(u) would cancel to nothing near u = 1.
+    x - sin x takes its series below x = 0.5, where its next term is 1e-15 of it.
+    The integrand phi^2 / R is analytic on [0, 1]: 32 and 128 nodes agree with 64 within 1e-14.
+    """
+    t, weights = np.polynomial.legendre.leggauss(64)
+    x = math.pi * (t + 1.0) / 2.0
+    series = sum((-1) ** k * x ** (2 * k + 3) / math.factorial(2 * k + 3) for k in range(6))
+    tail = np.where(x < 0.5, series, x - np.sin(x)) / (2.0 * math.pi)
+    return float(weights @ (np.sin(x / 2.0) ** 4 / tail)) / 2.0
+
+
+def tuned_bound_limits(c: float) -> dict[str, float]:
+    """sqrt(T) * tuned_bound as T -> infinity, sqrt(I / Phi(1)), for the zoo's decaying schedules at D = G = 1.
+
+    Not exact: the limit the kernels approach (see wsd_limit_F), since
+    T * dist -> 1 / (2 Phi(1)), noise -> I / 2 and tuned_bound = 2 sqrt(dist * noise).
+    - linear decay: Phi(1) = 1/2, R = (1 - u)^2 / 2, phi^2 / R = 2, so I = 2;
+    - wsd, linear cooldown of fraction c: I / Phi(1) = F(c) / Phi(1)^2;
+    - wsd, 1-sqrt cooldown: on the leg, v = u - (1 - c) and s = sqrt(v / c), phi = 1 - s,
+      R = (c/3)(1 - s)^2 (1 + 2s) and phi^2 / R = 3 / (c (1 + 2s)), whose integral is
+      3 - (3/2) ln 3; Phi(1) = 1 - 2c/3, and the flat leg adds ln(Phi(1) / (c/3));
+    - cosine: Phi(1) = 1/2 and I by quadrature.
+    """
+    phi_sqrt = 1.0 - 2.0 * c / 3.0
+    I_sqrt = math.log(phi_sqrt / (c / 3.0)) + 3.0 - 1.5 * math.log(3.0)
+    return {
+        "linear-decay": 2.0,
+        "wsd-linear": math.sqrt(wsd_limit_F(c)) / (1.0 - c / 2.0),
+        "wsd-1-sqrt": math.sqrt(I_sqrt / phi_sqrt),
+        "cosine": math.sqrt(2.0 * _cosine_integral()),
+    }

@@ -42,7 +42,6 @@ from schedbound.schedules import (
     extended,
     inv_sqrt,
     linear_decay,
-    one_minus_sqrt,
     polynomial_decay,
     with_cooldown,
     wsd,
@@ -489,7 +488,7 @@ FAMILIES = {
     "wsd-linear": lambda T: wsd(T, 0.3),
     "wsd-1-sqrt": lambda T: wsd(T, 0.3, CooldownShape.ONE_MINUS_SQRT),
     "linear-decay": linear_decay,
-    "one-minus-sqrt": one_minus_sqrt,
+    "one-minus-sqrt": lambda T: wsd(T, 1.0, CooldownShape.ONE_MINUS_SQRT),
     "cosine-restarts": lambda T: cosine(T, 0.1, 0.3),
     "inv-sqrt": inv_sqrt,
     "inv-sqrt-cooldown": lambda T: with_cooldown(inv_sqrt(T), 0.2),

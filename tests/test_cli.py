@@ -226,6 +226,26 @@ def test_rho_transfer_rejects_a_base_it_ignores_exit_2_before_any_file(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", ["rho", "cooldown"])
+def test_transfer_to_a_shorter_horizon_one_message_exit_2_before_any_schedule(tmp_path, capsys, monkeypatch, mode):
+    for name in ("wsd", "extended", "_cooldown_family"):
+        monkeypatch.setattr(tuning, name, lambda *args: pytest.fail("built a schedule"))
+    code, out, err = run_cli(
+        ["transfer-horizon", "--mode", mode, "--T1", "8000", "--T2", "4000", "--outdir", str(tmp_path)], capsys
+    )
+    assert (code, out, err) == (2, "", "error: extended horizon 4000 must be >= base horizon 8000\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode, param, value", [("rho", "rho", 1.0), ("cooldown", "c", 0.2)])
+def test_transfer_to_the_same_horizon_is_the_identity(tmp_path, capsys, mode, param, value):
+    code, out, _ = run_cli(
+        ["transfer-horizon", "--mode", mode, "--T1", "4000", "--T2", "4000", "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert json.loads(out)[param] == value
+
+
 @pytest.mark.parametrize("flags", [[], ["--base", "constant"]], ids=["default", "explicit"])
 def test_rho_transfer_takes_the_constant_base(tmp_path, capsys, flags):
     code, out, _ = run_cli(

@@ -19,7 +19,6 @@ from schedbound.schedules import (
     extended,
     inv_sqrt,
     linear_decay,
-    one_minus_sqrt,
     parse_spec,
     polynomial_decay,
     with_cooldown,
@@ -188,10 +187,14 @@ def test_linear_decay_equals_full_cooldown_wsd():
 
 
 def test_one_minus_sqrt_values():
-    s = one_minus_sqrt(4)
+    s = wsd(4, 1.0, CooldownShape.ONE_MINUS_SQRT)
     u = np.arange(4) / 4.0
     assert np.allclose(s.values, 1.0 - np.sqrt(u), rtol=1e-15, atol=0.0)
-    assert np.array_equal(s.values, wsd(4, 1.0, CooldownShape.ONE_MINUS_SQRT).values)
+
+
+def test_repr_shows_the_horizon_and_four_values():
+    assert repr(wsd(10, 0.2)) == "Schedule(T=10, values=[1, 1, 1, 1, ...])"
+    assert repr(wsd(3, 1.0)) == "Schedule(T=3, values=[1, 0.666667, 0.333333])"
 
 
 def test_inv_sqrt_values():
@@ -335,8 +338,13 @@ class TestParseSpec:
     def test_linear(self):
         assert np.array_equal(parse_spec("linear:T=6").values, linear_decay(6).values)
 
-    def test_one_minus_sqrt(self):
-        assert np.array_equal(parse_spec("onesqrt:T=6").values, one_minus_sqrt(6).values)
+    def test_one_minus_sqrt(self, monkeypatch):
+        # the whole-run 1-sqrt decay has one constructor: wsd, called through the module
+        assert not hasattr(schedules, "one_minus_sqrt")
+        calls = []
+        monkeypatch.setattr(schedules, "wsd", lambda *args: calls.append(args) or wsd(*args))
+        assert np.array_equal(parse_spec("onesqrt:T=6").values, wsd(6, 1.0, CooldownShape.ONE_MINUS_SQRT).values)
+        assert calls == [(6, 1.0, CooldownShape.ONE_MINUS_SQRT)]
 
     def test_inv_sqrt(self):
         assert np.array_equal(parse_spec("invsqrt:T=8").values, inv_sqrt(8).values)
@@ -421,7 +429,7 @@ def test_bad_spec_exit_2_before_any_file(spec, message, tmp_path, capsys):
         ("constant:T=5", "constant"),
         ("wsd:T=5,c=0.2", "wsd"),
         ("linear:T=5", "linear_decay"),
-        ("onesqrt:T=5", "one_minus_sqrt"),
+        ("onesqrt:T=5", "wsd"),
         ("cosine:T=5", "cosine"),
         ("invsqrt:T=5,c=0.2", "inv_sqrt"),
         ("poly:T=5,alpha=2", "polynomial_decay"),
@@ -488,7 +496,8 @@ def test_one_minus_sqrt_cooldown_below_linear(T, c):
 
 @given(T=horizons)
 def test_generators_positive(T):
-    for s in (constant(T), linear_decay(T), one_minus_sqrt(T), inv_sqrt(T), cosine(T, 0.05), polynomial_decay(T, 0.7)):
+    one_minus_sqrt = wsd(T, 1.0, CooldownShape.ONE_MINUS_SQRT)
+    for s in (constant(T), linear_decay(T), one_minus_sqrt, inv_sqrt(T), cosine(T, 0.05), polynomial_decay(T, 0.7)):
         assert s.horizon == T
         assert np.all(s.values > 0)
         assert np.all(np.isfinite(s.values))

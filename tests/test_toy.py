@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ class TestGenerateProblem:
         p = generate_problem(20, 2, 0)
         assert p.A.shape == (20, 2)
         assert p.b.shape == (20,)
-        assert p.x_start.shape == (2,)
+        assert p.x_oracle.shape == (2,)
         assert np.array_equal(p.b, p.A @ p.x_oracle)
         assert p.d == 2
 
@@ -39,9 +40,13 @@ class TestGenerateProblem:
         with pytest.raises(ValueError, match="toy problem m=20, d=2 needs about .* GiB of physical memory"):
             generate_problem(20, 2)
 
-    def test_default_start_is_origin(self):
-        p = generate_problem(5, 3, 1)
-        assert np.array_equal(p.x_start, np.zeros(3))
+    def test_fields_are_A_b_and_a_keyword_only_oracle(self):
+        assert [f.name for f in dataclasses.fields(ToyProblem)] == ["A", "b", "x_oracle"]
+        A, b = np.ones((3, 2)), np.ones(3)
+        assert ToyProblem(A, b).x_oracle is None
+        # a third positional argument fills no field
+        with pytest.raises(TypeError):
+            ToyProblem(A, b, np.zeros(2))
 
     def test_seed_zero_goldens(self):
         p = generate_problem(20, 2, 0)
@@ -97,19 +102,19 @@ class TestGenerateProblem:
         with pytest.raises(ValueError):
             generate_problem(5, 0, 0)
         with pytest.raises(ValueError):
-            ToyProblem(A=np.ones((3, 2)), b=np.ones(4), x_start=np.zeros(2))
+            ToyProblem(A=np.ones((3, 2)), b=np.ones(4))
 
 
 class TestLossAndSubgradient:
     def test_loss_hand_value(self):
-        p = ToyProblem(A=np.array([[1.0, 0.0], [0.0, 2.0]]), b=np.array([1.0, -1.0]), x_start=np.zeros(2))
+        p = ToyProblem(A=np.array([[1.0, 0.0], [0.0, 2.0]]), b=np.array([1.0, -1.0]))
         assert loss(p, np.zeros(2)) == 1.0
         assert loss(p, np.array([2.0, 0.0])) == 1.0
         assert loss(p, np.array([0.0, 1.0])) == 3.0
 
     def test_subgradient_signs_and_rows(self):
         A = np.array([[1.0, 0.0], [0.0, 2.0]])
-        p = ToyProblem(A=A, b=np.array([0.0, 0.0]), x_start=np.zeros(2))
+        p = ToyProblem(A=A, b=np.array([0.0, 0.0]))
         g = linf_subgradient(p, np.array([0.0, 1.0]))  # residuals (0, 2)
         assert np.array_equal(g, A[1])
         g = linf_subgradient(p, np.array([0.0, -1.0]))  # residuals (0, -2)
@@ -118,7 +123,7 @@ class TestLossAndSubgradient:
     @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, -1.0]])
     def test_subgradient_is_not_a_view_of_A(self, x):
         A = np.array([[1.0, 0.0], [0.0, 2.0]])
-        p = ToyProblem(A=A, b=np.array([0.0, 0.0]), x_start=np.zeros(2))
+        p = ToyProblem(A=A, b=np.array([0.0, 0.0]))
         g = linf_subgradient(p, np.array(x))
         assert not np.shares_memory(g, p.A)
         g[:] = 7.0
@@ -128,7 +133,7 @@ class TestLossAndSubgradient:
     def test_subgradient_equals_sign_times_row_bit_for_bit(self, x):
         # the row holds -0.0 and +0.0, whose signs a multiplication by +-1.0 keeps or flips
         A = np.array([[-0.0, 0.5, 0.0], [1.5, -0.0, 0.0]])
-        p = ToyProblem(A=A, b=np.array([0.0, 0.25]), x_start=np.zeros(3))
+        p = ToyProblem(A=A, b=np.array([0.0, 0.25]))
         x = np.array([*x, 0.0])
         r = A @ x - p.b
         i = int(np.argmax(np.abs(r)))
@@ -136,13 +141,13 @@ class TestLossAndSubgradient:
 
     def test_argmax_tie_breaks_to_smallest_index(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0]])
-        p = ToyProblem(A=A, b=np.zeros(2), x_start=np.zeros(2))
+        p = ToyProblem(A=A, b=np.zeros(2))
         g = linf_subgradient(p, np.array([1.0, 1.0]))  # both residuals = 1
         assert np.array_equal(g, A[0])
 
     def test_zero_residual_gives_zero_vector(self):
         A = np.array([[1.0, 2.0]])
-        p = ToyProblem(A=A, b=np.array([3.0]), x_start=np.zeros(2))
+        p = ToyProblem(A=A, b=np.array([3.0]))
         g = linf_subgradient(p, np.array([1.0, 1.0]))  # exact fit
         assert np.array_equal(g, np.zeros(2))
 
@@ -170,14 +175,14 @@ class TestRunSgd:
         # losses[k] is evaluated at the iterate before the k-th update
         for k in range(25):
             assert rec.losses[k] == loss(p, rec.iterates[k])
-        assert np.array_equal(rec.iterates[0], p.x_start)
-        assert rec.losses[0] == loss(p, p.x_start)
+        assert rec.iterates[0].tobytes() == np.zeros(2).tobytes()  # the origin, +0.0 in each entry
+        assert rec.losses[0] == loss(p, np.zeros(2))
 
     def test_update_rule(self):
         p = generate_problem(10, 2, 1)
         sched = constant(3)
         rec = run_sgd(p, sched, 0.1, record_iterates=True)
-        x = p.x_start.copy()
+        x = np.zeros(2)
         for k in range(3):
             assert np.array_equal(rec.iterates[k], x)
             x = x - 0.1 * sched.values[k] * linf_subgradient(p, x)
@@ -232,10 +237,10 @@ class TestRunSgd:
         # one residual per step must give the losses and iterates of the loop
         # that forms it twice, with the loss and subgradient formulas spelled out
         p = generate_problem(12, 3, seed)
-        x0 = {"origin": p.x_start, "oracle": p.x_oracle, "offset": p.x_oracle + 1e-3}[start]
+        x0 = {"origin": None, "oracle": p.x_oracle, "offset": p.x_oracle + 1e-3}[start]
         sched = wsd(60, 0.3)
         rec = run_sgd(p, sched, gamma, x_start=x0, record_iterates=True)
-        x = np.array(x0, dtype=np.float64)
+        x = np.zeros(p.d) if x0 is None else np.array(x0, dtype=np.float64)
         for t in range(sched.horizon):
             r = p.A @ x - p.b
             assert rec.losses[t] == float(np.max(np.abs(r)))
@@ -304,7 +309,7 @@ def test_comparison_runs_stay_below_their_bound_curve(name):
     # and D is the distance from each run's own start to the minimizer
     problem = generate_problem(seed=0)
     run = comparison_runs(seed=0, T=400)[name]
-    start = np.full(problem.d, 1e-3) if name == "constant" else problem.x_start
+    start = np.full(problem.d, 1e-3) if name == "constant" else np.zeros(problem.d)
     D = float(np.linalg.norm(start - problem.x_oracle))
     G = float(np.max(np.linalg.norm(problem.A, axis=1)))
     gamma = {"wsd": 0.02, "constant": 0.02, "cosine": 0.04}[name]  # comparison_runs' base learning rates

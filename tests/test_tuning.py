@@ -5,13 +5,23 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import coef_err, fitted_err, lstsq, wsd_limit_cooldown, wsd_limit_F
+from oracles import (
+    coef_err,
+    extended_limit_rho,
+    fitted_err,
+    lstsq,
+    predict_err,
+    tuned_bound_limits,
+    wsd_limit_cooldown,
+    wsd_limit_F,
+)
 
 from schedbound import bounds, repro, tuning
-from schedbound.bounds import GradNormModel, optimal_gamma
-from schedbound.schedules import CooldownShape, constant, inv_sqrt, with_cooldown, wsd
+from schedbound.bounds import GradNormModel, optimal_gamma, tuned_bound
+from schedbound.schedules import CooldownShape, constant, cosine, inv_sqrt, linear_decay, with_cooldown, wsd
 from schedbound.tuning import (
     DEFAULT_COOLDOWN_GRID,
+    RHO_GRID,
     FitResult,
     default_gamma_grid,
     fit_inv_gamma_linear,
@@ -295,7 +305,7 @@ class TestLrTransferCurve:
 
 
 class TestLimitLaws:
-    """The transfers of wsd with a linear cooldown against their T -> infinity laws (oracles.wsd_limit_F)."""
+    """The transfers and tuned bounds against their T -> infinity laws (oracles.wsd_limit_F and what builds on it)."""
 
     # |error| at T = 1e3, 1e4, 1e5, each bound set from its measurement
     LR_BOUNDS = {
@@ -335,6 +345,52 @@ class TestLimitLaws:
         res = transfer_horizon_cooldown(1000, 3000, 0.2)
         assert res.status == "refined"
         assert abs(res.value - wsd_limit_cooldown(1000, 3000, 0.2)) <= 5.1e-3  # measured 5.04e-3 against 0.878178
+
+    # (T_long / T_short, c) -> |kernel - law| at T_short = 1000, 4000, 16000, each bound set from its measurement
+    RHO_BOUNDS = {
+        (2, 0.2): (4.2e-3, 1.4e-3, 4.2e-4),  # measured 4.13e-3, 1.36e-3, 4.18e-4
+        (4, 0.2): (3.2e-3, 1.1e-3, 3.2e-4),  # measured 3.15e-3, 1.02e-3, 3.17e-4
+        (2, 0.1): (5.6e-3, 1.9e-3, 6.1e-4),  # measured 5.53e-3, 1.89e-3, 6.04e-4
+        (2, 0.5): (2.6e-3, 8e-4, 2.5e-4),  # measured 2.51e-3, 7.90e-4, 2.43e-4
+    }
+
+    def test_rho_transfer_approaches_the_law(self):
+        # T_short F(c) = T_long Phi(1) I(rho) has two roots: I grows without bound as rho -> 0.
+        # RHO_GRID starts between them, so the kernel's sign change is at the larger root only.
+        smaller, larger = extended_limit_rho(1, 2, 0.2)
+        assert smaller == pytest.approx(0.0077, abs=1e-4)
+        assert larger == pytest.approx(0.531555, abs=1e-6)
+        for (ratio, c), bound in self.RHO_BOUNDS.items():
+            smaller, larger = extended_limit_rho(1, ratio, c)
+            assert smaller < RHO_GRID[0] < larger
+            errors = []
+            for T_short in (1_000, 4_000, 16_000):
+                res = transfer_horizon_rho(T_short, ratio * T_short, c)
+                assert res.status == "refined"
+                errors.append(abs(res.value - larger))
+            assert all(e <= b for e, b in zip(errors, bound)), (ratio, c, errors)
+            assert errors[0] > errors[1] > errors[2], (ratio, c, errors)
+
+    # relative error of sqrt(T) * tuned_bound at T = 1e3, 1e4, 1e5, each bound set from its measurement
+    ZOO = {
+        "linear-decay": (linear_decay, (3.0e-3, 4.2e-4, 5.3e-5)),  # measured 2.99e-3, 4.14e-4, 5.30e-5
+        "wsd-linear": (lambda T: wsd(T, 0.2), (5.7e-3, 8.5e-4, 1.13e-4)),  # measured 5.70e-3, 8.48e-4, 1.12e-4
+        "wsd-1-sqrt": (
+            lambda T: wsd(T, 0.2, CooldownShape.ONE_MINUS_SQRT),
+            (3.95e-3, 5.45e-4, 6.9e-5),  # measured 3.94e-3, 5.41e-4, 6.88e-5
+        ),
+        "cosine": (cosine, (1.46e-3, 1.44e-4, 1.44e-5)),  # measured 1.453e-3, 1.438e-4, 1.439e-5
+    }
+
+    def test_tuned_bounds_of_the_zoo_approach_their_limits(self):
+        limits = tuned_bound_limits(0.2)
+        # the limits to six decimals
+        expected = {"linear-decay": 2.0, "wsd-linear": 2.159533, "wsd-1-sqrt": 2.125947, "cosine": 2.060167}
+        assert limits == pytest.approx(expected, abs=1e-6)
+        for name, (build, bound) in self.ZOO.items():
+            errors = [abs(math.sqrt(T) * tuned_bound(build(T)) / limits[name] - 1.0) for T in (1_000, 10_000, 100_000)]
+            assert all(e <= b for e, b in zip(errors, bound)), (name, errors)
+            assert errors[0] > errors[1] > errors[2], (name, errors)
 
 
 class TestFits:
@@ -446,6 +502,8 @@ def test_gamma_star_scaling_fit_behaviour():
 class TestReportedFitsAgainstExactOracle:
     """Every fit that repro and the CLI report, against exact rational least squares.
 
+    predict_err holds FitResult.predict, the `fitted` column that the `fit`
+    command writes, against the exact fit's model at the exact x.
     The tolerances are the measured errors rounded up.
     """
 
@@ -453,14 +511,16 @@ class TestReportedFitsAgainstExactOracle:
         headlines, [(_, _, rows)] = repro.lr_transfer()
         c, linear, one_minus_sqrt = np.array(rows).T
         X = np.vander(c, 7, increasing=True)
-        # measured 8.0e-14 (linear) and 6.7e-14 (1-sqrt) on the coefficients, 5.7e-15 on the fitted values
-        for y, coef in (
-            (linear, np.array(headlines["poly6_coefficients_linear"])),
-            (one_minus_sqrt, fit_polynomial(list(zip(c, one_minus_sqrt))).coefficients),
-        ):
+        # measured 8.0e-14 (linear) and 6.7e-14 (1-sqrt) on the coefficients, 5.7e-15 on
+        # the fitted values, and 4.3e-15 and 5.0e-15 on predict
+        for y, headline in ((linear, headlines["poly6_coefficients_linear"]), (one_minus_sqrt, None)):
+            fit = fit_polynomial(list(zip(c, y)))
+            if headline is not None:
+                assert fit.coefficients.tolist() == headline
             exact = lstsq(X, y)
-            assert fitted_err(X, coef, exact) <= 1e-14
-            assert coef_err(coef, exact) <= 1e-13
+            assert fitted_err(X, fit.coefficients, exact) <= 1e-14
+            assert coef_err(fit.coefficients, exact) <= 1e-13
+            assert predict_err(fit, c, exact) <= 6e-15
 
     def test_gamma_star_scaling_constrained_and_free_fits(self):
         headlines, [(_, _, rows)] = repro.gamma_star_scaling()
@@ -469,11 +529,12 @@ class TestReportedFitsAgainstExactOracle:
             fit = fit_inv_sqrt(list(zip(T, y)))
             assert fit.coefficients[0] == headlines[f"a_{name}"]
             assert fit.free_exponent == headlines[f"free_exponent_{name}"]
-            # measured 1.7e-16 and 2e-16
+            # measured 1.7e-16 and 2e-16, and at most 1.4e-16 on predict
             X = (1.0 / np.sqrt(T))[:, None]
             exact = lstsq(X, y)
             assert fitted_err(X, fit.coefficients, exact) <= 1e-15
             assert coef_err(fit.coefficients, exact) <= 1e-15
+            assert predict_err(fit, T, exact) <= 2e-16
             logs = np.log(T)
             free = np.array([math.log(fit.free_prefactor), fit.free_exponent])
             X = np.column_stack([np.ones_like(logs), logs])
@@ -488,8 +549,9 @@ class TestReportedFitsAgainstExactOracle:
         sweep = sweep_gamma(wsd(4000, 0.2))
         fit = fit_inv_gamma_linear(list(zip(sweep.grid, sweep.objective)))
         X = np.column_stack([1.0 / sweep.grid, sweep.grid, np.ones_like(sweep.grid)])
-        # measured 5.6e-16 on A and B (C is 2e-18 of B), 6.2e-16 on the fitted values
+        # measured 5.6e-16 on A and B (C is 2e-18 of B), 6.2e-16 on the fitted values, 6.5e-16 on predict
         A, B, C = exact = lstsq(X, sweep.objective)
         assert fitted_err(X, fit.coefficients, exact) <= 1e-15
         assert coef_err(fit.coefficients, exact) <= 1e-15
+        assert predict_err(fit, sweep.grid, exact) <= 1e-15
         assert minimizer(fit) == pytest.approx(math.sqrt(A / B), rel=1e-15)  # measured 6.7e-16
