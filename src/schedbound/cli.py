@@ -405,7 +405,7 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read input file {path!r}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"input file {path!r} needs a header and at least one data row")

@@ -174,7 +174,7 @@ def schedule_comparison() -> tuple[dict, list]:
         ("cosine_final_0.1", schedules.cosine(T, 0.1)),
         ("wsd_c0.2", schedules.wsd(T, 0.2)),
         ("wsd_c0.2_1-sqrt", schedules.wsd(T, 0.2, schedules.CooldownShape.ONE_MINUS_SQRT)),
-        ("linear_decay", schedules.linear_decay(T)),
+        ("linear_decay", schedules.wsd(T, 1.0, schedules.CooldownShape.LINEAR)),
         ("one_minus_sqrt", schedules.wsd(T, 1.0, schedules.CooldownShape.ONE_MINUS_SQRT)),
         ("inv_sqrt", schedules.inv_sqrt(T)),
         ("inv_sqrt_cooldown_0.2", schedules.with_cooldown(schedules.inv_sqrt(T), 0.2)),

@@ -30,9 +30,9 @@ class CooldownShape(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "CooldownShape":
-        """The shape named by its value, linear or 1-sqrt."""
+        """The shape whose value is exactly text: linear or 1-sqrt."""
         try:
-            return cls(text.strip().lower())
+            return cls(text)
         except ValueError:
             raise ValueError(f"unknown cooldown shape {text!r} (use linear or 1-sqrt)") from None
 
@@ -186,11 +186,6 @@ def wsd(T: int, c: float, shape: CooldownShape = CooldownShape.LINEAR) -> Schedu
     return _cool(np.ones(_allocatable_horizon(T)), c, shape)
 
 
-def linear_decay(T: int) -> Schedule:
-    """Linear decay to zero: identical to wsd(T, c=1) element-wise."""
-    return wsd(T, 1.0, CooldownShape.LINEAR)
-
-
 def inv_sqrt(T: int) -> Schedule:
     """eta_t = 1 / sqrt(t)."""
     T = _allocatable_horizon(T)
@@ -296,8 +291,6 @@ def _parse_kv(body: str) -> dict:
         if "=" not in item:
             raise ValueError(f"malformed schedule parameter {item!r} (expected key=value)")
         key, _, raw = item.partition("=")
-        key = key.strip()
-        raw = raw.strip()
         if key in params:
             raise ValueError(f"duplicate schedule parameter {key!r}")
         if key == "shape":
@@ -326,7 +319,7 @@ def _inv_sqrt_spec(T, **cooldown) -> Schedule:
 _KINDS = {
     "constant": (("T",), (), lambda T: constant(T)),
     "wsd": (("T", "c"), ("shape",), lambda T, c, shape=CooldownShape.LINEAR: wsd(T, c, shape)),
-    "linear": (("T",), (), lambda T: linear_decay(T)),
+    "linear": (("T",), (), lambda T: wsd(T, 1.0, CooldownShape.LINEAR)),
     "onesqrt": (("T",), (), lambda T: wsd(T, 1.0, CooldownShape.ONE_MINUS_SQRT)),
     "cosine": (("T",), ("final", "cycle"), lambda T, final=0.0, cycle=1.0: cosine(T, final, cycle)),
     "invsqrt": (("T",), ("c", "shape"), _inv_sqrt_spec),
@@ -342,22 +335,22 @@ def parse_spec(text: str) -> Schedule:
 
     - ``constant:T=400``
     - ``wsd:T=4000,c=0.2[,shape=linear]``
-    - ``linear:T=400``
+    - ``linear:T=400`` (wsd with c=1)
     - ``onesqrt:T=400`` (wsd with c=1 and shape=1-sqrt)
     - ``cosine:T=400[,final=0.1,cycle=0.5]``
     - ``invsqrt:T=400[,c=0.2[,shape=linear]]`` (c adds a cooldown tail)
     - ``poly:T=400,alpha=1``
     - ``extended:T1=4000,c=0.2,T2=8000,rho=0.5[,c_long=0.2,shape=linear]``
 
-    These eight kinds are the only names accepted.  Raises ValueError on
-    any other name, unknown keys, or malformed values.
+    These eight kinds are the only names accepted, each spelled as here, as
+    are the keys and shapes: in this case and with no padding.  Raises
+    ValueError on any other name, key or shape, or a malformed value.
     """
-    head, sep, body = text.strip().partition(":")
-    kind = head.strip().lower()
-    params = _parse_kv(body if sep else "")
+    kind, _, body = text.partition(":")
+    params = _parse_kv(body)
     if kind not in _KINDS:
         *rest, last = _KINDS
-        raise ValueError(f"unknown schedule type {head!r} (use {', '.join(rest)} or {last})")
+        raise ValueError(f"unknown schedule type {kind!r} (use {', '.join(rest)} or {last})")
     required, optional, build = _KINDS[kind]
     unknown = set(params) - set(required) - set(optional)
     if unknown:

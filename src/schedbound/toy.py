@@ -37,9 +37,10 @@ from .schedules import Schedule, constant, cosine, wsd
 class ToyProblem:
     """Instance of min_x max_i |<A_i, x> - b_i|.
 
-    x_oracle, when given, has b = A @ x_oracle, so the optimal value is 0
-    (generate_problem always gives one).  Runs start at the origin unless
-    run_sgd is given another start point.
+    x_oracle, when given, is a finite vector of length d (checked) with
+    b = A @ x_oracle (a precondition: a caller's b may round differently),
+    so the optimal value is 0 (generate_problem always gives one).  Runs
+    start at the origin unless run_sgd is given another start point.
     """
 
     A: np.ndarray = field(repr=False)
@@ -55,6 +56,11 @@ class ToyProblem:
             raise ValueError(f"b must have length {A.shape[0]}, got shape {b.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        if self.x_oracle is not None:
+            x_oracle = np.asarray(self.x_oracle, dtype=np.float64)
+            if x_oracle.shape != (A.shape[1],) or not np.isfinite(x_oracle).all():
+                raise ValueError(f"x_oracle must be a finite vector of length {A.shape[1]}, got {x_oracle}")
+            object.__setattr__(self, "x_oracle", x_oracle)
 
     @property
     def d(self) -> int:

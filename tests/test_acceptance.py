@@ -32,7 +32,6 @@ from schedbound.schedules import (
     constant,
     cooldown_start,
     cosine,
-    linear_decay,
     polynomial_decay,
     wsd,
 )

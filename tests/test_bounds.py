@@ -41,7 +41,6 @@ from schedbound.schedules import (
     cosine,
     extended,
     inv_sqrt,
-    linear_decay,
     polynomial_decay,
     with_cooldown,
     wsd,
@@ -79,7 +78,7 @@ def random_schedule(rng, T):
         return wsd(T, float(rng.uniform(0.05, 1.0)))
     if kind == 2:
         return Schedule(rng.uniform(0.1, 1.0, size=T))
-    return linear_decay(T)
+    return wsd(T, 1.0)
 
 
 class TestHarmonic:
@@ -470,7 +469,7 @@ class TestClosedForms:
         assert linear_decay_bound_exact(1) == pytest.approx(5.0 / 3.0, rel=1e-15)  # measured 0
         for T in (10, 100, 1500):
             closed = linear_decay_bound_exact(T)
-            numeric = tuned_bound(linear_decay(T))
+            numeric = tuned_bound(wsd(T, 1.0))
             assert closed >= numeric  # at least 2.8e-4 above, relative
             assert closed == pytest.approx(numeric, rel=0.2)
 
@@ -487,7 +486,7 @@ FAMILIES = {
     "constant": constant,
     "wsd-linear": lambda T: wsd(T, 0.3),
     "wsd-1-sqrt": lambda T: wsd(T, 0.3, CooldownShape.ONE_MINUS_SQRT),
-    "linear-decay": linear_decay,
+    "linear-decay": lambda T: wsd(T, 1.0),
     "one-minus-sqrt": lambda T: wsd(T, 1.0, CooldownShape.ONE_MINUS_SQRT),
     "cosine-restarts": lambda T: cosine(T, 0.1, 0.3),
     "inv-sqrt": inv_sqrt,

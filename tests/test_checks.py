@@ -120,6 +120,19 @@ def test_rejected_with_the_argument_named(name, call):
         call()
 
 
+def test_physical_memory_unknown_checks_nothing(monkeypatch):
+    def no_sysconf(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(_checks.os, "sysconf", no_sysconf)
+    _checks._physical_memory.cache_clear()
+    try:
+        assert _checks._physical_memory() is None
+        _checks.fits_in_memory(2**80, "an array")
+    finally:
+        _checks._physical_memory.cache_clear()
+
+
 def test_integer_takes_numpy_integers_and_no_bools():
     for n in (np.int64(3), np.uint64(3)):
         assert _checks.integer(n, "n") == 3

@@ -444,6 +444,41 @@ def test_fit_reads_exactly_two_columns_exit_2_before_any_file(tmp_path, capsys):
         assert list(outdir.iterdir()) == []
 
 
+def test_fit_poly6(tmp_path, capsys):
+    coeffs = [1.0, -2.0, 0.5, 0.25, 0.0, 0.0, 0.0]
+    xs = np.linspace(-1.0, 1.0, 9)
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), np.polynomial.polynomial.polyval(xs, coeffs).tolist())))
+    code, out, err = run_cli(["fit", "--model", "poly6", "--input", str(data), "--outdir", str(tmp_path / "out")], capsys)
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert summary["model_kind"] == "polynomial-degree-6"
+    assert np.allclose(summary["coefficients"], coeffs, rtol=0.0, atol=1e-14)
+    lines = (tmp_path / "out" / "fit.csv").read_text().splitlines()
+    assert lines[0] == "x,y,fitted" and len(lines) == 10
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        (b"", "needs a header and at least one data row"),
+        (b"x,y\n\n", "needs a header and at least one data row"),
+        (b"x,y\n1,abc\n", "input row '1,abc' has non-numeric cells"),
+        (b"x,y\n1,\xff\n", "cannot read input file '{path}': 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+    ],
+    ids=["empty", "header only", "non-numeric", "not utf-8"],
+)
+def test_fit_unreadable_input_exit_2_before_any_file(tmp_path, capsys, content, named):
+    data = tmp_path / "xy.csv"
+    data.write_bytes(content)
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(["fit", "--model", "poly6", "--input", str(data), "--outdir", str(outdir)], capsys)
+    assert code == 2
+    assert named.format(path=data) in err
+    assert out == ""
+    assert list(outdir.iterdir()) == []
+
+
 def test_fit_missing_input(tmp_path, capsys):
     code, _, err = run_cli(
         ["fit", "--model", "poly6", "--input", str(tmp_path / "nope.csv"), "--outdir", str(tmp_path)],
@@ -938,6 +973,30 @@ def test_sweep_gamma_points_without_range_exit_2(tmp_path, capsys, points):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bound_gamma_neither_float_nor_star_exit_2_before_any_file(tmp_path, capsys):
+    code, out, err = run_cli(["bound", "--schedule", "wsd:T=10,c=0.2", "--gamma", "abc", "--outdir", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", "error: --gamma must be a float or 'star', got 'abc'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_runtime_failure_exit_1_without_a_summary(tmp_path, capsys):
+    # the data file's path is a directory: an OSError, not a validation error
+    (tmp_path / "x.csv").mkdir()
+    code, out, err = run_cli(["schedule", "--schedule", "constant:T=3", "--name", "x", "--outdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("runtime error: ") and "x.csv" in err
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+def test_outdir_without_write_access_exit_2(tmp_path, capsys, monkeypatch):
+    # a superuser may write to any directory, so only a stubbed access check says no for certain
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code, out, err = run_cli(["schedule", "--schedule", "constant:T=3", "--outdir", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", f"error: output directory {str(tmp_path)!r} is not writable\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_outdir_exit_2(capsys):
     code, _, err = run_cli(
         ["schedule", "--schedule", "constant:T=3", "--outdir", "/proc/definitely/nope"], capsys
@@ -1000,9 +1059,10 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["horizon"] == 3
 
 
-# spellings of schedule kinds and cooldown shapes that no document names
-_REMOVED_KINDS = ("linear-decay", "1-sqrt", "one-minus-sqrt", "inv-sqrt", "polynomial")
-_REMOVED_SHAPES = ("lin", "one-minus-sqrt", "1sqrt", "sqrt")
+# spellings of schedule kinds and cooldown shapes that no document names; names are exact, so a
+# documented name in other letter case or with padding is one of them
+_REMOVED_KINDS = ("linear-decay", "1-sqrt", "one-minus-sqrt", "inv-sqrt", "polynomial", "WSD", "Linear", " wsd", "poly ")
+_REMOVED_SHAPES = ("lin", "one-minus-sqrt", "1sqrt", "sqrt", "LINEAR", "1-SQRT", " linear", "1-sqrt ")
 _SHAPE_COMMANDS = (
     ["sweep-cooldown", "--T", "100", "--shape"],
     ["transfer-horizon", "--mode", "rho", "--T1", "400", "--T2", "800", "--shape"],

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -98,7 +99,7 @@ def test_closed_form_constants_target():
 def test_json_format_emits_json(tmp_path):
     summary = _repro_summary("scaling-law-cases", tmp_path, "--format", "json")
     path = [f for f in summary["files"] if f.endswith(".json")][0]
-    rows = json.loads(open(path).read())
+    rows = json.loads(Path(path).read_text())
     assert isinstance(rows, list) and rows
 
 

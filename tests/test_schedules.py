@@ -18,7 +18,6 @@ from schedbound.schedules import (
     cosine,
     extended,
     inv_sqrt,
-    linear_decay,
     parse_spec,
     polynomial_decay,
     with_cooldown,
@@ -181,11 +180,6 @@ def test_wsd_one_minus_sqrt_shape():
     assert s.values[9] == pytest.approx(1.0 - np.sqrt(2.0 / 3.0), rel=1e-15)
 
 
-def test_linear_decay_equals_full_cooldown_wsd():
-    for T in (1, 2, 5, 17, 400):
-        assert np.array_equal(linear_decay(T).values, wsd(T, 1.0).values)
-
-
 def test_one_minus_sqrt_values():
     s = wsd(4, 1.0, CooldownShape.ONE_MINUS_SQRT)
     u = np.arange(4) / 4.0
@@ -335,8 +329,14 @@ class TestParseSpec:
     def test_constant(self):
         assert np.array_equal(parse_spec("constant:T=5").values, constant(5).values)
 
-    def test_linear(self):
-        assert np.array_equal(parse_spec("linear:T=6").values, linear_decay(6).values)
+    def test_linear(self, monkeypatch):
+        # the whole-run linear decay has one constructor: wsd, called through the module
+        assert not hasattr(schedules, "linear_decay")
+        calls = []
+        monkeypatch.setattr(schedules, "wsd", lambda *args: calls.append(args) or wsd(*args))
+        for T in (1, 2, 5, 17, 400):
+            assert np.array_equal(parse_spec(f"linear:T={T}").values, wsd(T, 1.0).values)
+        assert calls == [(T, 1.0, CooldownShape.LINEAR) for T in (1, 2, 5, 17, 400)]
 
     def test_one_minus_sqrt(self, monkeypatch):
         # the whole-run 1-sqrt decay has one constructor: wsd, called through the module
@@ -374,7 +374,7 @@ class TestParseSpec:
 # every message parse_spec gives, pinned byte for byte: one per way a spec can be wrong
 BAD_SPECS = [
     ("nosuch:T=5", "unknown schedule type 'nosuch' (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)"),
-    (" Foo :T=5", "unknown schedule type 'Foo ' (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)"),
+    (" Foo :T=5", "unknown schedule type ' Foo ' (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)"),
     ("", "unknown schedule type '' (use constant, wsd, linear, onesqrt, cosine, invsqrt, poly or extended)"),
     ("nosuch:T=x", "parameter 'T' must be an integer, got 'x'"),  # the params parse before the kind is looked up
     ("constant:T=5,c=0.2", "unknown parameter(s) ['c'] for schedule 'constant'"),
@@ -428,7 +428,7 @@ def test_bad_spec_exit_2_before_any_file(spec, message, tmp_path, capsys):
     [
         ("constant:T=5", "constant"),
         ("wsd:T=5,c=0.2", "wsd"),
-        ("linear:T=5", "linear_decay"),
+        ("linear:T=5", "wsd"),
         ("onesqrt:T=5", "wsd"),
         ("cosine:T=5", "cosine"),
         ("invsqrt:T=5,c=0.2", "inv_sqrt"),
@@ -450,6 +450,11 @@ def _spec_kinds(text: str) -> set[str]:
     return set(re.findall(r"`+([a-z0-9-]+):T1?=", text))
 
 
+def _misspellings(name: str) -> set[str]:
+    """Spellings of name in other letter case or with padding; none of them names anything."""
+    return {name.upper(), name.lower(), name.title(), name.swapcase(), f" {name}", f"{name} ", f"\t{name}"} - {name}
+
+
 def _accepts_kind(kind: str) -> bool:
     try:
         parse_spec(f"{kind}:")
@@ -467,12 +472,57 @@ def test_spec_kinds_are_exactly_the_documented_ones():
     candidates = {
         c for c in literals | set(schedules._KINDS) | documented | set(REMOVED_KINDS) if isinstance(c, str) and re.fullmatch(r"[a-z0-9-]+", c)
     }
+    candidates |= {m for kind in schedules._KINDS for m in _misspellings(kind)}
     accepted = {c for c in candidates if _accepts_kind(c)}
     assert accepted == set(schedules._KINDS) == documented == _spec_kinds(paragraph)
     assert len(accepted) == 8
     with pytest.raises(ValueError) as info:
         parse_spec("nosuch:T=5")
     assert set(re.split(", | or ", re.search(r"\(use (.*)\)", str(info.value)).group(1))) == accepted
+
+
+# one spec per kind that spells every key of the kind, and both shapes between them
+FULL_SPECS = (
+    "constant:T=5",
+    "wsd:T=10,c=0.2,shape=linear",
+    "linear:T=5",
+    "onesqrt:T=5",
+    "cosine:T=8,final=0.1,cycle=0.5",
+    "invsqrt:T=8,c=0.25,shape=1-sqrt",
+    "poly:T=6,alpha=2",
+    "extended:T1=10,c=0.2,T2=20,rho=0.5,c_long=0.2,shape=1-sqrt",
+)
+
+
+def _misspelled_specs():
+    """Each full spec with one key, or one shape, spelled in other case or with padding; and that spelling."""
+    for spec in FULL_SPECS:
+        head, body = spec.split(":")
+        items = body.split(",")
+        for i, item in enumerate(items):
+            key, value = item.split("=")
+            names = [(m, value, m) for m in _misspellings(key)]
+            if key == "shape":
+                names += [(key, m, m) for m in _misspellings(value)]
+            for k, v, wrong in names:
+                yield f"{head}:{','.join([*items[:i], f'{k}={v}', *items[i + 1 :]])}", wrong
+
+
+def test_full_specs_spell_every_key_and_shape():
+    assert [spec.split(":")[0] for spec in FULL_SPECS] == list(schedules._KINDS)
+    for spec in FULL_SPECS:
+        kind, body = spec.split(":")
+        required, optional, _ = schedules._KINDS[kind]
+        assert [item.split("=")[0] for item in body.split(",")] == [*required, *optional]
+        parse_spec(spec)
+    assert {s.split("shape=")[1] for s in FULL_SPECS if "shape=" in s} == {m.value for m in CooldownShape}
+
+
+@pytest.mark.parametrize("spec, wrong", list(_misspelled_specs()))
+def test_keys_and_shapes_are_exact(spec, wrong):
+    with pytest.raises(ValueError) as info:
+        parse_spec(spec)
+    assert repr(wrong) in str(info.value)
 
 
 @given(T=horizons, c=fractions)
@@ -497,7 +547,7 @@ def test_one_minus_sqrt_cooldown_below_linear(T, c):
 @given(T=horizons)
 def test_generators_positive(T):
     one_minus_sqrt = wsd(T, 1.0, CooldownShape.ONE_MINUS_SQRT)
-    for s in (constant(T), linear_decay(T), one_minus_sqrt, inv_sqrt(T), cosine(T, 0.05), polynomial_decay(T, 0.7)):
+    for s in (constant(T), wsd(T, 1.0), one_minus_sqrt, inv_sqrt(T), cosine(T, 0.05), polynomial_decay(T, 0.7)):
         assert s.horizon == T
         assert np.all(s.values > 0)
         assert np.all(np.isfinite(s.values))

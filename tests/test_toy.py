@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,30 @@ class TestGenerateProblem:
         with pytest.raises(ValueError):
             ToyProblem(A=np.ones((3, 2)), b=np.ones(4))
 
+    @pytest.mark.parametrize("A", [np.ones(3), np.ones((0, 2)), np.ones((3, 0)), np.ones((3, 2, 1))], ids=["1-d", "no rows", "no columns", "3-d"])
+    def test_A_that_is_not_a_non_empty_matrix_rejected(self, A):
+        with pytest.raises(ValueError, match="^A must be a non-empty 2-d matrix$"):
+            ToyProblem(A=A, b=np.ones(3))
+
+    def test_x_oracle_is_kept_as_a_float64_vector(self):
+        p = ToyProblem(np.ones((3, 2)), np.full(3, 3.0), x_oracle=[1, 2])
+        assert type(p.x_oracle) is np.ndarray and p.x_oracle.dtype == np.float64
+        assert p.x_oracle.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "x_oracle, message",
+        [
+            ([5.0], r"x_oracle must be a finite vector of length 2, got \[5\.\]"),
+            ([[1.0, 2.0]], r"x_oracle must be a finite vector of length 2, got \[\[1\. 2\.\]\]"),
+            (3.0, r"x_oracle must be a finite vector of length 2, got 3\.0"),
+            ([math.nan, 1.0], r"x_oracle must be a finite vector of length 2, got \[nan  1\.\]"),
+            ([1.0, -math.inf], r"x_oracle must be a finite vector of length 2, got \[  1\. -inf\]"),
+        ],
+    )
+    def test_x_oracle_of_another_shape_or_non_finite_rejected(self, x_oracle, message):
+        with pytest.raises(ValueError, match=message):
+            ToyProblem(np.ones((3, 2)), np.ones(3), x_oracle=x_oracle)
+
 
 class TestLossAndSubgradient:
     def test_loss_hand_value(self):
@@ -207,6 +232,9 @@ class TestRunSgd:
         p = generate_problem(5, 2, 0)
         with pytest.raises(ValueError, match="x_start must be finite"):
             run_sgd(p, constant(5), 0.1, x_start=np.array([np.inf, 0.0]))
+        for x_start in (np.zeros(3), np.zeros((1, 2)), 0.0):
+            with pytest.raises(ValueError, match=r"^x_start must have length 2, got shape"):
+                run_sgd(p, constant(5), 0.1, x_start=x_start)
 
     def test_loss_out_of_range_rejected(self):
         # the residuals overflow at the start; the suite makes a RuntimeWarning an error

@@ -18,7 +18,7 @@ from oracles import (
 
 from schedbound import bounds, repro, tuning
 from schedbound.bounds import GradNormModel, optimal_gamma, tuned_bound
-from schedbound.schedules import CooldownShape, constant, cosine, inv_sqrt, linear_decay, with_cooldown, wsd
+from schedbound.schedules import CooldownShape, constant, cosine, inv_sqrt, with_cooldown, wsd
 from schedbound.tuning import (
     DEFAULT_COOLDOWN_GRID,
     RHO_GRID,
@@ -373,7 +373,7 @@ class TestLimitLaws:
 
     # relative error of sqrt(T) * tuned_bound at T = 1e3, 1e4, 1e5, each bound set from its measurement
     ZOO = {
-        "linear-decay": (linear_decay, (3.0e-3, 4.2e-4, 5.3e-5)),  # measured 2.99e-3, 4.14e-4, 5.30e-5
+        "linear-decay": (lambda T: wsd(T, 1.0), (3.0e-3, 4.2e-4, 5.3e-5)),  # measured 2.99e-3, 4.14e-4, 5.30e-5
         "wsd-linear": (lambda T: wsd(T, 0.2), (5.7e-3, 8.5e-4, 1.13e-4)),  # measured 5.70e-3, 8.48e-4, 1.12e-4
         "wsd-1-sqrt": (
             lambda T: wsd(T, 0.2, CooldownShape.ONE_MINUS_SQRT),
@@ -479,6 +479,20 @@ class TestFits:
             fit_inv_gamma_linear([(1.0, 1.0), (2.0, 2.0)])
         with pytest.raises(ValueError):
             fit_polynomial([(1.0, 1.0), (2.0, 2.0)])
+
+    @pytest.mark.parametrize("fit", [fit_inv_gamma_linear, fit_inv_sqrt, fit_polynomial])
+    @pytest.mark.parametrize("points", [[], [1.0, 2.0], [(1.0, 2.0, 3.0)], [[(1.0, 2.0)]]], ids=["empty", "1-d", "triple", "3-d"])
+    def test_points_that_are_not_pairs_rejected(self, fit, points):
+        with pytest.raises(ValueError, match=r"^points must be a non-empty sequence of \(x, y\) pairs$"):
+            fit(points)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_non_positive_x_rejected(self, x):
+        points = [(x, 1.0), (1.0, 1.0), (2.0, 0.7), (4.0, 0.5)]
+        with pytest.raises(ValueError, match="^gamma values must be positive$"):
+            fit_inv_gamma_linear(points)
+        with pytest.raises(ValueError, match="^x values must be positive$"):
+            fit_inv_sqrt(points)
 
     def test_predict_unknown_kind_rejected(self):
         fit = FitResult(coefficients=(1.0,), residual_norm=0.0, model_kind="mystery")
