@@ -197,6 +197,7 @@ class BoundCurve:
     noise_terms: np.ndarray
     gamma: float
     noise_kernel: str  # EXP_SUM, RUNNING_SUM, SUFFIX_SUM or PREFIX_DIFFERENCE, see _curve()
+    stride: int  # the horizon stride the curve ran, at most T
     exp_sum: expsum.Counts | None = None  # what the exp-sum kernel did; None for the others
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -453,7 +454,7 @@ def _curve(schedule: Schedule, grad_norms: GradNormModel, D: float, stride: int 
     dist = D * D / (2.0 * S)
     dist_T, noise_T = _in_range(dist[n], noise[n])
     gamma = math.sqrt(dist_T / noise_T)  # minimizes the last row; for bound_curve, optimal_gamma bit for bit
-    return BoundCurve(t=ts, dist_terms=dist, noise_terms=noise, gamma=gamma, noise_kernel=kernel, exp_sum=counts)
+    return BoundCurve(t=ts, dist_terms=dist, noise_terms=noise, gamma=gamma, noise_kernel=kernel, stride=stride, exp_sum=counts)
 
 
 def bound_curve(

@@ -39,7 +39,7 @@ _BASE_CHOICES = ("constant", "inv-sqrt")
 def _add_common(p: argparse.ArgumentParser, name: str):
     p.add_argument("--outdir", default=None, help=f"output directory (default: ${OUTDIR_ENV} or '.')")
     p.add_argument("--name", default=name, help="base name for output files")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="data file format")
+    p.add_argument("--format", choices=serialize.FORMATS, default="csv", help="data file format")
 
 
 def _add_bound_params(p: argparse.ArgumentParser):
@@ -236,8 +236,7 @@ def _cmd_bound(args) -> dict:
     sched = schedules.parse_spec(args.schedule)
     grad = _grad_norms(args)
     gamma = _gamma_arg(args.gamma)
-    stride = bounds.default_stride(sched.horizon) if args.stride is None else args.stride
-    curve = bounds.bound_curve(sched, grad, args.D, stride=stride)  # at gamma_star
+    curve = bounds.bound_curve(sched, grad, args.D, stride=args.stride)  # at gamma_star
     gamma_star = curve.gamma
     if gamma is not None:
         curve = curve.at_gamma(gamma)
@@ -253,7 +252,7 @@ def _cmd_bound(args) -> dict:
         "T2_final": curve.noise_final,
         "tuned_bound_final": 2.0 * math.sqrt(curve.dist_final * curve.noise_final),
         "noise_kernel": curve.noise_kernel,
-        "stride": stride,
+        "stride": curve.stride,
         "horizons": curve.t.size,
         "exp_sum_nodes": nodes,
         "exp_sum_groups": groups,

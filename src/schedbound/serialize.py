@@ -17,54 +17,50 @@ from typing import Iterable, Sequence
 
 # the template of every float cell
 _FLOAT_FORMAT = "%.17g"
-
-
-def format_float(x: float) -> str:
-    return _FLOAT_FORMAT % float(x)
-
-
-def _cell(x) -> str:
-    # no numpy value can exist before numpy is loaded, so a table of Python values never imports it
-    np = sys.modules.get("numpy")
-    if isinstance(x, bool) or np is not None and isinstance(x, np.bool_):
-        return "true" if x else "false"
-    if isinstance(x, int) or np is not None and isinstance(x, np.integer):
-        return str(int(x))
-    if isinstance(x, float) or np is not None and isinstance(x, np.floating):
-        return format_float(float(x))
-    return str(x)
-
-
-# rows that csv_text holds at once
+# the data formats of serialize, which are cli's --format choices
+FORMATS = ("csv", "json")
+# rows that the writer holds at once
 CSV_BLOCK = 4096
 
 
-def _column_format(column) -> str | None:
-    """The %-template of a column whose cells are all floats (_FLOAT_FORMAT) or all ints ("%d"), else None.
-
-    A bool is an int to Python but is written as true/false, so it is no int here.
-    """
-    types = set(map(type, column))
-    np = sys.modules.get("numpy")  # as in _cell
-    floats = float if np is None else (float, np.floating)
-    ints = int if np is None else (int, np.integer)
-    if all(issubclass(tp, floats) for tp in types):
+def _template(tp: type) -> str | None:
+    """The %-template of a cell of type tp: _FLOAT_FORMAT for a float, "%d" for an int but no bool, else None."""
+    # no numpy value can exist before numpy is loaded, so a table of Python values never imports it
+    np = sys.modules.get("numpy")
+    floats, ints = (float, int) if np is None else ((float, np.floating), (int, np.integer))
+    if issubclass(tp, floats):
         return _FLOAT_FORMAT
-    if all(issubclass(tp, ints) and not issubclass(tp, bool) for tp in types):
-        return "%d"
-    return None
+    return "%d" if issubclass(tp, ints) and not issubclass(tp, bool) else None
+
+
+def _cell(x) -> str:
+    if template := _template(type(x)):
+        return template % x
+    np = sys.modules.get("numpy")  # as in _template
+    if isinstance(x, bool) or np is not None and isinstance(x, np.bool_):
+        return "true" if x else "false"
+    return str(x)
+
+
+def _column_format(column) -> str | None:
+    """The one template that every cell type of the column maps to, else None."""
+    templates = set(map(_template, set(map(type, column))))
+    return templates.pop() if len(templates) == 1 else None
+
+
+def _blocks(header: Sequence[str], rows: Iterable[Sequence]):
+    """The rows in blocks of CSV_BLOCK, each checked to have the shape that csv_text asks for."""
+    if not header:
+        raise ValueError("a table needs a header of at least one column")
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, CSV_BLOCK)):
+        if set(map(len, block)) != {len(header)}:
+            raise ValueError(f"every table row needs {len(header)} cells, one per header column")
+        yield block
 
 
 def _block_lines(block: list) -> list[str]:
-    """The CSV lines of a block of rows.
-
-    A float or int column is formatted by one row template, which writes
-    the same digits as _cell; any other column, and a block of ragged or
-    empty rows, goes through _cell cell by cell.
-    """
-    widths = set(map(len, block))
-    if widths == {0} or len(widths) > 1:
-        return [",".join(_cell(x) for x in row) for row in block]
+    """The CSV lines of a block of rows, by one row template: each column's _column_format, else _cell per cell."""
     columns = list(zip(*block))
     formats = [_column_format(column) for column in columns]
     columns = [column if fmt else [_cell(x) for x in column] for column, fmt in zip(columns, formats)]
@@ -72,10 +68,12 @@ def _block_lines(block: list) -> list[str]:
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text: the header line, then one line per row, each cell as _cell writes it."""
+    """CSV text: the header line, then one line per row, each cell as _cell writes it.
+
+    A header of no column, or a row of another width, is a ValueError.
+    """
     lines = [",".join(header)]
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, CSV_BLOCK)):
+    for block in _blocks(header, rows):
         lines += _block_lines(block)
     return "\n".join(lines) + "\n"
 
@@ -90,7 +88,7 @@ def json_text(obj) -> str:
 
 
 def _numpy_value(obj):
-    np = sys.modules.get("numpy")  # as in _cell
+    np = sys.modules.get("numpy")  # as in _template
     if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -107,14 +105,14 @@ def write_text(path: str, text: str) -> str:
 def serialize(outdir: str, name: str, header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> str:
     """Write a table as <outdir>/<name>.csv or, for fmt "json", <name>.json; return the path.
 
-    JSON holds one object per row, keyed by the header.
+    JSON holds one object per row, keyed by the header; the table has csv_text's shape.
     """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown data format {fmt!r} (use {' or '.join(FORMATS)})")
     if fmt == "json":
-        text = json_text([dict(zip(header, row)) for row in rows])
-    elif fmt == "csv":
-        text = csv_text(header, rows)
+        text = json_text([dict(zip(header, row)) for block in _blocks(header, rows) for row in block])
     else:
-        raise ValueError(f"unknown data format {fmt!r} (use csv or json)")
+        text = csv_text(header, rows)
     return write_text(os.path.join(outdir, f"{name}.{fmt}"), text)
 
 

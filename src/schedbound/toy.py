@@ -35,7 +35,7 @@ from .schedules import Schedule, constant, cosine, wsd
 
 @dataclass(frozen=True, eq=False)
 class ToyProblem:
-    """Instance of min_x max_i |<A_i, x> - b_i|.
+    """Instance of min_x max_i |<A_i, x> - b_i|, with A and b finite (checked).
 
     x_oracle, when given, is a finite vector of length d (checked) with
     b = A @ x_oracle (a precondition: a caller's b may round differently),
@@ -54,6 +54,9 @@ class ToyProblem:
             raise ValueError("A must be a non-empty 2-d matrix")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have length {A.shape[0]}, got shape {b.shape}")
+        for name, value in (("A", A), ("b", b)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got a non-finite entry")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         if self.x_oracle is not None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schedbound import bounds, cli, expsum, tuning
+from schedbound import bounds, cli, expsum, serialize, tuning
 from schedbound.schedules import wsd
 
 
@@ -86,7 +86,13 @@ def test_bound_takes_gamma_star_from_the_curve(tmp_path, capsys, monkeypatch, sp
 
 @pytest.mark.parametrize(
     "spec, flags",
-    [("wsd:T=100000,c=0.2", []), ("constant:T=5000", []), ("cosine:T=400", ["--stride", "7"]), ("wsd:T=50,c=0.3", ["--stride", "100"])],
+    [
+        ("wsd:T=100000,c=0.2", []),
+        ("constant:T=5000", []),
+        ("cosine:T=400", ["--stride", "7"]),
+        ("wsd:T=50,c=0.3", ["--stride", "100"]),
+        ("wsd:T=400,c=0.2", ["--stride", "1000000"]),
+    ],
 )
 def test_bound_summary_says_which_horizons_ran(tmp_path, capsys, spec, flags):
     from schedbound.schedules import parse_spec
@@ -95,10 +101,13 @@ def test_bound_summary_says_which_horizons_ran(tmp_path, capsys, spec, flags):
     code, out, _ = run_cli(["bound", "--schedule", spec, *flags, "--outdir", str(tmp_path)], capsys)
     assert code == 0
     summary = json.loads(out)
-    stride = int(flags[1]) if flags else bounds.default_stride(T)
+    given = int(flags[1]) if flags else None
+    # the stride the curve ran: a given one above T runs as T, and config echoes the given one
+    stride = min(given or bounds.default_stride(T), T)
     assert summary["stride"] == stride
-    assert summary["config"]["stride"] == (stride if flags else None)
-    curve = bounds.bound_curve(parse_spec(spec), stride=stride)
+    assert summary["config"]["stride"] == given
+    curve = bounds.bound_curve(parse_spec(spec), stride=given)
+    assert curve.stride == stride
     rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
     assert summary["horizons"] == len(curve.t) == len(rows)
     # the exp-sum counts are the curve's own, and null for the direct kernels
@@ -572,6 +581,13 @@ def test_base_choices_are_the_tuning_bases(command):
     sub = next(a for a in cli._build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
     base = next(a for a in sub.choices[command]._actions if a.dest == "base")
     assert list(base.choices) == list(tuning._BASES)
+
+
+def test_format_choices_are_the_writer_formats():
+    # every subcommand's --format offers exactly the formats that serialize writes
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {tuple(a.choices) for p in sub.choices.values() for a in p._actions if a.dest == "format"}
+    assert choices == {serialize.FORMATS}
 
 
 def _cyclic_garbage(argv, tmp_path) -> int:

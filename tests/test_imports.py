@@ -381,7 +381,7 @@ import json, sys
 from schedbound import _checks, serialize
 
 def texts():
-    rows = [(1, 0.5, True, "a"), (2, 1e300, False, "b,c"), (3, -0.0), (2**70, 5e-324, None, "")]
+    rows = [(1, 0.5, True, "a"), (2, 1e300, False, "b,c"), (3, -0.0, True, None), (2**70, 5e-324, None, "")]
     summary = {"b": 0.1, "a": [1, 2.5, True, None, "x"], "c": {"d": -0.0, "e": 2**70}}
     try:
         serialize.json_text({"a": object()})

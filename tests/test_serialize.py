@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedbound import serialize as serialize_module
-from schedbound.serialize import _cell, csv_text, format_float, json_text, serialize, write_summary, write_text
+from schedbound.serialize import FORMATS, _cell, csv_text, json_text, serialize, write_summary, write_text
 
 
-def test_format_float_17_digits():
-    assert format_float(1.0) == "1"
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(2.0 / 3.0) == "0.66666666666666663"
+def test_float_cell_17_digits():
+    assert _cell(1.0) == "1"
+    assert _cell(0.1) == "0.10000000000000001"
+    assert _cell(2.0 / 3.0) == "0.66666666666666663"
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
-def test_format_float_round_trips(x):
-    assert float(format_float(x)) == x
+def test_float_cell_round_trips(x):
+    assert float(_cell(x)) == x
 
 
 def test_csv_text_layout():
@@ -63,13 +63,10 @@ _MIXED = st.one_of(*_CELLS.values())
 
 @st.composite
 def _tables(draw):
-    """(header, rows): typed, mixed and empty columns, now and then a ragged row."""
-    kinds = draw(st.lists(st.sampled_from([*_CELLS, "mixed"]), max_size=4))
+    """(header, rows): one to four typed or mixed columns, and rows as wide as the header."""
+    kinds = draw(st.lists(st.sampled_from([*_CELLS, "mixed"]), min_size=1, max_size=4))
     cells = [_CELLS.get(kind, _MIXED) for kind in kinds]
     rows = [tuple(draw(cell) for cell in cells) for _ in range(draw(st.integers(0, 9)))]
-    if rows and draw(st.booleans()):
-        i = draw(st.integers(0, len(rows) - 1))
-        rows[i] = rows[i][:-1] if rows[i] and draw(st.booleans()) else (*rows[i], draw(_MIXED))
     return [f"c{j}" for j in range(len(kinds))], rows
 
 
@@ -81,23 +78,67 @@ def test_csv_text_equals_per_cell_form(table, block):
         assert csv_text(header, iter(rows)) == _per_cell_csv(header, rows)
 
 
+@st.composite
+def _ragged_tables(draw):
+    """(header, rows): a table from _tables with one row a cell short or a cell long."""
+    header, rows = draw(_tables().filter(lambda table: table[1]))
+    i = draw(st.integers(0, len(rows) - 1))
+    rows[i] = rows[i][:-1] if draw(st.booleans()) else (*rows[i], draw(_MIXED))
+    return header, rows
+
+
+@settings(max_examples=100)
+@given(table=_ragged_tables(), block=st.integers(1, 4))
+def test_csv_text_rejects_a_ragged_row(table, block):
+    header, rows = table
+    with mock.patch.object(serialize_module, "CSV_BLOCK", block):
+        with pytest.raises(ValueError, match=rf"^every table row needs {len(header)} cells, one per header column$"):
+            csv_text(header, iter(rows))
+
+
 @pytest.mark.parametrize(
     "header, rows",
     [
         (["t", "v"], []),
-        ([], [(), ()]),
-        (["t", "v"], [(1, 0.5), (2,), (3, 0.25, "x")]),
         (["x", "y"], np.array([[0.1, -0.0], [math.nan, -math.inf]])),
         (["t", "v"], zip(np.arange(1, 4), np.array([1.0, 1e300, 5e-324]))),
         (["v"], [(1,), (0.5,), (2**60,)]),
         (["flag"], [(True,), (np.bool_(False),)]),
         (["v"], [(np.float16(0.1),), (np.longdouble(0.1),)]),
     ],
-    ids=["empty", "empty rows", "ragged", "ndarray", "curve", "int and float", "bools", "float16 and longdouble"],
+    ids=["empty", "ndarray", "curve", "int and float", "bools", "float16 and longdouble"],
 )
 def test_csv_text_equals_per_cell_form_on(header, rows):
     rows = list(rows)
     assert csv_text(header, rows) == _per_cell_csv(header, rows)
+
+
+_BAD_TABLES = pytest.mark.parametrize(
+    "header, rows, message",
+    [
+        (["a", "b"], [(1.0, 2.0), (1.0, 2.0, 3.0)], "every table row needs 2 cells"),
+        (["a", "b"], [(1.0, 2.0), (3,)], "every table row needs 2 cells"),
+        (["a", "b"], [()], "every table row needs 2 cells"),
+        (["t", "v"], [(k, k / 7.0) for k in range(serialize_module.CSV_BLOCK)] + [(1,)], "every table row needs 2 cells"),
+        ([], [], "a table needs a header of at least one column"),
+        ([], [(), ()], "a table needs a header of at least one column"),
+    ],
+    ids=["wide row", "narrow row", "empty row", "narrow row after a full block", "no column", "no column, empty rows"],
+)
+
+
+@_BAD_TABLES
+def test_csv_text_rejects_other_shapes(header, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        csv_text(header, rows)
+
+
+@_BAD_TABLES
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_serialize_rejects_other_shapes_before_any_file(tmp_path, header, rows, message, fmt):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        serialize(str(tmp_path / "out"), "tab", header, iter(rows), fmt)
+    assert not list(tmp_path.iterdir())
 
 
 def test_json_text_sorted_and_plain():
@@ -211,7 +252,7 @@ def test_serialize_names_file_by_format(tmp_path):
 
 
 def test_serialize_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="unknown data format"):
+    with pytest.raises(ValueError, match=r"^unknown data format 'xml' \(use csv or json\)$"):
         serialize(str(tmp_path), "tab", ["t"], [(1,)], "xml")
     assert not list(tmp_path.iterdir())
 

@@ -129,6 +129,21 @@ class TestGenerateProblem:
         with pytest.raises(ValueError, match=message):
             ToyProblem(np.ones((3, 2)), np.ones(3), x_oracle=x_oracle)
 
+    @pytest.mark.parametrize(
+        "A, b, name",
+        [
+            ([[math.nan, 1.0]], [1.0], "A"),
+            ([[1.0, -math.inf]], [1.0], "A"),
+            ([[math.nan, 1.0]], [math.inf], "A"),
+            ([[1.0, 1.0]], [math.inf], "b"),
+            ([[1.0, 1.0]], [math.nan], "b"),
+        ],
+    )
+    def test_non_finite_A_or_b_rejected(self, A, b, name):
+        # the array at fault is named, not the start point or gamma that a failing run_sgd would name
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got a non-finite entry$"):
+            ToyProblem(np.array(A), np.array(b))
+
 
 class TestLossAndSubgradient:
     def test_loss_hand_value(self):
